@@ -7,17 +7,18 @@ receivers, either with the trained neural demodulators or with the
 QAM + SIC baseline.  Block fading: one channel draw per feature vector
 per user.
 
-SNR bookkeeping: the composite transmit signal has unit mean power under
-the sqrt superposition convention, so each user's channel gain in dB is
-also its receive SNR and the per-user effective SNRs after power split
-follow in closed form (near decodes after removing the far signal, far
-treats the near signal as noise):
+SNR bookkeeping: each user's channel gain in dB is its receive SNR for a
+unit power transmit signal, and the per-user effective SNRs after the
+power split follow in closed form from the superposition amplitudes a
+(near decodes after removing the far signal, far treats the near signal
+as noise):
 
-    gamma_near = rho_near * g_near
-    gamma_far  = rho_far * g_far / (rho_near * g_far + 1)
+    gamma_near = a_near**2 * g_near
+    gamma_far  = a_far**2 * g_far / (a_near**2 * g_far + 1)
 
-with g the linear channel gain.  The power ceiling of the scenario only
-enters this analytic layer; simulated waveforms stay unit power.
+with g the linear channel gain; a**2 is rho under the sqrt convention
+(unit power composite) and rho**2 under the literal one.  The power
+ceiling of the scenario only enters this analytic layer.
 """
 
 import math
@@ -28,7 +29,7 @@ import numpy as np
 from . import rng as _rng
 from .channel import ChannelSpec, equalize, realize, transmit
 from .modem import ModemModel, amplitudes, demodulate, tx_symbols, SUPERPOSE_SQRT
-from .qam import QamMap, make_qam, qam_modulate, sic_detect
+from .qam import make_qam, nearest_point, qam_modulate, sic_detect
 from .quant import FeatureVector, QuantizerParams, dequantize, fit_quantizer, quantize
 
 DETECTOR_NEURAL = "neural"
@@ -78,8 +79,12 @@ def effective_snrs_db(scenario: LinkScenario) -> tuple[float, float]:
     """Closed-form post-split SNRs (near after SIC, far under interference)."""
     g_n = 10.0 ** (scenario.gain_near_db / 10.0)
     g_f = 10.0 ** (scenario.gain_far_db / 10.0)
-    gamma_n = scenario.rho_near * g_n
-    gamma_f = scenario.rho_far * g_f / (scenario.rho_near * g_f + 1.0)
+    a_n, a_f = amplitudes(scenario.rho_near, scenario.rho_far, scenario.superposition)
+    # sqrt powers are the shares themselves: squaring sqrt(rho) can move the last bit
+    p_n, p_f = ((scenario.rho_near, scenario.rho_far) if scenario.superposition ==
+                SUPERPOSE_SQRT else (a_n * a_n, a_f * a_f))
+    gamma_n = p_n * g_n
+    gamma_f = p_f * g_f / (p_n * g_f + 1.0)
     return 10.0 * math.log10(gamma_n), 10.0 * math.log10(gamma_f)
 
 
@@ -96,10 +101,6 @@ def superpose(s_near, s_far, rho_near: float, rho_far: float,
     """Weighted sum of the two users' normalized symbol streams."""
     a_n, a_f = amplitudes(rho_near, rho_far, convention)
     return a_n * np.asarray(s_near) + a_f * np.asarray(s_far)
-
-
-def _nearest_index(est: np.ndarray, constellation: np.ndarray) -> np.ndarray:
-    return np.argmin(np.abs(est[:, None] - constellation[None, :]), axis=1)
 
 
 def _clamp_to_hull(est: np.ndarray, constellation: np.ndarray) -> np.ndarray:
@@ -161,13 +162,13 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
         out_f = demodulate(eq_far_rx, far_m)
         est_n = _clamp_to_hull(out_n[:, 0], q_near.constellation_deq)
         est_f = _clamp_to_hull(out_f[:, 0], q_far.constellation_deq)
-        det_idx_n = _nearest_index(out_n[:, 0], q_near.constellation_deq)
-        det_idx_f = _nearest_index(out_f[:, 0], q_far.constellation_deq)
+        det_idx_n = nearest_point(out_n[:, 0], q_near.constellation_deq)
+        det_idx_f = nearest_point(out_f[:, 0], q_far.constellation_deq)
     else:
-        det_idx_n, _ = sic_detect(eq_near_rx, qam_n, qam_f,
-                                  scenario.rho_near, scenario.rho_far)
-        _, det_idx_f = sic_detect(eq_far_rx, qam_n, qam_f,
-                                  scenario.rho_near, scenario.rho_far)
+        det_idx_n, _ = sic_detect(eq_near_rx, qam_n, qam_f, scenario.rho_near,
+                                  scenario.rho_far, scenario.superposition)
+        _, det_idx_f = sic_detect(eq_far_rx, qam_n, qam_f, scenario.rho_near,
+                                  scenario.rho_far, scenario.superposition)
         est_n = dequantize(det_idx_n, q_near)
         est_f = dequantize(det_idx_f, q_far)
 

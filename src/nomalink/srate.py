@@ -113,8 +113,9 @@ def xi_inverse(model: AccuracyModel, target: float) -> float:
     if not (model.a1 < target < model.a2):
         raise AccuracyRangeError(
             f"target {target} outside accuracy range ({model.a1}, {model.a2})")
-    frac = (target - model.a1) / (model.a2 - model.a1)
-    return (math.log(frac / (1.0 - frac)) - model.c2) / model.c1
+    # odds taken from the two gaps directly: a2 - target > 0 for any
+    # target < a2, where 1 - frac can round to 0 just below the ceiling
+    return (math.log((target - model.a1) / (model.a2 - target)) - model.c2) / model.c1
 
 
 def gamma_required(model: AccuracyModel, target: float) -> float:

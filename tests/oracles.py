@@ -86,8 +86,18 @@ def representative_features(m: int, s, d):
 
 
 def sic_reference(y, points_near, points_far, rho_near, rho_far):
-    """Plain-loop SIC: far first under interference, then the residual."""
-    a_n, a_f = math.sqrt(rho_near), math.sqrt(rho_far)
+    """Plain-loop SIC for the sqrt convention (amplitudes sqrt(rho))."""
+    return _sic_loop(y, points_near, points_far,
+                     math.sqrt(rho_near), math.sqrt(rho_far))
+
+
+def literal_sic_reference(y, points_near, points_far, rho_near, rho_far):
+    """Plain-loop SIC for the literal convention (amplitudes rho)."""
+    return _sic_loop(y, points_near, points_far, rho_near, rho_far)
+
+
+def _sic_loop(y, points_near, points_far, a_n, a_f):
+    """Far first under interference, then the residual, at amplitudes a."""
     out_n, out_f = [], []
     for yy in np.atleast_1d(np.asarray(y, dtype=complex)):
         j = min(range(len(points_far)),
@@ -98,6 +108,14 @@ def sic_reference(y, points_near, points_far, rho_near, rho_far):
         out_n.append(i)
         out_f.append(j)
     return np.array(out_n), np.array(out_f)
+
+
+def dense_nearest(y, points):
+    """Nearest point by the full (N, len(points)) distance matrix, ties to
+    the lowest index: the exhaustive search the detector must reproduce."""
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    d = np.abs(y[:, None] - np.asarray(points, dtype=complex)[None, :])
+    return np.argmin(d, axis=1)
 
 
 def gray_reference(n_bits: int):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
                            effective_snrs_db, run_link, sample_features,
                            superpose)
-from nomalink.modem import tx_symbols
+from nomalink.modem import SUPERPOSE_LITERAL, tx_symbols
 from nomalink.quant import FeatureVector
 
 
@@ -23,6 +24,30 @@ def test_effective_snrs_match_direct_formula():
     g_n, g_f = 10**2.0, 10**1.6
     assert 10**(snr_n / 10) == pytest.approx(0.2 * g_n, rel=1e-12)
     assert 10**(snr_f / 10) == pytest.approx(0.8 * g_f / (0.2 * g_f + 1), rel=1e-12)
+
+
+def test_effective_snrs_follow_literal_amplitudes():
+    # literal amplitudes are the shares, so the powers are their squares
+    sc = LinkScenario(gain_near_db=20, gain_far_db=16, superposition=SUPERPOSE_LITERAL)
+    snr_n, snr_f = effective_snrs_db(sc)
+    g_n, g_f = 10**2.0, 10**1.6
+    assert 10**(snr_n / 10) == pytest.approx(0.09 * g_n, rel=1e-12)
+    assert 10**(snr_f / 10) == pytest.approx(0.49 * g_f / (0.09 * g_f + 1), rel=1e-12)
+
+
+def test_literal_sic_near_ser_matches_its_effective_snr():
+    # QPSK at 20/20 dB: far decisions are almost error free, so after
+    # cancellation the near SER is QPSK's at the reported effective SNR;
+    # cancelling with sqrt(rho) amplitudes instead gives about 0.05
+    sc = LinkScenario(gain_near_db=20, gain_far_db=20, superposition=SUPERPOSE_LITERAL)
+    n = 20_000
+    v_n = sample_features(n, sc.bound_s, sc.bound_d, seed=4, user=0)
+    v_f = sample_features(n, sc.bound_s, sc.bound_d, seed=4, user=1)
+    rep = run_link(sc, v_n, v_f, detector=DETECTOR_SIC, seed=4)
+    q = 0.5 * math.erfc(math.sqrt(10**(rep.snr_eff_near_db / 10) / 2))
+    expected = 2 * q - q * q
+    assert expected / 2 < rep.ser_near < 2 * expected
+    assert rep.ser_far < 1e-3
 
 
 def test_scenario_validation():

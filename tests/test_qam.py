@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nomalink.modem import SUPERPOSE_LITERAL
 from nomalink.qam import (make_qam, nearest_point, qam_modulate, sic_detect,
                           sic_macs_per_symbol)
+from nomalink.quant import fit_quantizer
 from nomalink.rng import stream_rng
 
 
@@ -116,6 +120,106 @@ def test_modulate_rejects_bad_indices():
 def test_nearest_point_tie_breaks_low():
     pts = np.array([1.0 + 0j, -1.0 + 0j])
     assert nearest_point(np.array([0.0 + 0j]), pts)[0] == 0
+
+
+def _grid(kind, m, bound_s=5.0, bound_d=1.0):
+    if kind == "qam":
+        return make_qam(m).points
+    return fit_quantizer(m, bound_s, bound_d).constellation_deq
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["qam", "quant"]), m=st.integers(1, 10),
+       bound_s=st.floats(0.1, 10.0), d_frac=st.floats(0.01, 0.99), data=st.data())
+def test_nearest_point_matches_dense_search(kind, m, bound_s, d_frac, data):
+    points = _grid(kind, m, bound_s, d_frac * bound_s)
+    lev_re = np.unique(points.real)
+    lev_im = np.unique(np.asarray(points, dtype=complex).imag)
+    # every level and every per-axis midpoint: the decision boundaries
+    marks_re = np.concatenate([lev_re, (lev_re[:-1] + lev_re[1:]) / 2])
+    marks_im = np.concatenate([lev_im, (lev_im[:-1] + lev_im[1:]) / 2])
+    span = float(np.max(np.abs(points)))
+    on_marks = st.builds(lambda a, b: complex(marks_re[a], marks_im[b]),
+                         st.integers(0, len(marks_re) - 1),
+                         st.integers(0, len(marks_im) - 1))
+    inside = st.builds(complex, st.floats(-1.5 * span, 1.5 * span),
+                       st.floats(-1.5 * span, 1.5 * span))
+    outside = st.builds(complex, st.floats(-1e3 * span, 1e3 * span),
+                        st.floats(-1e3 * span, 1e3 * span))
+    # far along one axis only: where rounding of |y - p| starts to tie
+    # whole rows of the grid (beyond about 1e7 grid steps)
+    far_axis = st.builds(lambda x, big, swap: complex(big, x) if swap else complex(x, big),
+                         st.floats(-span, span),
+                         st.floats(1e4, 1e12) | st.floats(-1e12, -1e4), st.booleans())
+    anywhere = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    y = np.array(data.draw(st.lists(
+        st.one_of(on_marks, inside, outside, far_axis, anywhere), min_size=1, max_size=40)))
+    assert np.array_equal(nearest_point(y, points), oracles.dense_nearest(y, points))
+    if kind == "quant":  # the neural chain passes real estimates
+        assert np.array_equal(nearest_point(y.real, points),
+                              oracles.dense_nearest(y.real, points))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_nearest_point_ties_go_to_lowest_index(m):
+    # the centre and the midpoint of each grid cell sit on decision
+    # boundaries; several points tie there and the lowest index must win
+    points = make_qam(m).points
+    lev_re = np.unique(points.real)
+    lev_im = np.unique(points.imag)
+    mid_re = (lev_re[:-1] + lev_re[1:]) / 2
+    mid_im = (lev_im[:-1] + lev_im[1:]) / 2 if len(lev_im) > 1 else lev_im
+    y = np.concatenate([[0j], (mid_re[:, None] + 1j * mid_im[None, :]).ravel()])
+    d = np.abs(y[:, None] - points[None, :])
+    assert np.sum(d[0] == d[0].min()) >= 2
+    assert np.array_equal(nearest_point(y, points), oracles.dense_nearest(y, points))
+
+
+def test_nearest_point_non_finite_inputs_match_dense_search():
+    points = make_qam(4).points
+    y = np.array([complex(np.nan, 0), complex(np.inf, 1), complex(-np.inf, np.inf),
+                  complex(1e300, -1e300), 0.3 - 0.2j])
+    assert np.array_equal(nearest_point(y, points), oracles.dense_nearest(y, points))
+
+
+def test_nearest_point_rejects_points_off_a_grid():
+    with pytest.raises(ValueError):
+        nearest_point([0j], np.array([0, 1, 1j]))
+
+
+def test_nearest_point_memory_is_linear():
+    # the dense (N, 2^m) search needs about 270 MB here
+    points = make_qam(12).points
+    rng = stream_rng(11)
+    y = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    tracemalloc.start()
+    try:
+        nearest_point(y, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_sic_literal_agrees_with_loop_reference():
+    rng = stream_rng(6)
+    y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    for m in (2, 4):
+        q = make_qam(m)
+        got_n, got_f = sic_detect(y, q, q, 0.3, 0.7, SUPERPOSE_LITERAL)
+        ref_n, ref_f = oracles.literal_sic_reference(y, q.points, q.points, 0.3, 0.7)
+        assert np.array_equal(got_n, ref_n)
+        assert np.array_equal(got_f, ref_f)
+
+
+def test_sic_literal_noiseless_recovers_all_pairs():
+    q = make_qam(2)
+    idx_n, idx_f = oracles.enumerate_index_pairs(2, 2)
+    y = 0.3 * q.points[idx_n] + 0.7 * q.points[idx_f]
+    got_n, got_f = sic_detect(y, q, q, 0.3, 0.7, SUPERPOSE_LITERAL)
+    assert np.array_equal(got_n, idx_n)
+    assert np.array_equal(got_f, idx_f)
 
 
 def test_detection_survives_small_noise():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ def test_xi_inverse_round_trip(frac):
     m = TRUE_TEXT_CURVE
     target = m.a1 + frac * (m.a2 - m.a1)
     assert xi_eval(m, xi_inverse(m, target)) == pytest.approx(target, abs=1e-9)
+
+
+def test_xi_inverse_just_below_ceiling_is_finite():
+    # here (target - a1) / (a2 - a1) rounds to exactly 1
+    m = AccuracyModel(np.float64(0.06), np.float64(0.75), 2.0, -1.0)
+    target = math.nextafter(m.a2, m.a1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = xi_inverse(m, target)
+    assert math.isfinite(gamma)
+    assert gamma > xi_inverse(m, 0.7)
 
 
 def test_xi_inverse_range_errors():
