@@ -191,8 +191,8 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
     def model_meta(fit, source):
         m = fit.model
         return {"a1": m.a1, "a2": m.a2, "c1": m.c1, "c2": m.c2,
-                "residual_rms": fit.residual_rms, "source": source,
-                "warning": fit.warning}
+                "residual_rms": fit.residual_rms, "iterations": fit.iterations,
+                "source": source, "warning": fit.warning}
 
     meta = {
         "config_hash": config_hash(cfg),

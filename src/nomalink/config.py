@@ -14,6 +14,8 @@ import json
 import typing
 from dataclasses import dataclass, field
 
+from .modem import check_power_split
+
 SCHEMA_VERSION = 1
 
 
@@ -38,6 +40,9 @@ class LinkSection:
     p_max_watts: float = 1e6
     bandwidth_hz: float = 1e6
     superposition: str = "sqrt"
+
+    def __post_init__(self):
+        check_power_split(self.rho_near, self.rho_far, self.superposition)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 from . import rng as _rng
 from .channel import ChannelSpec, equalize, realize, transmit
 from .modem import ModemModel, amplitudes, demodulate, tx_symbols, SUPERPOSE_SQRT
-from .qam import make_qam, nearest_point, qam_modulate, sic_detect
+from .qam import detect_far, make_qam, nearest_point, qam_modulate, sic_detect
 from .quant import FeatureVector, QuantizerParams, dequantize, fit_quantizer, quantize
 
 DETECTOR_NEURAL = "neural"
@@ -167,8 +167,8 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
     else:
         det_idx_n, _ = sic_detect(eq_near_rx, qam_n, qam_f, scenario.rho_near,
                                   scenario.rho_far, scenario.superposition)
-        _, det_idx_f = sic_detect(eq_far_rx, qam_n, qam_f, scenario.rho_near,
-                                  scenario.rho_far, scenario.superposition)
+        det_idx_f = detect_far(eq_far_rx, qam_f, scenario.rho_near,
+                               scenario.rho_far, scenario.superposition)
         est_n = dequantize(det_idx_n, q_near)
         est_f = dequantize(det_idx_f, q_far)
 

@@ -95,18 +95,25 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.rho_near < 1 and 0 < self.rho_far < 1):
-            raise ValueError("power shares must lie in (0, 1)")
-        if abs(self.rho_near + self.rho_far - 1.0) > 1e-12:
-            raise ValueError("power shares must sum to 1")
-        if self.rho_near > self.rho_far:
-            raise ValueError("near (strong) user cannot get more power than far")
+        check_power_split(self.rho_near, self.rho_far, self.superposition)
         if self.learning_rate <= 0 or self.epochs < 1:
             raise ValueError("bad optimizer settings")
         if not (1 <= self.batch_size <= self.dataset_size):
             raise ValueError("batch_size must be in 1..dataset_size")
-        if self.superposition not in (SUPERPOSE_SQRT, SUPERPOSE_LITERAL):
-            raise ValueError(f"unknown superposition convention {self.superposition!r}")
+
+
+def check_power_split(rho_near: float, rho_far: float, convention: str):
+    """Raise ValueError unless the shares and the superposition convention
+    form a valid split: shares in (0, 1) summing to 1, the far (weak)
+    user getting at least the near user's share."""
+    if not (0 < rho_near < 1 and 0 < rho_far < 1):
+        raise ValueError("power shares must lie in (0, 1)")
+    if abs(rho_near + rho_far - 1.0) > 1e-12:
+        raise ValueError("power shares must sum to 1")
+    if rho_near > rho_far:
+        raise ValueError("near (strong) user cannot get more power than far")
+    if convention not in (SUPERPOSE_SQRT, SUPERPOSE_LITERAL):
+        raise ValueError(f"unknown superposition convention {convention!r}")
 
 
 def amplitudes(rho_near: float, rho_far: float, convention: str = SUPERPOSE_SQRT):

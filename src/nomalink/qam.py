@@ -116,6 +116,17 @@ def nearest_point(y, points: np.ndarray) -> np.ndarray:
     return idx
 
 
+def detect_far(y, qmap_far: QamMap, rho_near: float, rho_far: float,
+               convention: str = SUPERPOSE_SQRT) -> np.ndarray:
+    """First SIC stage: far indices, treating the near signal as noise.
+
+    This is all the far receiver needs; sic_detect continues from it.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    _, a_f = amplitudes(rho_near, rho_far, convention)
+    return nearest_point(y / a_f, qmap_far.points)
+
+
 def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap,
                rho_near: float, rho_far: float, convention: str = SUPERPOSE_SQRT):
     """Far-first successive interference cancellation.
@@ -126,7 +137,7 @@ def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap,
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     a_n, a_f = amplitudes(rho_near, rho_far, convention)
-    idx_far = nearest_point(y / a_f, qmap_far.points)
+    idx_far = detect_far(y, qmap_far, rho_near, rho_far, convention)
     residual = y - a_f * qmap_far.points[idx_far]
     idx_near = nearest_point(residual / a_n, qmap_near.points)
     return idx_near, idx_far

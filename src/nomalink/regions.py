@@ -1,10 +1,14 @@
 """Semantic rate and power regions for NOMA and OMA resource allocation.
 
-All four searches are exhaustive 1-D sweeps with deterministic local
-refinement.  Rate regions sweep the near user's delivered semantic rate
-and report the largest far rate compatible with both users' accuracy
-requirements; power regions sweep the near user's accuracy requirement
-and report the smallest total power share meeting all requirements.
+Rate regions sweep the near user's delivered semantic rate and report
+the largest far rate compatible with both users' accuracy requirements;
+power regions sweep the near user's accuracy requirement and report the
+smallest total power share meeting all requirements.  Both NOMA curves
+are closed forms: the near requirement pins the near power share, and
+the far user takes the rest (rate) or the least it needs (power).  The
+OMA curves search the near user's bandwidth slice: each point evaluates
+the whole slice grid as one array, then zooms in on the best cell with
+deterministic refinement that evaluates each round's points as one array.
 
 Conventions shared by every search:
 
@@ -107,21 +111,22 @@ def _refine_extremum(fun, lo: float, hi: float, best_x: float, maximize: bool):
     """Deterministic zoom refinement around a bracketing interval.
 
     Re-grids the bracket, keeps the cell around the best finite value and
-    repeats.  Only attained values are ever returned, so the result can
-    never undercut the coarse grid, and extrema sitting on a feasibility
-    edge (fun returns NaN beyond it) are approached from the inside.
+    repeats.  fun takes an array of points and is called once per round.
+    Only attained values are ever returned, so the result can never
+    undercut the coarse grid, and extrema sitting on a feasibility edge
+    (fun returns NaN beyond it) are approached from the inside.
     """
     sign = -1.0 if maximize else 1.0
 
     def value(x):
-        v = fun(x)
-        return math.inf if not math.isfinite(v) else sign * v
+        v = sign * fun(x)
+        return np.where(np.isfinite(v), v, np.inf)
 
     a, b = lo, hi
     x_best, v_best = best_x, value(best_x)
     for _ in range(_REFINE_ROUNDS):
         xs = np.linspace(a, b, _REFINE_POINTS)
-        vals = [value(x) for x in xs]
+        vals = value(xs)
         i = int(np.argmin(vals))
         if vals[i] < v_best:
             x_best, v_best = xs[i], vals[i]
@@ -183,39 +188,33 @@ def noma_rate_region(q: RegionQuery, near_model: AccuracyModel,
 
 
 def _oma_rate_at(q: RegionQuery, near_model: AccuracyModel, far_model: AccuracyModel,
-                 rate_n: float, w_n: float) -> float:
-    """Far rate for one bandwidth split; NaN when the split is invalid."""
+                 rate_n: float, w_n) -> np.ndarray:
+    """Far rate for each near bandwidth slice in w_n; NaN where the split
+    is invalid."""
     g_n, g_f = _gains(q.scenario)
     w = q.scenario.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
     pref_f = rate_prefactor(q.far_profile, w)
+    w_n = np.asarray(w_n, dtype=float)
     w_f = w - w_n
 
-    if w_n <= 0.0:
-        # near excluded: admissible only for a zero near rate, limit sense
-        if rate_n > 0.0 or q.xi_req_near >= near_model.a2:
-            return math.nan
-        rho_low = 0.0
-    else:
+    # slices of zero width divide by zero here; the masks below drop them
+    with np.errstate(divide="ignore", invalid="ignore"):
         acc_rate = rate_n * w / (pref_n * w_n)
-        need = max(gamma_required(near_model, acc_rate),
-                   gamma_required(near_model, q.xi_req_near))
-        if math.isinf(need) and need > 0:
-            return math.nan
-        rho_low = max(0.0, need * w_n / (w * g_n))
-    if rho_low > 1.0 + _FEAS_TOL:
-        return math.nan
-
-    if w_f <= 0.0:
-        # far excluded at the right corner
-        if q.xi_req_far >= far_model.a2:
-            return math.nan
-        return 0.0 if rho_low <= 1.0 + _FEAS_TOL else math.nan
-    gamma_f = (1.0 - min(rho_low, 1.0)) * g_f * w / w_f
+        need = np.maximum(gamma_required(near_model, acc_rate),
+                          gamma_required(near_model, q.xi_req_near))
+        rho_low = np.maximum(0.0, need * w_n / (w * g_n))
+        # near excluded: admissible only for a zero near rate, limit sense
+        near_out_ok = rate_n <= 0.0 and q.xi_req_near < near_model.a2
+        rho_low = np.where(w_n > 0.0, rho_low, 0.0 if near_out_ok else np.nan)
+        gamma_f = (1.0 - np.minimum(rho_low, 1.0)) * g_f * w / w_f
     acc_f = xi_eval(far_model, gamma_f)
-    if acc_f + _FEAS_TOL < q.xi_req_far:
-        return math.nan
-    return pref_f * (w_f / w) * acc_f
+    rate_f = np.where(acc_f + _FEAS_TOL < q.xi_req_far, np.nan,
+                      pref_f * (w_f / w) * acc_f)
+    # far excluded at the right corner
+    far_out_ok = q.xi_req_far < far_model.a2
+    rate_f = np.where(w_f > 0.0, rate_f, 0.0 if far_out_ok else np.nan)
+    return np.where(rho_low <= 1.0 + _FEAS_TOL, rate_f, np.nan)
 
 
 def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
@@ -224,7 +223,7 @@ def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
     """Largest far rate per near rate under orthogonal slicing.
 
     Inner exhaustive search over the near user's bandwidth slice with
-    ternary refinement around the best grid cell.
+    zoom refinement around the best grid cell.
     """
     w = q.scenario.bandwidth_hz
     grid = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
@@ -232,8 +231,7 @@ def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
 
     pts = []
     for rate_n in grid:
-        vals = np.array([_oma_rate_at(q, near_model, far_model, rate_n, wn)
-                         for wn in w_grid])
+        vals = _oma_rate_at(q, near_model, far_model, rate_n, w_grid)
         if np.all(np.isnan(vals)):
             pts.append(RegionPoint(float(rate_n), math.nan, False))
             continue
@@ -282,7 +280,12 @@ def _noma_power_total(q: RegionQuery, near_model: AccuracyModel,
 def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
                       far_model: AccuracyModel,
                       req_levels: np.ndarray | None = None) -> RegionCurve:
-    """Minimum total power share per near accuracy requirement level."""
+    """Minimum total power share per near accuracy requirement level.
+
+    Closed form: the total rho_n + max(0, need_f * (1/g_f + rho_n)) and
+    every feasibility limit only grow with rho_n, so the minimum sits at
+    the smallest near share that meets the near requirements.
+    """
     g_n, _ = _gains(q.scenario)
     levels = _req_levels(q, near_model) if req_levels is None else np.asarray(req_levels)
     pref_n = rate_prefactor(q.near_profile, q.scenario.bandwidth_hz)
@@ -292,56 +295,38 @@ def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
     for level in levels:
         need_n = max(gamma_required(near_model, level),
                      gamma_required(near_model, q.rate_req_near / pref_n))
-        if math.isinf(need_n) and need_n > 0:
-            pts.append(RegionPoint(float(level), math.nan, False))
-            continue
         rho_lo = max(0.0, need_n / g_n)
-        if rho_lo > 1.0:
-            pts.append(RegionPoint(float(level), math.nan, False))
-            continue
-        grid = np.linspace(rho_lo, 1.0, q.grid_points)
-        vals = np.array([_noma_power_total(q, near_model, far_model, level, r)
-                         for r in grid])
-        if np.all(np.isnan(vals)):
-            pts.append(RegionPoint(float(level), math.nan, False))
-            continue
-        i = int(np.nanargmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        _, best = _refine_extremum(
-            lambda r: _noma_power_total(q, near_model, far_model, level, r),
-            lo, hi, grid[i], maximize=False)
-        pts.append(RegionPoint(float(level), float(best) * p_max, True))
+        total = (_noma_power_total(q, near_model, far_model, level, rho_lo)
+                 if rho_lo <= 1.0 else math.nan)
+        pts.append(RegionPoint(float(level), total * p_max, not math.isnan(total)))
     return RegionCurve("noma-power", tuple(pts))
 
 
 def _oma_power_total(q: RegionQuery, near_model: AccuracyModel,
-                     far_model: AccuracyModel, level: float, w_n: float) -> float:
-    """Total power share for one bandwidth split; NaN when invalid."""
+                     far_model: AccuracyModel, level: float, w_n) -> np.ndarray:
+    """Total power share for each near bandwidth slice in w_n; NaN where
+    the split is invalid."""
     g_n, g_f = _gains(q.scenario)
     w = q.scenario.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
     pref_f = rate_prefactor(q.far_profile, w)
+    w_n = np.asarray(w_n, dtype=float)
     w_f = w - w_n
-    if w_n <= 0.0 or w_f <= 0.0:
-        return math.nan
 
-    acc_rate_n = q.rate_req_near * w / (pref_n * w_n)
-    need_n = max(gamma_required(near_model, level),
-                 gamma_required(near_model, acc_rate_n))
-    if math.isinf(need_n) and need_n > 0:
-        return math.nan
-    rho_n = max(0.0, need_n * w_n / (w * g_n))
-
-    acc_rate_f = q.rate_req_far * w / (pref_f * w_f)
-    need_f = max(gamma_required(far_model, q.xi_req_far),
-                 gamma_required(far_model, acc_rate_f))
-    if math.isinf(need_f) and need_f > 0:
-        return math.nan
-    rho_f = max(0.0, need_f * w_f / (w * g_f))
-
+    # slices of zero width divide by zero here; the mask below drops them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        acc_rate_n = q.rate_req_near * w / (pref_n * w_n)
+        need_n = np.maximum(gamma_required(near_model, level),
+                            gamma_required(near_model, acc_rate_n))
+        rho_n = np.maximum(0.0, need_n * w_n / (w * g_n))
+        acc_rate_f = q.rate_req_far * w / (pref_f * w_f)
+        need_f = np.maximum(gamma_required(far_model, q.xi_req_far),
+                            gamma_required(far_model, acc_rate_f))
+        rho_f = np.maximum(0.0, need_f * w_f / (w * g_f))
+    # an unreachable requirement (need = +inf) makes the total +inf
     total = rho_n + rho_f
-    return total if total <= 1.0 + _FEAS_TOL else math.nan
+    valid = (w_n > 0.0) & (w_f > 0.0) & (total <= 1.0 + _FEAS_TOL)
+    return np.where(valid, total, np.nan)
 
 
 def oma_power_region(q: RegionQuery, near_model: AccuracyModel,
@@ -364,8 +349,7 @@ def oma_power_region(q: RegionQuery, near_model: AccuracyModel,
             pts.append(RegionPoint(float(level), math.nan, False))
             continue
         grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
-        vals = np.array([_oma_power_total(q, near_model, far_model, level, wn)
-                         for wn in grid])
+        vals = _oma_power_total(q, near_model, far_model, level, grid)
         if np.all(np.isnan(vals)):
             pts.append(RegionPoint(float(level), math.nan, False))
             continue

@@ -12,8 +12,9 @@ source is the accuracy times a units prefactor:
     image : (W * info_per_item / (compression * length_per_item)) * xi
 
 where W is the occupied bandwidth.  Accuracy samples can be ingested
-from two-column CSVs (gamma_db, accuracy) and fitted with a
-deterministic variable-projection gradient descent.
+from two-column CSVs (gamma_db, accuracy) and fitted by least squares
+with deterministic Levenberg-Marquardt on all four parameters, started
+from a logit-linearized slope pair and the levels projected onto it.
 """
 
 import csv
@@ -26,7 +27,7 @@ KIND_TEXT = "text"
 KIND_IMAGE = "image"
 
 FIT_MAX_ITERS = 5000
-FIT_GRAD_TOL = 1e-12
+FIT_DAMPING_START = 1e-3
 FIT_RESIDUAL_WARN = 0.05
 DEGENERATE_SPAN = 1e-9
 
@@ -113,22 +114,23 @@ def xi_inverse(model: AccuracyModel, target: float) -> float:
     if not (model.a1 < target < model.a2):
         raise AccuracyRangeError(
             f"target {target} outside accuracy range ({model.a1}, {model.a2})")
-    # odds taken from the two gaps directly: a2 - target > 0 for any
-    # target < a2, where 1 - frac can round to 0 just below the ceiling
-    return (math.log((target - model.a1) / (model.a2 - target)) - model.c2) / model.c1
+    return gamma_required(model, target)
 
 
-def gamma_required(model: AccuracyModel, target: float) -> float:
+def gamma_required(model: AccuracyModel, target) -> np.ndarray | float:
     """xi_inverse extended to the whole line for feasibility arithmetic.
 
     Targets at or below the floor need no SNR (-inf), targets at or
-    above the ceiling are unreachable (+inf).
+    above the ceiling are unreachable (+inf).  Scalar or array targets;
+    a NaN target gives NaN.
     """
-    if target <= model.a1:
-        return -math.inf
-    if target >= model.a2:
-        return math.inf
-    return xi_inverse(model, target)
+    t = np.asarray(target, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # odds taken from the two gaps directly: a2 - t > 0 for any t < a2,
+        # where 1 - (t - a1) / (a2 - a1) can round to 0 just below the ceiling
+        inner = (np.log((t - model.a1) / (model.a2 - t)) - model.c2) / model.c1
+    out = np.where(t <= model.a1, -np.inf, np.where(t >= model.a2, np.inf, inner))
+    return float(out) if out.ndim == 0 else out
 
 
 def s_rate(profile: SourceProfile, model: AccuracyModel, bandwidth_w: float,
@@ -157,26 +159,43 @@ class FitResult:
     warning: str | None = None
 
 
+def _sigmoid(z):
+    with np.errstate(over="ignore"):  # exp overflow saturates to sigma = 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _project_linear(gamma: np.ndarray, acc: np.ndarray, c1: float, c2: float):
     """Best (a1, a2) for fixed slope via linear least squares."""
-    sig = 1.0 / (1.0 + np.exp(-(c1 * gamma + c2)))
+    sig = _sigmoid(c1 * gamma + c2)
     design = np.stack([1.0 - sig, sig], axis=1)
     coef, *_ = np.linalg.lstsq(design, acc, rcond=None)
-    resid = design @ coef - acc
-    return coef[0], coef[1], sig, resid
+    return coef[0], coef[1]
+
+
+def _residual_and_jacobian(p: np.ndarray, gamma: np.ndarray, acc: np.ndarray):
+    """Residuals xi(gamma) - acc and their derivatives in (a1, a2, c1, c2)."""
+    a1, a2, c1, c2 = p
+    sig = _sigmoid(c1 * gamma + c2)
+    slope = (a2 - a1) * sig * (1.0 - sig)
+    jac = np.stack([1.0 - sig, sig, slope * gamma, slope], axis=1)
+    return a1 + (a2 - a1) * sig - acc, jac
 
 
 def fit_logistic(samples) -> FitResult:
     """Least-squares generalized logistic fit.
 
-    Variable projection: the two accuracy levels are solved exactly for
-    any slope pair, and (c1, c2) follow deterministic gradient descent
-    with Armijo backtracking from a logit-linearized start.  Degenerate
-    (constant) inputs are flagged with a warning instead of an error.
+    Levenberg-Marquardt on (a1, a2, c1, c2) with the analytic Jacobian,
+    from a logit-linearized slope pair and the accuracy levels projected
+    onto it.  A step is taken only if it lowers the sum of squares; the
+    fit ends when no damping gives a step that moves the parameters.
+    Degenerate (constant) inputs are flagged with a warning instead of
+    an error.
     """
     pts = np.asarray(list(samples), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
         raise ValueError("need at least 4 (gamma, accuracy) samples")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("accuracy samples must be finite (no nan or inf)")
     gamma, acc = pts[:, 0], pts[:, 1]
     if np.any((acc < 0) | (acc > 1)):
         raise ValueError("accuracies must lie in [0, 1]")
@@ -194,43 +213,44 @@ def fit_logistic(samples) -> FitResult:
     design = np.stack([gamma, np.ones_like(gamma)], axis=1)
     (c1, c2), *_ = np.linalg.lstsq(design, z, rcond=None)
 
-    def objective(c1, c2):
-        a1, a2, sig, resid = _project_linear(gamma, acc, c1, c2)
-        f = float(np.sum(resid**2))
-        # envelope theorem: (a1, a2) are optimal, so only explicit deps count
-        w = 2.0 * resid * (a2 - a1) * sig * (1.0 - sig)
-        return f, np.array([float(np.sum(w * gamma)), float(np.sum(w))]), (a1, a2)
-
-    c = np.array([c1, c2], dtype=float)
-    f, grad, levels = objective(*c)
+    p = np.array([*_project_linear(gamma, acc, c1, c2), c1, c2])
+    resid, jac = _residual_and_jacobian(p, gamma, acc)
+    f = float(resid @ resid)
+    damping = FIT_DAMPING_START
     iters = 0
     for iters in range(1, FIT_MAX_ITERS + 1):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < FIT_GRAD_TOL * (1.0 + abs(f)):
-            break
-        step = 1.0
-        while step > 1e-16:
-            cand = c - step * grad
-            fc, gc, lc = objective(*cand)
-            if fc <= f - 1e-4 * step * gnorm**2:
-                c, f, grad, levels = cand, fc, gc, lc
-                break
-            step *= 0.5
+        jtj = jac.T @ jac
+        scale = np.diag(np.maximum(np.diag(jtj), np.finfo(float).tiny))
+        try:
+            step = np.linalg.solve(jtj + damping * scale, -(jac.T @ resid))
+        except np.linalg.LinAlgError:
+            # singular in floating point: with every sample on a saturated
+            # flank the slope columns of J are tiny and parallel, and more
+            # damping makes the system regular again
+            damping *= 10.0
+            continue
+        cand = p + step
+        if np.array_equal(cand, p):
+            break  # the step no longer moves the parameters: converged
+        r_c, j_c = _residual_and_jacobian(cand, gamma, acc)
+        f_c = float(r_c @ r_c)
+        if f_c < f:
+            p, resid, jac, f = cand, r_c, j_c, f_c
+            damping /= 3.0
         else:
-            break  # no descent step found, converged to tolerance
+            damping *= 10.0
 
-    a1, a2 = levels
+    a1, a2, c1, c2 = (float(v) for v in p)
     warning = None
     if a2 <= a1:
         a1, a2 = min(a1, a2) - 1e-9, max(a1, a2) + 1e-9
         warning = "ill-ordered levels straightened"
-    if c[0] <= 0:
+    if c1 <= 0:
         warning = "non-increasing fit (c1 <= 0)"
     rms = math.sqrt(f / len(acc))
     if rms > FIT_RESIDUAL_WARN and warning is None:
         warning = f"poor fit: residual rms {rms:.3g}"
-    return FitResult(AccuracyModel(float(a1), float(a2), float(c[0]), float(c[1])),
-                     rms, iters, warning)
+    return FitResult(AccuracyModel(a1, a2, c1, c2), rms, iters, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +260,28 @@ def load_accuracy_csv(path) -> np.ndarray:
     """Read (gamma_db, accuracy) rows; returns (gamma_linear, accuracy) pairs.
 
     The header row naming the two columns is required; gamma is converted
-    from dB to linear scale.
+    from dB to linear scale.  A malformed data row raises ValueError
+    naming the file and the line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        lines = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    if not lines:
+        raise ValueError(f"empty accuracy CSV: {path}")
+    header = next(csv.reader([lines[0][1]]), [])
+    cols = [c.strip().lower() for c in header]
+    if cols[:2] != ["gamma_db", "accuracy"]:
+        raise ValueError(f"{path}: expected header 'gamma_db,accuracy', got {header!r}")
+    rows = []
+    for n, line in lines[1:]:
+        row = next(csv.reader([line]), [])
+        if not "".join(row).strip():
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path}:{n}: expected two columns, got {row!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty accuracy CSV: {path}") from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["gamma_db", "accuracy"]:
-            raise ValueError(f"{path}: expected header 'gamma_db,accuracy', got {header!r}")
-        rows = []
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
             rows.append((10.0 ** (float(row[0]) / 10.0), float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
     if not rows:
         raise ValueError(f"no data rows in accuracy CSV: {path}")
     return np.asarray(rows)

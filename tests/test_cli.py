@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nomalink.cli import main
+from nomalink.srate import FIT_MAX_ITERS
 
 TINY = {
     "seed": 0,
@@ -96,9 +97,12 @@ def test_regions_outputs_and_rerun_identical(tiny_cfg, tmp_path):
     assert meta["case"]["name"] == "high"
     for kind in ("text", "image"):
         mm = meta["accuracy_models"][kind]
-        assert {"a1", "a2", "c1", "c2", "residual_rms", "source", "warning"} <= set(mm)
+        assert {"a1", "a2", "c1", "c2", "residual_rms", "iterations", "source",
+                "warning"} <= set(mm)
         assert mm["source"] == "builtin-synthetic"
         assert mm["residual_rms"] < 0.01
+        assert isinstance(mm["iterations"], int)
+        assert 0 < mm["iterations"] < FIT_MAX_ITERS
 
 
 def test_regions_unknown_case_exits_2(tiny_cfg, tmp_path, capsys):
@@ -130,6 +134,18 @@ def test_regions_accepts_accuracy_csvs(tiny_cfg, tmp_path):
                  "--text-csv", str(tc), "--image-csv", str(ic)]) == 0
     meta = json.loads((out / "regions_meta.json").read_text())
     assert meta["accuracy_models"]["text"]["source"] == str(tc)
+
+
+@pytest.mark.parametrize("row", ["10", "nan,0.5", "0,nan", "inf,0.5", "0,inf"])
+def test_regions_bad_accuracy_csv_exits_2(tiny_cfg, tmp_path, capfd, row):
+    tc = tmp_path / "text.csv"
+    tc.write_text("gamma_db,accuracy\n-10,0.2\n0,0.5\n5,0.7\n10,0.8\n" + row + "\n")
+    assert main(["regions", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                 "--text-csv", str(tc)]) == 2
+    out, err = capfd.readouterr()  # file-descriptor level: catches LAPACK's own prints
+    assert ("text.csv:6" if row == "10" else "finite") in err
+    assert "DLASCL" not in out + err and "SVD" not in out + err
+    assert "Traceback" not in err
 
 
 def test_macs_table_and_stdout(tiny_cfg, tmp_path, capsys):

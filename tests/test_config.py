@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nomalink.cli import main
 from nomalink.config import (ConfigError, ExperimentConfig, RequirementCase,
                              SCHEMA_VERSION, canonical_json, config_from_dict,
                              config_hash, config_to_dict, load_config)
@@ -115,3 +116,27 @@ def test_load_config_paths(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("link, message", [
+    ({"rho_near": 0.8, "rho_far": 0.2}, "more power"),
+    ({"rho_near": 0.5, "rho_far": 0.6}, "sum to 1"),
+    ({"rho_near": 0.0, "rho_far": 1.0}, r"\(0, 1\)"),
+    ({"superposition": "linear"}, "superposition"),
+])
+def test_bad_link_settings_rejected_at_load(tmp_path, link, message):
+    with pytest.raises(ConfigError, match=f"link: .*{message}"):
+        config_from_dict({"link": link})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"link": link}))
+    with pytest.raises(ConfigError, match=message):
+        load_config(p)
+    out = tmp_path / "o"
+    assert main(["sweep", "--detector", "sic", "--config", str(p), "--out", str(out)]) == 2
+    assert not (out / "sweep.csv").exists()
+
+
+def test_equal_power_split_and_both_conventions_accepted():
+    cfg = config_from_dict({"link": {"rho_near": 0.5, "rho_far": 0.5,
+                                     "superposition": "literal"}})
+    assert (cfg.link.rho_near, cfg.link.superposition) == (0.5, "literal")

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from nomalink.modem import SUPERPOSE_LITERAL
-from nomalink.qam import (make_qam, nearest_point, qam_modulate, sic_detect,
-                          sic_macs_per_symbol)
+from nomalink.qam import (detect_far, make_qam, nearest_point, qam_modulate,
+                          sic_detect, sic_macs_per_symbol)
 from nomalink.quant import fit_quantizer
 from nomalink.rng import stream_rng
 
@@ -91,9 +91,10 @@ def test_sic_agrees_with_loop_reference():
     rng = stream_rng(5)
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     got_n, got_f = sic_detect(y, q, q, 0.3, 0.7)
+    far_only = detect_far(y, q, 0.3, 0.7)
     for k in range(64):
         ref_n, ref_f = oracles.sic_reference(complex(y[k]), q.points, q.points, 0.3, 0.7)
-        assert (got_n[k], got_f[k]) == (ref_n, ref_f)
+        assert (got_n[k], got_f[k], far_only[k]) == (ref_n, ref_f, ref_f)
 
 
 def test_equal_power_breaks_sic():
@@ -211,6 +212,7 @@ def test_sic_literal_agrees_with_loop_reference():
         ref_n, ref_f = oracles.literal_sic_reference(y, q.points, q.points, 0.3, 0.7)
         assert np.array_equal(got_n, ref_n)
         assert np.array_equal(got_f, ref_f)
+        assert np.array_equal(detect_far(y, q, 0.3, 0.7, SUPERPOSE_LITERAL), ref_f)
 
 
 def test_sic_literal_noiseless_recovers_all_pairs():

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from nomalink.link import LinkScenario
 from nomalink.regions import (RegionCurve, RegionPoint, RegionQuery,
+                              _noma_power_total, _oma_power_total, _oma_rate_at,
                               _refine_extremum, default_rate_grid,
                               noma_power_region, noma_rate_region,
                               oma_power_region, oma_rate_region)
@@ -31,7 +32,7 @@ def shipped_query(**overrides) -> RegionQuery:
 def test_refine_approaches_cliff_from_inside():
     # objective rises right up to a feasibility edge and is NaN beyond it
     def fun(x):
-        return x if x <= 0.7 else math.nan
+        return np.where(x <= 0.7, x, math.nan)
 
     x, v = _refine_extremum(fun, 0.6, 0.9, 0.65, maximize=True)
     assert math.isfinite(v)
@@ -125,6 +126,85 @@ def test_noma_power_matches_dense_oracle():
     mask = ~np.isnan(ref)
     assert np.all(np.abs(got[mask] - ref[mask]) <= 0.005 * np.abs(ref[mask]))
     assert np.all(got[mask] <= ref[mask] + 1e-9)
+
+
+def test_noma_power_is_the_total_at_the_smallest_near_share():
+    for q in (shipped_query(), shipped_query(rate_req_near=0.075, rate_req_far=5.0,
+                                             xi_req_far=0.75)):
+        levels = np.linspace(0.6, 0.84, 5)
+        curve = noma_power_region(q, TEXT, IMAGE, req_levels=levels)
+        pref_n = rate_prefactor(q.near_profile, 12.0)
+        for level, p in zip(levels, curve.points):
+            need_n = max(gamma_required(TEXT, level),
+                         gamma_required(TEXT, q.rate_req_near / pref_n))
+            rho_lo = max(0.0, need_n / 100.0)
+            want = _noma_power_total(q, TEXT, IMAGE, level, rho_lo)
+            assert p.feasible == (not math.isnan(want))
+            assert p.y == want or (math.isnan(p.y) and math.isnan(want))
+
+
+def _scalar_oma_rate(q, rate_n, w_n):
+    """The per-split OMA far rate, one slice at a time, from the oracle helpers."""
+    w = q.scenario.bandwidth_hz
+    pref_n = rate_prefactor(q.near_profile, w)
+    pref_f = rate_prefactor(q.far_profile, w)
+    tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
+    tf = (IMAGE.a1, IMAGE.a2, IMAGE.c1, IMAGE.c2)
+    if w_n <= 0.0:
+        if rate_n > 0.0 or q.xi_req_near >= TEXT.a2:
+            return math.nan
+        rho = 0.0
+    else:
+        need = max(oracles._gamma_needed(*tn, rate_n * w / (pref_n * w_n)),
+                   oracles._gamma_needed(*tn, q.xi_req_near))
+        rho = max(0.0, need * w_n / (w * 100.0))
+    if rho > 1.0 + 1e-9:
+        return math.nan
+    w_f = w - w_n
+    if w_f <= 0.0:
+        return 0.0 if q.xi_req_far < IMAGE.a2 else math.nan
+    acc_f = oracles._xi(*tf, (1.0 - rho) * 10**1.6 * w / w_f)
+    return pref_f * (w_f / w) * acc_f if acc_f + 1e-9 >= q.xi_req_far else math.nan
+
+
+def _scalar_oma_power(q, level, w_n):
+    """The per-split OMA total power share, one slice at a time."""
+    w = q.scenario.bandwidth_hz
+    pref_n = rate_prefactor(q.near_profile, w)
+    pref_f = rate_prefactor(q.far_profile, w)
+    tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
+    tf = (IMAGE.a1, IMAGE.a2, IMAGE.c1, IMAGE.c2)
+    w_f = w - w_n
+    if w_n <= 0.0 or w_f <= 0.0:
+        return math.nan
+    need_n = max(oracles._gamma_needed(*tn, level),
+                 oracles._gamma_needed(*tn, q.rate_req_near * w / (pref_n * w_n)))
+    need_f = max(oracles._gamma_needed(*tf, q.xi_req_far),
+                 oracles._gamma_needed(*tf, q.rate_req_far * w / (pref_f * w_f)))
+    if math.inf in (need_n, need_f):
+        return math.nan
+    tot = max(0.0, need_n * w_n / (w * 100.0)) + max(0.0, need_f * w_f / (w * 10**1.6))
+    return tot if tot <= 1.0 + 1e-9 else math.nan
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75),
+    dict(xi_req_far=0.95),  # above the far ceiling: only corners can qualify
+])
+def test_array_split_evaluations_match_scalar_loops(overrides):
+    # every slice including both corners, where a user gets no bandwidth
+    q = shipped_query(**overrides)
+    w_n = np.concatenate([np.linspace(0.0, 12.0, 257), [1e-300, 12.0 - 1e-12]])
+    pref_n = rate_prefactor(q.near_profile, 12.0)
+    for rate_n in (0.0, pref_n * 0.6, pref_n * 0.8, pref_n * 0.99):
+        got = _oma_rate_at(q, TEXT, IMAGE, rate_n, w_n)
+        want = np.array([_scalar_oma_rate(q, rate_n, x) for x in w_n])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    for level in (0.6, 0.7, 0.84, 0.96):
+        got = _oma_power_total(q, TEXT, IMAGE, level, w_n)
+        want = np.array([_scalar_oma_power(q, level, x) for x in w_n])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_oma_power_close_to_dense_oracle():

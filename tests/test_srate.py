@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nomalink.srate import (AccuracyModel, AccuracyRangeError, FitResult,
-                            SourceProfile, TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE,
+from nomalink.srate import (AccuracyModel, AccuracyRangeError, FIT_MAX_ITERS,
+                            FitResult, SourceProfile, TRUE_IMAGE_CURVE,
+                            TRUE_TEXT_CURVE,
                             fit_logistic, gamma_required, image_profile,
                             load_accuracy_csv, rate_prefactor, s_rate,
                             synthetic_accuracy_samples, text_profile,
@@ -109,6 +110,58 @@ def test_fit_recovers_clean_curves():
         assert res.model.c2 == pytest.approx(truth.c2, rel=1e-3)
 
 
+def test_fit_recovers_clean_curves_to_rounding():
+    for kind, truth in (("text", TRUE_TEXT_CURVE), ("image", TRUE_IMAGE_CURVE)):
+        res = fit_logistic(synthetic_accuracy_samples(kind))
+        assert res.iterations < FIT_MAX_ITERS
+        for p in ("a1", "a2", "c1", "c2"):
+            assert abs(getattr(res.model, p) - getattr(truth, p)) <= 1e-9, (kind, p)
+
+
+def _sum_of_squares(p, gamma, acc):
+    a1, a2, c1, c2 = p
+    return float(np.sum((a1 + (a2 - a1) / (1.0 + np.exp(-(c1 * gamma + c2))) - acc) ** 2))
+
+
+@pytest.mark.parametrize("kind", ["text", "image"])
+@pytest.mark.parametrize("seed", range(6))
+def test_noisy_fit_is_a_stationary_minimum(kind, seed):
+    samples = synthetic_accuracy_samples(kind, noise=0.01, seed=seed)
+    gamma, acc = samples[:, 0], samples[:, 1]
+    res = fit_logistic(samples)
+    m = res.model
+    p = np.array([m.a1, m.a2, m.c1, m.c2])
+    # gradient of the sum of squares, column by column relative to the
+    # sizes of the residual and of that column of the Jacobian
+    sig = 1.0 / (1.0 + np.exp(-(m.c1 * gamma + m.c2)))
+    slope = (m.a2 - m.a1) * sig * (1.0 - sig)
+    jac = np.stack([1.0 - sig, sig, slope * gamma, slope], axis=1)
+    resid = m.a1 + (m.a2 - m.a1) * sig - acc
+    rel_grad = np.abs(jac.T @ resid) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(resid))
+    assert np.all(rel_grad <= 1e-8), rel_grad
+    f = _sum_of_squares(p, gamma, acc)
+    assert res.residual_rms == pytest.approx(math.sqrt(f / len(acc)), rel=1e-12)
+    for i in range(4):
+        for h in (1e-6, -1e-6):
+            q = p.copy()
+            q[i] += h * max(abs(q[i]), 1.0)
+            assert _sum_of_squares(q, gamma, acc) >= f, (i, h)
+
+
+def test_fit_of_a_step_converges():
+    # every sample ends up on a saturated flank of an ever steeper curve,
+    # where the damped normal equations turn singular in floating point
+    gamma = synthetic_accuracy_samples("text", n=12)[:, 0]
+    for lo, hi in ((0.0, 1.0), (0.2, 0.7)):
+        acc = np.r_[np.full(6, lo), np.full(6, hi)]
+        res = fit_logistic(np.stack([gamma, acc], axis=1))
+        assert res.warning is None
+        assert res.iterations < FIT_MAX_ITERS
+        assert res.residual_rms < 1e-9
+        assert res.model.a1 == pytest.approx(lo, abs=1e-9)
+        assert res.model.a2 == pytest.approx(hi, abs=1e-9)
+
+
 def test_fit_tolerates_one_percent_noise():
     res = fit_logistic(synthetic_accuracy_samples("text", noise=0.01, seed=1))
     assert res.residual_rms <= 0.02
@@ -137,6 +190,15 @@ def test_fit_input_validation():
         fit_logistic(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_fit_rejects_non_finite_samples(bad, column):
+    samples = synthetic_accuracy_samples("text", n=8)
+    samples[3, column] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_logistic(samples)
+
+
 def test_csv_round_trip(tmp_path):
     samples = synthetic_accuracy_samples("text", n=20)
     path = tmp_path / "curve.csv"
@@ -160,6 +222,28 @@ def test_csv_errors_name_the_file(tmp_path):
     p3.write_text("gamma_db,accuracy\n")
     with pytest.raises(ValueError, match="headeronly.csv"):
         load_accuracy_csv(p3)
+
+
+def test_csv_malformed_rows_name_file_and_line(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("# note\ngamma_db,accuracy\n0,0.5\n10\n")
+    with pytest.raises(ValueError, match=r"short\.csv:4: expected two columns"):
+        load_accuracy_csv(p)
+    p2 = tmp_path / "word.csv"
+    p2.write_text("gamma_db,accuracy\n0,0.5\n10,high\n")
+    with pytest.raises(ValueError, match=r"word\.csv:3:"):
+        load_accuracy_csv(p2)
+
+
+def test_csv_non_finite_values_load_and_fail_the_fit(tmp_path):
+    # the loader passes nan/inf through as numbers; the fit rejects them
+    for row in ("0,nan", "nan,0.5", "inf,0.5", "0,inf"):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text("gamma_db,accuracy\n-10,0.2\n0,0.5\n5,0.7\n10,0.8\n" + row + "\n")
+        back = load_accuracy_csv(p)
+        assert not np.all(np.isfinite(back))
+        with pytest.raises(ValueError, match="finite"):
+            fit_logistic(back)
 
 
 def test_csv_skips_comments_and_blank_lines(tmp_path):
