@@ -66,7 +66,7 @@ def realize(spec: ChannelSpec, user: int = 0, block: int = 0) -> ChannelRealizat
 def transmit(x: np.ndarray, real: ChannelRealization) -> np.ndarray:
     """y = h x + n with n ~ CN(0, sigma2), fresh noise per call."""
     x = np.asarray(x)
-    n = real._noise_rng.standard_normal((*x.shape, 2)) @ np.array([1.0, 1.0j])
+    n = real._noise_rng.standard_normal((*x.shape, 2)).view(complex)[..., 0]
     n *= np.sqrt(real.sigma2 / 2.0)
     return real.h * x + n
 

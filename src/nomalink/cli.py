@@ -4,7 +4,8 @@ compute resource-allocation regions and report arithmetic cost.
 Every subcommand is deterministic under a fixed seed and every CSV
 starts with a comment line recording the config hash and seed, so a
 rerun with the same inputs is byte-identical.  Exit codes: 0 success,
-2 configuration error, 3 all region curves empty.
+2 bad config, model file or accuracy CSV, or diverged training, 3 all
+region curves empty.
 """
 
 import argparse
@@ -21,7 +22,8 @@ from .config import (ConfigError, ExperimentConfig, RegionSection, config_hash,
                      load_config)
 from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario, run_link,
                    sample_features)
-from .modem import TrainConfig, count_macs, load_model, save_model, train_modem
+from .modem import (TrainConfig, TrainingDivergedError, count_macs, load_model,
+                    save_model, train_modem)
 from .qam import sic_macs_per_symbol
 from .quant import fit_quantizer
 from .regions import (RegionQuery, default_rate_grid, noma_power_region,
@@ -300,6 +302,10 @@ def main(argv=None) -> int:
         return cmd_macs(cfg, seed, args.out, args.models)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TrainingDivergedError as exc:
+        print(f"error: {args.command}: training diverged ({exc}); "
+              "try a smaller learning_rate", file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import rng as _rng
 from .channel import ChannelSpec, equalize, realize, transmit
-from .modem import ModemModel, amplitudes, demodulate, tx_symbols, SUPERPOSE_SQRT
+from .modem import (SUPERPOSE_SQRT, ModemModel, amplitudes, check_power_split,
+                    demodulate, tx_symbols)
 from .qam import detect_far, make_qam, nearest_point, qam_modulate, sic_detect
 from .quant import FeatureVector, QuantizerParams, dequantize, fit_quantizer, quantize
 
@@ -53,10 +54,7 @@ class LinkScenario:
     superposition: str = SUPERPOSE_SQRT
 
     def __post_init__(self):
-        if not (0 < self.rho_near < 1 and 0 < self.rho_far < 1):
-            raise ValueError("power shares must lie in (0, 1)")
-        if abs(self.rho_near + self.rho_far - 1.0) > 1e-12:
-            raise ValueError("power shares must sum to 1")
+        check_power_split(self.rho_near, self.rho_far, self.superposition)
         if self.p_max_watts <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("power ceiling and bandwidth must be positive")
 

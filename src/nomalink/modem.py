@@ -170,7 +170,7 @@ def demodulate(received, model: ModemModel) -> np.ndarray:
         scale = np.where(mag > model.input_clip_radius, model.input_clip_radius / np.maximum(mag, 1e-300), 1.0)
         y = y * scale
     d = np.stack([y.real, y.imag], axis=1)
-    return model.demod.forward(d)
+    return model.demod.infer(d)
 
 
 def count_macs(model: ModemModel) -> int:
@@ -305,6 +305,9 @@ def composite_peak(near: ModemModel, far: ModemModel, amp_n: float, amp_f: float
     return float(np.max(np.abs(grid)))
 
 
+# a diverging run overflows before its loss turns non-finite; the loss check
+# in the loop reports it as TrainingDivergedError instead of numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParams,
                 channel: ChannelSpec = ChannelSpec()):
     """Alternating SGD over the superimposed link.
@@ -356,7 +359,7 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
                     h_hat = h + channel.estimation_error_delta * complex(re, im) / math.sqrt(2.0)
                 else:
                     h_hat = h
-                noise = noise_rng[u].standard_normal((cfg.batch_size, 2)) @ np.array([1.0, 1.0j])
+                noise = noise_rng[u].standard_normal((cfg.batch_size, 2)).view(complex)[..., 0]
                 noise *= math.sqrt(sigma2[u] / 2.0)
                 chans.append((h, h_hat, noise))
 
@@ -434,24 +437,78 @@ def save_model(model: ModemModel, path):
         fh.write("\n")
 
 
+def _field(doc, key, path, prefix=""):
+    """doc[key], or a ValueError naming the model file and the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{path}: model file has no {prefix + key!r}")
+    return doc[key]
+
+
+def _finite(value, shape, key, path) -> np.ndarray:
+    """value as a float array of the given shape with finite entries."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: {key!r} must hold finite numbers of shape {shape}")
+    return arr
+
+
 def load_model(path) -> ModemModel:
+    """Read a model file written by save_model.
+
+    Raises ValueError naming the file and the key when the file is not
+    JSON, lacks a key, or holds weights of the wrong shape.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _MODEL_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ValueError(f"not a modem model file: {path}")
-    q = fit_quantizer(doc["quantizer"]["m"], doc["quantizer"]["s"], doc["quantizer"]["d"])
-    widths = [int(w) for w in doc["widths"]]
+    role = _field(doc, "role", path)
+    if role not in (ROLE_NEAR, ROLE_FAR):
+        raise ValueError(f"{path}: 'role' must be {ROLE_NEAR!r} or {ROLE_FAR!r}")
+    widths = _field(doc, "widths", path)
+    if (not isinstance(widths, list) or len(widths) < 2 or widths[0] != 2
+            or not all(type(w) is int and w >= 1 for w in widths)):
+        raise ValueError(f"{path}: 'widths' must be a list of positive integers "
+                         "starting with 2")
+    quant = _field(doc, "quantizer", path)
+    m, s, d = (_field(quant, k, path, "quantizer.") for k in ("m", "s", "d"))
+    if type(m) is not int:
+        raise ValueError(f"{path}: 'quantizer.m' must be an integer")
+    s, d = (float(_finite(v, (), f"quantizer.{k}", path)) for k, v in zip("sd", (s, d)))
+    try:
+        q = fit_quantizer(m, s, d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: 'quantizer': {exc}") from None
+    weights = _field(doc, "weights", path)
+    biases = _field(doc, "biases", path)
+    shapes = list(zip(widths[:-1], widths[1:]))
+    for key, values in (("weights", weights), ("biases", biases)):
+        if not isinstance(values, list) or len(values) != len(shapes):
+            raise ValueError(f"{path}: {key!r} must hold one list per layer ({len(shapes)})")
+    weights = [_finite(w, (n_in * n_out,), f"weights[{i}]", path).reshape(n_in, n_out)
+               for i, (w, (n_in, n_out)) in enumerate(zip(weights, shapes))]
+    biases = [_finite(b, (n_out,), f"biases[{i}]", path)
+              for i, (b, (_, n_out)) in enumerate(zip(biases, shapes))]
     demod = Mlp(widths, rng=None)
-    for layer, w, b in zip(demod.dense_layers(), doc["weights"], doc["biases"]):
-        layer.W = np.asarray(w, dtype=float).reshape(layer.n_in, layer.n_out)
-        layer.b = np.asarray(b, dtype=float)
-    clip = doc["input_clip_radius"]
+    for layer, w, b in zip(demod.dense_layers(), weights, biases):
+        layer.W, layer.b = w, b
+    mean_power = float(_finite(_field(doc, "mean_power", path), (), "mean_power", path))
+    if mean_power <= 0:
+        raise ValueError(f"{path}: 'mean_power' must be positive")
+    clip = _field(doc, "input_clip_radius", path)
     return ModemModel(
-        role=doc["role"],
-        mod_w=np.asarray(doc["modulator_weights"], dtype=float),
-        mod_b=np.asarray(doc["modulator_biases"], dtype=float),
+        role=role,
+        mod_w=_finite(_field(doc, "modulator_weights", path), (2,), "modulator_weights", path),
+        mod_b=_finite(_field(doc, "modulator_biases", path), (2,), "modulator_biases", path),
         demod=demod,
         quantizer=q,
-        mean_power=float(doc["mean_power"]),
-        input_clip_radius=None if clip is None else float(clip),
+        mean_power=mean_power,
+        input_clip_radius=None if clip is None else float(
+            _finite(clip, (), "input_clip_radius", path)),
     )

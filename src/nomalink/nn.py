@@ -4,9 +4,18 @@ Only what the modem needs: fully connected layers, ReLU, mean squared
 error, and plain SGD.  Forward passes cache their inputs; backward passes
 accumulate parameter gradients and return the gradient with respect to
 the layer input.
+
+Inference (`Mlp.infer`) is a separate, cache-free pass: it runs the hidden
+layers over row blocks of INFER_BLOCK_ROWS rows, each layer in place
+(`h = x @ W; h += b; fmax(h, 0)`), so a block's activations stay in cache,
+and runs the output layer once over the whole batch.
 """
 
 import numpy as np
+
+# Rows per block of the inference pass; 512-2048 rows measured about equally
+# fast on 20k-row batches through 32-wide layers.
+INFER_BLOCK_ROWS = 2048
 
 
 class Dense:
@@ -78,6 +87,34 @@ class Mlp:
         for layer in self.layers:
             x = layer.forward(x)
         return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass without caches, for inference.
+
+        Equal to forward bit for bit wherever the BLAS computes a block's
+        rows exactly as it does within the whole batch.  OpenBLAS 0.3.31
+        does for the demodulators' 2->32 and 32->32 layers, but not for
+        narrow outputs such as 32->2 or 16->4, which then move by a few
+        ulps; so the output layer runs unblocked.  A trailing partial block
+        joins the one before it, so no block is shorter than
+        INFER_BLOCK_ROWS unless it is the whole batch (numpy sends a 1-row
+        product down another path).  ReLU is np.fmax, which sends NaN to 0
+        like forward's mask.
+        """
+        *hidden, last = self.dense_layers()
+        n = len(x)
+        h_all = np.empty((n, last.n_in))
+        stops = list(range(INFER_BLOCK_ROWS, n - INFER_BLOCK_ROWS + 1, INFER_BLOCK_ROWS))
+        for lo, hi in zip([0, *stops], [*stops, n]):
+            h = x[lo:hi]
+            for layer in hidden:
+                h = h @ layer.W
+                h += layer.b
+                np.fmax(h, 0.0, out=h)
+            h_all[lo:hi] = h
+        out = h_all @ last.W
+        out += last.b
+        return out
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):

@@ -73,6 +73,18 @@ def test_realization_reproducible_per_key():
     assert c.h != a.h
 
 
+def test_noise_is_the_complex_view_of_the_normal_draw():
+    # the view must equal the old re + 1j*im matmul bit for bit
+    spec = ChannelSpec(KIND_RAYLEIGH, 3.0, estimation_error_delta=0.1, seed=9)
+    x = np.exp(1j * np.arange(20000))
+    y = transmit(x, realize(spec, USER_FAR, 2))
+    draw = realize(spec, USER_FAR, 2)._noise_rng.standard_normal((20000, 2))
+    n = draw @ np.array([1.0, 1.0j])
+    n *= np.sqrt(realize(spec, USER_FAR, 2).sigma2 / 2.0)
+    want = realize(spec, USER_FAR, 2).h * x + n
+    assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec("laplacian", 10.0)

@@ -170,3 +170,30 @@ def test_seed_flag_overrides_config(tiny_cfg, tmp_path):
     l1 = (out1 / "macs.csv").read_text().splitlines()[0]
     l2 = (out2 / "macs.csv").read_text().splitlines()[0]
     assert l1.endswith("seed=0") and l2.endswith("seed=9")
+
+
+@pytest.mark.parametrize("command", [["sweep", "--detector", "neural"], ["macs"]])
+def test_model_file_without_quantizer_exits_2(tiny_cfg, tmp_path, capfd, command):
+    models = tmp_path / "m"
+    assert main(["train-modem", "--config", tiny_cfg, "--out", str(models)]) == 0
+    doc = json.loads((models / "modem_far.json").read_text())
+    del doc["quantizer"]
+    (models / "modem_far.json").write_text(json.dumps(doc))
+    capfd.readouterr()
+    assert main([*command, "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                 "--models", str(models)]) == 2
+    err = capfd.readouterr().err
+    assert "modem_far.json" in err and "'quantizer'" in err
+    assert "Traceback" not in err
+
+
+def test_diverging_training_exits_2_naming_the_stage(tmp_path, capfd):
+    cfg = dict(TINY, train=dict(TINY["train"], learning_rate=1e6))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["train-modem", "--config", str(p), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "train-modem: training diverged" in err and "epoch" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (out / "modem_near.json").exists()

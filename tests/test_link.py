@@ -59,6 +59,15 @@ def test_scenario_validation():
         LinkScenario(bandwidth_hz=0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"superposition": "x"}, "superposition"),
+    ({"rho_near": 0.7, "rho_far": 0.3}, "near"),
+])
+def test_scenario_shares_checked_like_the_config(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        LinkScenario(**kwargs)
+
+
 def test_sample_features_in_bounds_and_deterministic():
     v1 = sample_features(5000, 5.0, 1.0, seed=3, user=0, block=2)
     v2 = sample_features(5000, 5.0, 1.0, seed=3, user=0, block=2)

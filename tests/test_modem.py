@@ -1,9 +1,13 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from nomalink.modem import (ROLE_FAR, ROLE_NEAR, SUPERPOSE_LITERAL,
                             SUPERPOSE_SQRT, ModemModel, TrainConfig,
+                            TrainingDivergedError,
                             amplitudes, count_macs, demodulate, load_model,
                             mean_symbol_power, modulate, pair_backward,
                             pair_forward, save_model, target_scale,
@@ -175,6 +179,57 @@ def test_load_rejects_foreign_json(tmp_path):
         load_model(p)
 
 
+def _saved_doc(tmp_path, q22):
+    near, _ = _random_pair(q22)
+    near.mean_power = 1.0
+    path = tmp_path / "near.json"
+    save_model(near, path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key", ["role", "widths", "weights", "biases",
+                                 "modulator_weights", "modulator_biases",
+                                 "mean_power", "input_clip_radius", "quantizer"])
+def test_load_names_file_and_missing_key(tmp_path, q22, key):
+    doc = _saved_doc(tmp_path, q22)
+    del doc[key]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"broken.json.*'{key}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d["weights"][1].pop(), "weights\\[1\\]"),
+    (lambda d: d["biases"].pop(), "biases"),
+    (lambda d: d["biases"][0].append(0.5), "biases\\[0\\]"),
+    (lambda d: d["weights"][0].__setitem__(0, "x"), "weights\\[0\\]"),
+    (lambda d: d["widths"].__setitem__(1, 7), "weights\\[0\\]"),
+    (lambda d: d["widths"].__setitem__(0, 3), "widths"),
+    (lambda d: d["modulator_weights"].append(1.0), "modulator_weights"),
+    (lambda d: d.__setitem__("mean_power", -1.0), "mean_power"),
+    (lambda d: d.__setitem__("input_clip_radius", "far"), "input_clip_radius"),
+    (lambda d: d.__setitem__("role", "middle"), "role"),
+    (lambda d: d["quantizer"].pop("s"), "quantizer.s"),
+    (lambda d: d["quantizer"].__setitem__("m", 2.5), "quantizer.m"),
+    (lambda d: d["quantizer"].__setitem__("m", 17), "quantizer"),
+])
+def test_load_rejects_malformed_model(tmp_path, q22, edit, key):
+    doc = _saved_doc(tmp_path, q22)
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"broken.json.*'{key}'"):
+        load_model(path)
+
+
+def test_load_rejects_non_json(tmp_path):
+    path = tmp_path / "garbage.json"
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match="garbage.json"):
+        load_model(path)
+
+
 def test_count_macs_default_architecture(q22):
     near, far = _random_pair(q22)
     # these use hidden (6, 5); the shipped architecture is checked elsewhere
@@ -188,6 +243,43 @@ def test_demodulate_clips_large_inputs(q22):
     big = np.array([100.0 + 0.0j])
     small = np.array([1.0 + 0.0j])
     assert np.allclose(demodulate(big, near), demodulate(small, near))
+
+
+def _shipped_near(q22):
+    return _init_model(ROLE_NEAR, 2, (32, 32, 32), q22, stream_rng(0, 0, 4))
+
+
+def test_demodulate_equals_training_forward_bit_for_bit(q22):
+    near = _shipped_near(q22)
+    near.input_clip_radius = 3.0
+    y = stream_rng(5).standard_normal(20000) + 1j * stream_rng(6).standard_normal(20000)
+    got = demodulate(y, near)
+    mag = np.abs(y)
+    y = y * np.where(mag > 3.0, 3.0 / np.maximum(mag, 1e-300), 1.0)
+    want = near.demod.forward(np.stack([y.real, y.imag], axis=1))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_demodulate_peak_memory_is_bounded(q22):
+    # the training forward kept every layer's (20000, 32) input alive: ~23 MB
+    near = _shipped_near(q22)
+    near.input_clip_radius = 3.0
+    y = stream_rng(5).standard_normal(20000) + 1j * stream_rng(6).standard_normal(20000)
+    tracemalloc.start()
+    try:
+        demodulate(y, near)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def test_train_divergence_raises_without_numpy_warnings(q22):
+    # RuntimeWarnings are errors in this suite, so an overflow would surface
+    # here as a warning instead of the named error
+    cfg = TrainConfig(epochs=3, dataset_size=8, learning_rate=1e6)
+    with pytest.raises(TrainingDivergedError, match="epoch"):
+        train_modem(cfg, q22, q22)
 
 
 def test_train_config_validation():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from nomalink.nn import Dense, Mlp, Relu, mse_loss
+from nomalink.nn import INFER_BLOCK_ROWS, Dense, Mlp, Relu, mse_loss
 from nomalink.rng import stream_rng
+
+B = INFER_BLOCK_ROWS
 
 
 def _loss_of(mlp, x, target):
@@ -85,3 +89,79 @@ def test_zero_init_without_rng():
     assert np.all(layer.W == 0) and np.all(layer.b == 0)
     with pytest.raises(ValueError):
         Mlp([3])
+
+
+def _inputs(seed, n, n_in, nonfinite):
+    """Standard normal rows; the first rows hold NaN, +inf or -inf entries."""
+    x = stream_rng(seed, 1).standard_normal((n, n_in))
+    bad = x[:min(n, 3 * nonfinite)]
+    bad[0::3, 0] = np.nan
+    bad[1::3, -1] = np.inf
+    bad[2::3, 0] = -np.inf
+    return x
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+hidden_widths = st.lists(st.integers(1, 40), min_size=0, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_in=st.integers(1, 4), hidden=hidden_widths,
+       n_out=st.integers(1, 3), nonfinite=st.integers(0, 2),
+       n=st.sampled_from([0, 1, 2, 7, B - 1, B, B + 1, 2 * B - 1]))
+def test_infer_equals_forward_bit_for_bit_within_one_block(seed, n_in, hidden, n_out,
+                                                           nonfinite, n):
+    # a batch shorter than two blocks is one block, so every product is the
+    # one forward computes; only the in-place bias add and fmax ReLU differ
+    mlp = Mlp([n_in, *hidden, n_out], stream_rng(seed))
+    x = _inputs(seed, n, n_in, nonfinite)
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(mlp.infer(x), mlp.forward(x))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_out=st.sampled_from([1, 2]),
+       nonfinite=st.integers(0, 2),
+       n=st.sampled_from([1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B - 1, 20000]))
+def test_infer_equals_forward_bit_for_bit_for_the_demodulators(seed, n_out, nonfinite, n):
+    # the shipped architecture [2, 32, 32, 32, out]: the sweep's CSVs rest on this
+    mlp = Mlp([2, 32, 32, 32, n_out], stream_rng(seed))
+    x = _inputs(seed, n, 2, nonfinite)
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(mlp.infer(x), mlp.forward(x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_in=st.integers(1, 4), hidden=hidden_widths,
+       n_out=st.integers(1, 3), nonfinite=st.integers(0, 2),
+       n=st.sampled_from([2 * B, 2 * B + 1, 3 * B + 5, 20000]))
+def test_infer_matches_forward_across_blocks_for_any_widths(seed, n_in, hidden, n_out,
+                                                            nonfinite, n):
+    # the BLAS may pick another kernel for a block than for the whole batch
+    # (OpenBLAS 0.3.31 does for some narrow layers, e.g. 16 -> 4), so across
+    # blocks the pass is exact only up to rounding for arbitrary widths
+    mlp = Mlp([n_in, *hidden, n_out], stream_rng(seed))
+    x = _inputs(seed, n, n_in, nonfinite)
+    with np.errstate(invalid="ignore"):
+        got, want = mlp.infer(x), mlp.forward(x)
+    for where in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(where(got), where(want))
+    # activations here are O(1); a reordered sum moves them by a few ulps
+    fin = np.isfinite(want)
+    assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=1e-12)
+
+
+def test_infer_leaves_training_caches_untouched():
+    mlp = Mlp([2, 8, 8, 1], stream_rng(6))
+    assert all(l._x is None for l in mlp.dense_layers())
+    mlp.infer(np.ones((3 * B, 2)))
+    assert all(getattr(l, "_x", None) is None and getattr(l, "_mask", None) is None
+               for l in mlp.layers)
+    mlp.forward(np.ones((4, 2)))
+    cached = [(l.__dict__.get("_x"), l.__dict__.get("_mask")) for l in mlp.layers]
+    mlp.infer(stream_rng(7).standard_normal((3 * B, 2)))
+    assert all(l.__dict__.get("_x") is x and l.__dict__.get("_mask") is m
+               for l, (x, m) in zip(mlp.layers, cached))
