@@ -7,6 +7,7 @@ transmit signal.  Noise is drawn from the realization's own sub-stream,
 so a (spec, user, block) triple always reproduces the same link.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,21 +44,26 @@ class ChannelRealization:
     _noise_rng: np.random.Generator = field(repr=False, compare=False)
 
 
+def coefficients(spec: ChannelSpec, stream) -> tuple[complex, complex]:
+    """The coefficient h and its estimate h_hat for one fading block.
+
+    stream(purpose) gives the generator of the rng.FADING or rng.EST_ERROR
+    draw and is called only for a draw that is made; each draw takes one
+    (re, im) standard normal pair.
+    """
+    h = 1.0 + 0.0j
+    if spec.kind == KIND_RAYLEIGH:
+        h = complex(*stream(_rng.FADING).standard_normal(2)) / math.sqrt(2.0)
+    if spec.estimation_error_delta > 0:
+        err = complex(*stream(_rng.EST_ERROR).standard_normal(2))
+        return h, h + spec.estimation_error_delta * err / math.sqrt(2.0)
+    return h, h
+
+
 def realize(spec: ChannelSpec, user: int = 0, block: int = 0) -> ChannelRealization:
     """Draw one fading block for the given user and block index."""
-    if spec.kind == KIND_AWGN:
-        h = 1.0 + 0.0j
-    else:
-        g = _rng.stream_rng(spec.seed, user, _rng.FADING, block)
-        re, im = g.standard_normal(2)
-        h = complex(re, im) / np.sqrt(2.0)
-    if spec.estimation_error_delta > 0:
-        ge = _rng.stream_rng(spec.seed, user, _rng.EST_ERROR, block)
-        re, im = ge.standard_normal(2)
-        err = complex(re, im) / np.sqrt(2.0)
-        h_hat = h + spec.estimation_error_delta * err
-    else:
-        h_hat = h
+    h, h_hat = coefficients(
+        spec, lambda purpose: _rng.stream_rng(spec.seed, user, purpose, block))
     sigma2 = 10.0 ** (-spec.snr_db / 10.0)
     noise = _rng.stream_rng(spec.seed, user, _rng.NOISE, block)
     return ChannelRealization(h, h_hat, sigma2, noise)

@@ -159,13 +159,9 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
     fit_text, src_text = _accuracy_model("text", text_csv)
     fit_image, src_image = _accuracy_model("image", image_csv)
 
-    scenario = LinkScenario(
-        rho_near=cfg.link.rho_near, rho_far=cfg.link.rho_far,
-        m_near=cfg.quant.bits_near, m_far=cfg.quant.bits_far,
-        gain_near_db=r.gain_near_db, gain_far_db=r.gain_far_db,
-        p_max_watts=r.p_max_watts, bandwidth_hz=r.bandwidth_hz,
-        bound_s=cfg.quant.bound_s, bound_d=cfg.quant.bound_d,
-        superposition=cfg.link.superposition)
+    scenario = dataclasses.replace(
+        _scenario(cfg), gain_near_db=r.gain_near_db, gain_far_db=r.gain_far_db,
+        p_max_watts=r.p_max_watts, bandwidth_hz=r.bandwidth_hz)
     rate_query = RegionQuery(
         scenario=scenario, near_profile=text_profile(r.text_k_symbols),
         far_profile=image_profile(r.image_compression),

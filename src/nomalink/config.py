@@ -43,6 +43,8 @@ class LinkSection:
 
     def __post_init__(self):
         check_power_split(self.rho_near, self.rho_far, self.superposition)
+        if self.p_max_watts <= 0 or self.bandwidth_hz <= 0:
+            raise ValueError("power ceiling and bandwidth must be positive")
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,9 @@ def sample_features(n: int, bound_s: float, bound_d: float, seed: int,
     return FeatureVector(bound_d + bound_s * np.tanh(z), bound_s, bound_d)
 
 
-def superpose(s_near, s_far, rho_near: float, rho_far: float,
-              convention: str = SUPERPOSE_SQRT) -> np.ndarray:
-    """Weighted sum of the two users' normalized symbol streams."""
-    a_n, a_f = amplitudes(rho_near, rho_far, convention)
+def superpose(s_near, s_far, a_n: float, a_f: float) -> np.ndarray:
+    """Sum of the two users' normalized symbol streams with amplitudes
+    (a_n, a_f) from modem.amplitudes."""
     return a_n * np.asarray(s_near) + a_f * np.asarray(s_far)
 
 
@@ -145,7 +144,8 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
     else:
         raise ValueError(f"unknown detector {detector!r}")
 
-    x = superpose(s_n, s_f, scenario.rho_near, scenario.rho_far, scenario.superposition)
+    x = superpose(s_n, s_f, *amplitudes(scenario.rho_near, scenario.rho_far,
+                                        scenario.superposition))
 
     eq = []
     for user, gain in ((_rng.USER_NEAR, scenario.gain_near_db),

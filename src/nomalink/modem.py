@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .channel import KIND_AWGN, KIND_RAYLEIGH, ChannelSpec
+from .channel import ChannelSpec, coefficients
 from .nn import Mlp
 from .quant import QuantizerParams, fit_quantizer
 
@@ -91,7 +91,6 @@ class TrainConfig:
     rho_far: float = 0.7
     hidden: tuple = (32, 32, 32)
     superposition: str = SUPERPOSE_SQRT
-    noiseless: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -144,18 +143,14 @@ def mean_symbol_power(model: ModemModel) -> float:
     return float(np.mean(np.abs(s) ** 2))
 
 
-def normalize_power(symbols: np.ndarray, mean_power: float) -> np.ndarray:
-    """Scale symbols to unit mean power given their ensemble mean power."""
-    if mean_power <= 0:
-        raise ValueError("mean power must be positive")
-    return np.asarray(symbols) / math.sqrt(mean_power)
-
-
 def tx_symbols(v, model: ModemModel) -> np.ndarray:
-    """Modulate and normalize with the model's frozen mean power."""
+    """Modulate and scale to unit mean power with the model's frozen mean
+    power."""
     if model.mean_power is None:
         raise ValueError("model has no frozen mean power (still training?)")
-    return normalize_power(modulate(v, model), model.mean_power)
+    if model.mean_power <= 0:
+        raise ValueError("mean power must be positive")
+    return modulate(v, model) / math.sqrt(model.mean_power)
 
 
 def demodulate(received, model: ModemModel) -> np.ndarray:
@@ -332,10 +327,8 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
 
     noise_rng = [_rng.stream_rng(cfg.seed, u, _rng.TRAIN_NOISE) for u in (0, 1)]
     fade_rng = [_rng.stream_rng(cfg.seed, u, _rng.TRAIN_FADING) for u in (0, 1)]
-    sigma2 = [0.0, 0.0]
-    if not cfg.noiseless:
-        sigma2 = [10.0 ** (-cfg.snr_train_near_db / 10.0),
-                  10.0 ** (-cfg.snr_train_far_db / 10.0)]
+    sigma2 = [10.0 ** (-cfg.snr_train_near_db / 10.0),
+              10.0 ** (-cfg.snr_train_far_db / 10.0)]
 
     amp_n, amp_f = amplitudes(cfg.rho_near, cfg.rho_far, cfg.superposition)
     batches = cfg.dataset_size // cfg.batch_size
@@ -349,16 +342,8 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
             vn, vf = vn_all[sel], vf_all[sel]
             chans = []
             for u in (0, 1):
-                if channel.kind == KIND_RAYLEIGH:
-                    re, im = fade_rng[u].standard_normal(2)
-                    h = complex(re, im) / math.sqrt(2.0)
-                else:
-                    h = 1.0 + 0.0j
-                if channel.estimation_error_delta > 0:
-                    re, im = fade_rng[u].standard_normal(2)
-                    h_hat = h + channel.estimation_error_delta * complex(re, im) / math.sqrt(2.0)
-                else:
-                    h_hat = h
+                # both draws from the user's one training stream: fading, then error
+                h, h_hat = coefficients(channel, lambda _: fade_rng[u])
                 noise = noise_rng[u].standard_normal((cfg.batch_size, 2)).view(complex)[..., 0]
                 noise *= math.sqrt(sigma2[u] / 2.0)
                 chans.append((h, h_hat, noise))

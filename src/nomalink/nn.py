@@ -135,11 +135,3 @@ class Mlp:
     @property
     def macs(self) -> int:
         return sum(l.macs for l in self.dense_layers())
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch-mean squared Euclidean distance and its gradient w.r.t. pred."""
-    diff = pred - target
-    n = pred.shape[0]
-    loss = float(np.sum(diff * diff) / n)
-    return loss, 2.0 * diff / n

@@ -125,14 +125,3 @@ def dequantize(indices, q: QuantizerParams) -> np.ndarray:
     if np.any(idx < 0) or np.any(idx > q.levels - 1):
         raise ValueError("index outside [0, 2**m - 1]")
     return (idx + q.zero_pz) / q.scale_fs
-
-
-def constellation_probabilities(indices, q: QuantizerParams) -> np.ndarray:
-    """Empirical distribution of indices over the 2**m codebook bins."""
-    idx = np.asarray(indices)
-    if idx.size == 0:
-        raise ValueError("cannot estimate probabilities from an empty batch")
-    if np.any(idx < 0) or np.any(idx > q.levels - 1):
-        raise ValueError("index outside [0, 2**m - 1]")
-    counts = np.bincount(idx.ravel(), minlength=q.levels)
-    return counts / idx.size

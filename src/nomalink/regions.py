@@ -3,12 +3,14 @@
 Rate regions sweep the near user's delivered semantic rate and report
 the largest far rate compatible with both users' accuracy requirements;
 power regions sweep the near user's accuracy requirement and report the
-smallest total power share meeting all requirements.  Both NOMA curves
-are closed forms: the near requirement pins the near power share, and
-the far user takes the rest (rate) or the least it needs (power).  The
-OMA curves search the near user's bandwidth slice: each point evaluates
-the whole slice grid as one array, then zooms in on the best cell with
-deterministic refinement that evaluates each round's points as one array.
+smallest total power share meeting all requirements.  Every curve is
+array code over all of its points at once.  Both NOMA curves are closed
+forms: the near requirement pins the near power share, and the far user
+takes the rest (rate) or the least it needs (power).  Both OMA curves
+share one row-batched search over the near user's bandwidth slice, one
+row per rate point or requirement level: a coarse slice grid, then
+deterministic zoom refinement around each row's best cell, every round
+one array over all rows.
 
 Conventions shared by every search:
 
@@ -37,6 +39,7 @@ from .srate import (AccuracyModel, SourceProfile, gamma_required, image_profile,
 
 _REFINE_ROUNDS = 10
 _REFINE_POINTS = 33
+_GRID_BLOCK_ROWS = 4
 _FEAS_TOL = 1e-9
 _SWEEP_CEILING_MARGIN = 0.05
 
@@ -95,9 +98,6 @@ class RegionCurve:
     def dropped(self) -> int:
         return sum(not p.feasible for p in self.points)
 
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
-
     def ys(self) -> np.ndarray:
         return np.array([p.y for p in self.points])
 
@@ -107,32 +107,76 @@ def _gains(scenario: LinkScenario) -> tuple[float, float]:
             10.0 ** (scenario.gain_far_db / 10.0))
 
 
-def _refine_extremum(fun, lo: float, hi: float, best_x: float, maximize: bool):
-    """Deterministic zoom refinement around a bracketing interval.
+def _curve(scheme: str, xs, ys) -> RegionCurve:
+    """Curve from x and y arrays; a point is feasible where y is not NaN."""
+    return RegionCurve(scheme, tuple(RegionPoint(float(x), float(y), not math.isnan(y))
+                                     for x, y in zip(xs, ys)))
 
-    Re-grids the bracket, keeps the cell around the best finite value and
-    repeats.  fun takes an array of points and is called once per round.
-    Only attained values are ever returned, so the result can never
-    undercut the coarse grid, and extrema sitting on a feasibility edge
-    (fun returns NaN beyond it) are approached from the inside.
+
+def _linspace_rows(a, b, n: int) -> np.ndarray:
+    """np.linspace(a[r], b[r], n) for every row r of a and b, bit for bit."""
+    k = np.arange(n, dtype=float)
+    delta = (b - a)[..., None]
+    step = delta / (n - 1)
+    # like np.linspace, divide before scaling where the step underflows to 0
+    xs = np.where(step == 0, k / (n - 1) * delta, k * step) + a[..., None]
+    xs[..., -1] = b
+    return xs
+
+
+def _cost(v, maximize: bool) -> np.ndarray:
+    """Values oriented for argmin: negated to maximize, non-finite to inf."""
+    v = -v if maximize else v
+    return np.where(np.isfinite(v), v, np.inf)
+
+
+def _refine_extremum(fun, lo, hi, best_x, maximize: bool):
+    """Deterministic zoom refinement around bracketing intervals, one per row.
+
+    Re-grids each bracket [lo, hi], keeps the cell around the best finite
+    value and repeats.  fun takes an array whose last axis holds the
+    points of each row and is called once per round, on all rows at
+    once; scalar brackets are one row.  Only attained values are ever
+    returned, so the result can never undercut the coarse grid, and
+    extrema sitting on a feasibility edge (fun returns NaN beyond it) are
+    approached from the inside.
     """
-    sign = -1.0 if maximize else 1.0
+    def at(arr, j):  # arr[r, j[r]] for every row r
+        return np.take_along_axis(arr, j, axis=-1)[..., 0]
 
-    def value(x):
-        v = sign * fun(x)
-        return np.where(np.isfinite(v), v, np.inf)
-
-    a, b = lo, hi
-    x_best, v_best = best_x, value(best_x)
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x_best = np.asarray(best_x, dtype=float)
+    v_best = _cost(fun(x_best[..., None]), maximize)[..., 0]
     for _ in range(_REFINE_ROUNDS):
-        xs = np.linspace(a, b, _REFINE_POINTS)
-        vals = value(xs)
-        i = int(np.argmin(vals))
-        if vals[i] < v_best:
-            x_best, v_best = xs[i], vals[i]
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, _REFINE_POINTS - 1)]
-    return x_best, fun(x_best)
+        xs = _linspace_rows(a, b, _REFINE_POINTS)
+        vals = _cost(fun(xs), maximize)
+        i = np.argmin(vals, axis=-1)[..., None]
+        better = at(vals, i) < v_best
+        x_best = np.where(better, at(xs, i), x_best)
+        v_best = np.where(better, at(vals, i), v_best)
+        a, b = at(xs, np.maximum(i - 1, 0)), at(xs, np.minimum(i + 1, _REFINE_POINTS - 1))
+    return x_best, fun(x_best[..., None])[..., 0]
+
+
+def _oma_search(fun, rows, grid: np.ndarray, maximize: bool) -> np.ndarray:
+    """Extremum of fun(rows[:, None], w_n) over the near slice w_n, per row.
+
+    Evaluates the coarse slice grid _GRID_BLOCK_ROWS rows at a time, takes
+    each row's best grid point (NaN masked), then refines every row's
+    bracket around it at once.  NaN for rows where no grid point is valid.
+    """
+    rows = np.asarray(rows, dtype=float)[:, None]
+    best = np.empty(len(rows), dtype=np.intp)
+    found = np.empty(len(rows), dtype=bool)
+    for k in range(0, len(rows), _GRID_BLOCK_ROWS):
+        block = slice(k, k + _GRID_BLOCK_ROWS)
+        cost = _cost(fun(rows[block], grid), maximize)
+        best[block] = np.argmin(cost, axis=1)
+        found[block] = np.min(cost, axis=1) < np.inf
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, len(grid) - 1)]
+    _, val = _refine_extremum(lambda w_n: fun(rows, w_n), lo, hi, grid[best], maximize)
+    return np.where(found, val, np.nan)
 
 
 def default_rate_grid(q: RegionQuery, near_model: AccuracyModel) -> np.ndarray:
@@ -164,33 +208,19 @@ def noma_rate_region(q: RegionQuery, near_model: AccuracyModel,
     g_n, g_f = _gains(q.scenario)
     pref_n = rate_prefactor(q.near_profile, q.scenario.bandwidth_hz)
     pref_f = rate_prefactor(q.far_profile, q.scenario.bandwidth_hz)
-    grid = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
-
-    pts = []
-    for rate_n in grid:
-        need = gamma_required(near_model, rate_n / pref_n)
-        if math.isinf(need) and need > 0:
-            pts.append(RegionPoint(float(rate_n), math.nan, False))
-            continue
-        rho_n = max(0.0, need / g_n)
-        if rho_n > 1.0 + _FEAS_TOL:
-            pts.append(RegionPoint(float(rate_n), math.nan, False))
-            continue
-        rho_n = min(rho_n, 1.0)
-        rho_f = 1.0 - rho_n
-        gamma_f = rho_f * g_f / (rho_n * g_f + 1.0)
-        acc_f = xi_eval(far_model, gamma_f)
-        if acc_f + _FEAS_TOL < q.xi_req_far:
-            pts.append(RegionPoint(float(rate_n), math.nan, False))
-            continue
-        pts.append(RegionPoint(float(rate_n), pref_f * acc_f, True))
-    return RegionCurve("noma-rate", tuple(pts))
+    rate_n = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
+    # an unreachable near rate needs rho_n = inf, which the share test drops
+    rho_n = np.maximum(0.0, gamma_required(near_model, rate_n / pref_n) / g_n)
+    rho_c = np.minimum(rho_n, 1.0)
+    acc_f = xi_eval(far_model, (1.0 - rho_c) * g_f / (rho_c * g_f + 1.0))
+    ok = (rho_n <= 1.0 + _FEAS_TOL) & (acc_f + _FEAS_TOL >= q.xi_req_far)
+    return _curve("noma-rate", rate_n, np.where(ok, pref_f * acc_f, np.nan))
 
 
 def _oma_rate_at(q: RegionQuery, near_model: AccuracyModel, far_model: AccuracyModel,
-                 rate_n: float, w_n) -> np.ndarray:
-    """Far rate for each near bandwidth slice in w_n; NaN where the split
-    is invalid."""
+                 rate_n, w_n) -> np.ndarray:
+    """Far rate for each near rate in rate_n and near bandwidth slice in
+    w_n (broadcast against each other); NaN where the split is invalid."""
     g_n, g_f = _gains(q.scenario)
     w = q.scenario.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
@@ -205,8 +235,8 @@ def _oma_rate_at(q: RegionQuery, near_model: AccuracyModel, far_model: AccuracyM
                           gamma_required(near_model, q.xi_req_near))
         rho_low = np.maximum(0.0, need * w_n / (w * g_n))
         # near excluded: admissible only for a zero near rate, limit sense
-        near_out_ok = rate_n <= 0.0 and q.xi_req_near < near_model.a2
-        rho_low = np.where(w_n > 0.0, rho_low, 0.0 if near_out_ok else np.nan)
+        near_out_ok = (rate_n <= 0.0) & (q.xi_req_near < near_model.a2)
+        rho_low = np.where(w_n > 0.0, rho_low, np.where(near_out_ok, 0.0, np.nan))
         gamma_f = (1.0 - np.minimum(rho_low, 1.0)) * g_f * w / w_f
     acc_f = xi_eval(far_model, gamma_f)
     rate_f = np.where(acc_f + _FEAS_TOL < q.xi_req_far, np.nan,
@@ -222,27 +252,14 @@ def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
                     gamma_grid: np.ndarray | None = None) -> RegionCurve:
     """Largest far rate per near rate under orthogonal slicing.
 
-    Inner exhaustive search over the near user's bandwidth slice with
-    zoom refinement around the best grid cell.
+    Searches the near user's bandwidth slice for every rate point at
+    once: a coarse grid, then zoom refinement around each best cell.
     """
-    w = q.scenario.bandwidth_hz
-    grid = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
-    w_grid = np.linspace(0.0, w, q.grid_points, endpoint=False)
-
-    pts = []
-    for rate_n in grid:
-        vals = _oma_rate_at(q, near_model, far_model, rate_n, w_grid)
-        if np.all(np.isnan(vals)):
-            pts.append(RegionPoint(float(rate_n), math.nan, False))
-            continue
-        i = int(np.nanargmax(vals))
-        lo = w_grid[max(i - 1, 0)]
-        hi = w_grid[min(i + 1, len(w_grid) - 1)]
-        _, best = _refine_extremum(
-            lambda wn: _oma_rate_at(q, near_model, far_model, rate_n, wn),
-            lo, hi, w_grid[i], maximize=True)
-        pts.append(RegionPoint(float(rate_n), float(best), True))
-    return RegionCurve("oma-rate", tuple(pts))
+    rate_n = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
+    w_grid = np.linspace(0.0, q.scenario.bandwidth_hz, q.grid_points, endpoint=False)
+    best = _oma_search(lambda r, w_n: _oma_rate_at(q, near_model, far_model, r, w_n),
+                       rate_n, w_grid, maximize=True)
+    return _curve("oma-rate", rate_n, best)
 
 
 def _req_levels(q: RegionQuery, near_model: AccuracyModel) -> np.ndarray:
@@ -254,29 +271,6 @@ def _req_levels(q: RegionQuery, near_model: AccuracyModel) -> np.ndarray:
     return np.linspace(q.xi_req_near, hi, q.sweep_points)
 
 
-def _noma_power_total(q: RegionQuery, near_model: AccuracyModel,
-                      far_model: AccuracyModel, level: float,
-                      rho_n: float) -> float:
-    """Total power share when the near user is allocated rho_n; NaN invalid."""
-    g_n, g_f = _gains(q.scenario)
-    w = q.scenario.bandwidth_hz
-    pref_n = rate_prefactor(q.near_profile, w)
-    pref_f = rate_prefactor(q.far_profile, w)
-    need_n = max(gamma_required(near_model, level),
-                 gamma_required(near_model, q.rate_req_near / pref_n))
-    rho_n_min = max(0.0, need_n / g_n)
-    if rho_n + _FEAS_TOL < rho_n_min or rho_n > 1.0 + _FEAS_TOL:
-        return math.nan
-    need_f = max(gamma_required(far_model, q.xi_req_far),
-                 gamma_required(far_model, q.rate_req_far / pref_f))
-    if math.isinf(need_f) and need_f > 0:
-        return math.nan
-    rho_f = max(0.0, need_f * (1.0 / g_f + rho_n))
-    if rho_f > 1.0 + _FEAS_TOL or rho_n + rho_f > 1.0 + _FEAS_TOL:
-        return math.nan
-    return rho_n + rho_f
-
-
 def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
                       far_model: AccuracyModel,
                       req_levels: np.ndarray | None = None) -> RegionCurve:
@@ -286,26 +280,26 @@ def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
     every feasibility limit only grow with rho_n, so the minimum sits at
     the smallest near share that meets the near requirements.
     """
-    g_n, _ = _gains(q.scenario)
-    levels = _req_levels(q, near_model) if req_levels is None else np.asarray(req_levels)
+    g_n, g_f = _gains(q.scenario)
     pref_n = rate_prefactor(q.near_profile, q.scenario.bandwidth_hz)
-    p_max = q.scenario.p_max_watts
-
-    pts = []
-    for level in levels:
-        need_n = max(gamma_required(near_model, level),
-                     gamma_required(near_model, q.rate_req_near / pref_n))
-        rho_lo = max(0.0, need_n / g_n)
-        total = (_noma_power_total(q, near_model, far_model, level, rho_lo)
-                 if rho_lo <= 1.0 else math.nan)
-        pts.append(RegionPoint(float(level), total * p_max, not math.isnan(total)))
-    return RegionCurve("noma-power", tuple(pts))
+    pref_f = rate_prefactor(q.far_profile, q.scenario.bandwidth_hz)
+    levels = _req_levels(q, near_model) if req_levels is None else np.asarray(req_levels)
+    need_n = np.maximum(gamma_required(near_model, levels),
+                        gamma_required(near_model, q.rate_req_near / pref_n))
+    need_f = max(gamma_required(far_model, q.xi_req_far),
+                 gamma_required(far_model, q.rate_req_far / pref_f))
+    rho_n = np.maximum(0.0, need_n / g_n)
+    # an unreachable far requirement (need_f = +inf) makes the total +inf
+    total = rho_n + np.maximum(0.0, need_f * (1.0 / g_f + rho_n))
+    ok = (rho_n <= 1.0) & (total <= 1.0 + _FEAS_TOL)
+    return _curve("noma-power", levels, np.where(ok, total, np.nan) * q.scenario.p_max_watts)
 
 
 def _oma_power_total(q: RegionQuery, near_model: AccuracyModel,
-                     far_model: AccuracyModel, level: float, w_n) -> np.ndarray:
-    """Total power share for each near bandwidth slice in w_n; NaN where
-    the split is invalid."""
+                     far_model: AccuracyModel, level, w_n) -> np.ndarray:
+    """Total power share for each near requirement level in level and near
+    bandwidth slice in w_n (broadcast against each other); NaN where the
+    split is invalid."""
     g_n, g_f = _gains(q.scenario)
     w = q.scenario.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
@@ -334,30 +328,14 @@ def oma_power_region(q: RegionQuery, near_model: AccuracyModel,
                      req_levels: np.ndarray | None = None) -> RegionCurve:
     """Minimum total power share per near accuracy requirement level.
 
-    Inner exhaustive search over the near bandwidth slice, starting at
-    the smallest slice that can carry the near rate requirement.
+    Searches the near bandwidth slice for every level at once, from the
+    smallest slice that can carry the near rate requirement; when that
+    slice is the whole band, no slice on the grid is valid.
     """
     levels = _req_levels(q, near_model) if req_levels is None else np.asarray(req_levels)
     w = q.scenario.bandwidth_hz
-    pref_n = rate_prefactor(q.near_profile, w)
-    p_max = q.scenario.p_max_watts
-    w_lo = q.rate_req_near * w / pref_n  # rate needs at least this slice at accuracy 1
-
-    pts = []
-    for level in levels:
-        if w_lo >= w:
-            pts.append(RegionPoint(float(level), math.nan, False))
-            continue
-        grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
-        vals = _oma_power_total(q, near_model, far_model, level, grid)
-        if np.all(np.isnan(vals)):
-            pts.append(RegionPoint(float(level), math.nan, False))
-            continue
-        i = int(np.nanargmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        _, best = _refine_extremum(
-            lambda wn: _oma_power_total(q, near_model, far_model, level, wn),
-            lo, hi, grid[i], maximize=False)
-        pts.append(RegionPoint(float(level), float(best) * p_max, True))
-    return RegionCurve("oma-power", tuple(pts))
+    w_lo = q.rate_req_near * w / rate_prefactor(q.near_profile, w)  # slice at accuracy 1
+    grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
+    best = _oma_search(lambda lv, w_n: _oma_power_total(q, near_model, far_model, lv, w_n),
+                       levels, grid, maximize=False)
+    return _curve("oma-power", levels, best * q.scenario.p_max_watts)

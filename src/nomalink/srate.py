@@ -30,6 +30,9 @@ FIT_MAX_ITERS = 5000
 FIT_DAMPING_START = 1e-3
 FIT_RESIDUAL_WARN = 0.05
 DEGENERATE_SPAN = 1e-9
+# accuracy CSV rows lie within this many dB of 0 dB; a row beyond it is a
+# units or typing error (at 3,000 dB the fit's Jacobian overflows)
+GAMMA_DB_LIMIT = 100.0
 
 
 class AccuracyRangeError(ValueError):
@@ -131,17 +134,6 @@ def gamma_required(model: AccuracyModel, target) -> np.ndarray | float:
         inner = (np.log((t - model.a1) / (model.a2 - t)) - model.c2) / model.c1
     out = np.where(t <= model.a1, -np.inf, np.where(t >= model.a2, np.inf, inner))
     return float(out) if out.ndim == 0 else out
-
-
-def s_rate(profile: SourceProfile, model: AccuracyModel, bandwidth_w: float,
-           gamma: float) -> float:
-    """Semantic rate at linear SNR gamma over bandwidth_w."""
-    if gamma < 0:
-        raise ValueError("linear SNR must be >= 0")
-    if bandwidth_w < 0:
-        raise ValueError("bandwidth must be >= 0")
-    pref = bandwidth_w * profile.info_per_item / (profile.denominator * profile.length_per_item)
-    return pref * xi_eval(model, gamma)
 
 
 def rate_prefactor(profile: SourceProfile, bandwidth_w: float) -> float:
@@ -260,8 +252,9 @@ def load_accuracy_csv(path) -> np.ndarray:
     """Read (gamma_db, accuracy) rows; returns (gamma_linear, accuracy) pairs.
 
     The header row naming the two columns is required; gamma is converted
-    from dB to linear scale.  A malformed data row raises ValueError
-    naming the file and the line.
+    from dB to linear scale.  A malformed data row, or a finite gamma_db
+    beyond +-GAMMA_DB_LIMIT, raises ValueError naming the file and the
+    line; non-finite values are left to fit_logistic, which rejects them.
     """
     with open(path, newline="") as fh:
         lines = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
@@ -279,9 +272,13 @@ def load_accuracy_csv(path) -> np.ndarray:
         if len(row) < 2:
             raise ValueError(f"{path}:{n}: expected two columns, got {row!r}")
         try:
-            rows.append((10.0 ** (float(row[0]) / 10.0), float(row[1])))
+            gamma_db, acc = float(row[0]), float(row[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: {exc}") from None
+        if math.isfinite(gamma_db) and abs(gamma_db) > GAMMA_DB_LIMIT:
+            raise ValueError(f"{path}:{n}: gamma_db {gamma_db:g} outside "
+                             f"[-{GAMMA_DB_LIMIT:g}, {GAMMA_DB_LIMIT:g}] dB")
+        rows.append((10.0 ** (gamma_db / 10.0), acc))
     if not rows:
         raise ValueError(f"no data rows in accuracy CSV: {path}")
     return np.asarray(rows)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from nomalink.channel import (KIND_AWGN, KIND_RAYLEIGH, ChannelSpec, equalize,
-                              realize, transmit)
+from nomalink import rng
+from nomalink.channel import (KIND_AWGN, KIND_RAYLEIGH, ChannelSpec, coefficients,
+                              equalize, realize, transmit)
 from nomalink.rng import USER_FAR, USER_NEAR
 
 
@@ -83,6 +86,31 @@ def test_noise_is_the_complex_view_of_the_normal_draw():
     n *= np.sqrt(realize(spec, USER_FAR, 2).sigma2 / 2.0)
     want = realize(spec, USER_FAR, 2).h * x + n
     assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+
+
+def test_coefficients_take_fading_then_error_from_one_stream():
+    # the training order: both pairs from the user's one TRAIN_FADING stream
+    g = rng.stream_rng(5, 1, rng.TRAIN_FADING)
+    h, h_hat = coefficients(ChannelSpec(KIND_RAYLEIGH, estimation_error_delta=0.3),
+                            lambda _: g)
+    z = rng.stream_rng(5, 1, rng.TRAIN_FADING).standard_normal(4)
+    assert h == complex(z[0], z[1]) / math.sqrt(2.0)
+    assert h_hat == h + 0.3 * complex(z[2], z[3]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("kind,delta,opened", [
+    (KIND_AWGN, 0.0, [rng.NOISE]),
+    (KIND_AWGN, 0.2, [rng.EST_ERROR, rng.NOISE]),
+    (KIND_RAYLEIGH, 0.0, [rng.FADING, rng.NOISE]),
+    (KIND_RAYLEIGH, 0.2, [rng.FADING, rng.EST_ERROR, rng.NOISE]),
+])
+def test_realize_opens_only_the_streams_it_draws(monkeypatch, kind, delta, opened):
+    purposes = []
+    stream_rng = rng.stream_rng
+    monkeypatch.setattr(rng, "stream_rng",
+                        lambda *key: purposes.append(key[2]) or stream_rng(*key))
+    realize(ChannelSpec(kind, estimation_error_delta=delta), USER_FAR, 3)
+    assert purposes == opened
 
 
 def test_spec_validation():

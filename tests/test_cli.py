@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -146,6 +147,30 @@ def test_regions_bad_accuracy_csv_exits_2(tiny_cfg, tmp_path, capfd, row):
     assert ("text.csv:6" if row == "10" else "finite") in err
     assert "DLASCL" not in out + err and "SVD" not in out + err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma_db", ["100.5", "-101", "3000", "4000", "1e300"])
+def test_regions_accuracy_row_beyond_the_gamma_range_exits_2(tiny_cfg, tmp_path, capfd,
+                                                            gamma_db):
+    # 3000 dB once ran the fit into overflow warnings; 4000 dB overflowed
+    # the dB conversion itself
+    tc = tmp_path / "text.csv"
+    tc.write_text("gamma_db,accuracy\n-10,0.2\n0,0.5\n5,0.7\n10,0.8\n"
+                  f"{gamma_db},0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["regions", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                     "--text-csv", str(tc)]) == 2
+    out, err = capfd.readouterr()
+    assert "text.csv:6: gamma_db" in err and "[-100, 100] dB" in err
+    assert "Traceback" not in err
+
+
+def test_regions_accuracy_rows_at_the_gamma_limits_load(tiny_cfg, tmp_path):
+    tc = tmp_path / "text.csv"
+    tc.write_text("gamma_db,accuracy\n-100,0.1\n-10,0.2\n0,0.5\n5,0.7\n10,0.8\n100,0.95\n")
+    assert main(["regions", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                 "--text-csv", str(tc)]) == 0
 
 
 def test_macs_table_and_stdout(tiny_cfg, tmp_path, capsys):

@@ -123,6 +123,8 @@ def test_load_config_paths(tmp_path):
     ({"rho_near": 0.5, "rho_far": 0.6}, "sum to 1"),
     ({"rho_near": 0.0, "rho_far": 1.0}, r"\(0, 1\)"),
     ({"superposition": "linear"}, "superposition"),
+    ({"bandwidth_hz": 0.0}, "positive"),
+    ({"p_max_watts": -1.0}, "positive"),
 ])
 def test_bad_link_settings_rejected_at_load(tmp_path, link, message):
     with pytest.raises(ConfigError, match=f"link: .*{message}"):

@@ -8,7 +8,7 @@ import oracles
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
                            effective_snrs_db, run_link, sample_features,
                            superpose)
-from nomalink.modem import SUPERPOSE_LITERAL, tx_symbols
+from nomalink.modem import SUPERPOSE_LITERAL, amplitudes, tx_symbols
 from nomalink.quant import FeatureVector
 
 
@@ -85,7 +85,7 @@ def test_superpose_power_conservation(table1_models):
     q = near_m.quantizer
     s_n = tx_symbols(q.constellation_deq, near_m)
     s_f = tx_symbols(q.constellation_deq, far_m)
-    grid = superpose(s_n[:, None], s_f[None, :], 0.3, 0.7)
+    grid = superpose(s_n[:, None], s_f[None, :], *amplitudes(0.3, 0.7))
     power = np.mean(np.abs(grid) ** 2)
     cross = 2 * np.sqrt(0.3 * 0.7) * np.real(s_n.mean() * np.conj(s_f.mean()))
     assert power == pytest.approx(1.0 + cross, abs=1e-12)

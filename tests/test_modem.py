@@ -56,6 +56,9 @@ def test_tx_requires_frozen_power(q22):
     near, _ = _random_pair(q22)
     with pytest.raises(ValueError):
         tx_symbols(np.array([0.0]), near)
+    near.mean_power = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        tx_symbols(np.array([0.0]), near)
 
 
 def test_target_scale_is_constellation_std(q22):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nomalink.quant import (EPS_RANGE, FeatureVector, QuantRangeError,
-                            constellation_probabilities, dequantize,
-                            fit_quantizer, quantize, round_half_away)
+                            dequantize, fit_quantizer, quantize, round_half_away)
 
 
 def test_round_half_away_ties():
@@ -110,15 +109,6 @@ def test_feature_vector_validation():
         FeatureVector(np.array([0.0]), 5.0, 6.0)  # d >= s
     fv = FeatureVector(np.array([0.0, 6.0, -4.0]), 5.0, 1.0)
     assert len(fv) == 3
-
-
-def test_constellation_probabilities():
-    q = fit_quantizer(2, 5.0, 1.0)
-    p = constellation_probabilities(np.array([0, 0, 1, 3]), q)
-    assert np.allclose(p, [0.5, 0.25, 0.0, 0.25])
-    assert p.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        constellation_probabilities(np.array([], dtype=int), q)
 
 
 def test_bits_validation():

@@ -1,13 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nomalink.link import LinkScenario
 from nomalink.regions import (RegionCurve, RegionPoint, RegionQuery,
-                              _noma_power_total, _oma_power_total, _oma_rate_at,
+                              _linspace_rows, _oma_power_total, _oma_rate_at,
+                              _oma_search,
                               _refine_extremum, default_rate_grid,
                               noma_power_region, noma_rate_region,
                               oma_power_region, oma_rate_region)
@@ -128,19 +132,31 @@ def test_noma_power_matches_dense_oracle():
     assert np.all(got[mask] <= ref[mask] + 1e-9)
 
 
+def _scalar_noma_power(q, level):
+    """The NOMA total power share at the smallest near share that meets the
+    near requirements, one level at a time, from the oracle helpers."""
+    w = q.scenario.bandwidth_hz
+    tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
+    tf = (IMAGE.a1, IMAGE.a2, IMAGE.c1, IMAGE.c2)
+    need_n = max(oracles._gamma_needed(*tn, level),
+                 oracles._gamma_needed(*tn, q.rate_req_near / rate_prefactor(q.near_profile, w)))
+    need_f = max(oracles._gamma_needed(*tf, q.xi_req_far),
+                 oracles._gamma_needed(*tf, q.rate_req_far / rate_prefactor(q.far_profile, w)))
+    rho_n = max(0.0, need_n / 100.0)
+    if rho_n > 1.0 or need_f == math.inf:
+        return math.nan
+    tot = rho_n + max(0.0, need_f * (1.0 / 10**1.6 + rho_n))
+    return tot if tot <= 1.0 + 1e-9 else math.nan
+
+
 def test_noma_power_is_the_total_at_the_smallest_near_share():
     for q in (shipped_query(), shipped_query(rate_req_near=0.075, rate_req_far=5.0,
                                              xi_req_far=0.75)):
         levels = np.linspace(0.6, 0.84, 5)
         curve = noma_power_region(q, TEXT, IMAGE, req_levels=levels)
-        pref_n = rate_prefactor(q.near_profile, 12.0)
-        for level, p in zip(levels, curve.points):
-            need_n = max(gamma_required(TEXT, level),
-                         gamma_required(TEXT, q.rate_req_near / pref_n))
-            rho_lo = max(0.0, need_n / 100.0)
-            want = _noma_power_total(q, TEXT, IMAGE, level, rho_lo)
-            assert p.feasible == (not math.isnan(want))
-            assert p.y == want or (math.isnan(p.y) and math.isnan(want))
+        want = np.array([_scalar_noma_power(q, level) for level in levels])
+        assert [p.feasible for p in curve.points] == list(~np.isnan(want))
+        np.testing.assert_allclose(curve.ys(), want, rtol=1e-13, atol=0)
 
 
 def _scalar_oma_rate(q, rate_n, w_n):
@@ -205,6 +221,133 @@ def test_array_split_evaluations_match_scalar_loops(overrides):
         got = _oma_power_total(q, TEXT, IMAGE, level, w_n)
         want = np.array([_scalar_oma_power(q, level, x) for x in w_n])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+_bracket_ends = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_bracket_ends, st.one_of(
+    st.just("zero"), st.just("ulp"), st.floats(min_value=0.0, max_value=1e300),
+    st.floats(min_value=0.0, max_value=1e-320))), min_size=1, max_size=6),
+    n=st.integers(min_value=2, max_value=40))
+def test_row_linspace_is_np_linspace_bit_for_bit(rows, n):
+    # zero-width, one-ulp, subnormal-width and wide brackets, several per call
+    a = np.array([lo for lo, _ in rows])
+    b = np.array([lo if w == "zero" else np.nextafter(lo, np.inf) if w == "ulp"
+                  else lo + w for lo, w in rows])
+    want = np.stack([np.linspace(lo, hi, n) for lo, hi in zip(a, b)])
+    assert np.array_equal(_bits(_linspace_rows(a, b, n)), _bits(want))
+    assert np.array_equal(_bits(_linspace_rows(a[0], b[0], n)), _bits(want[0]))
+
+
+def _loop_refine(fun, lo, hi, best_x, maximize):
+    """The scalar zoom refinement of one bracket, one np.linspace per round."""
+    sign = -1.0 if maximize else 1.0
+
+    def value(x):
+        v = sign * fun(x)
+        return np.where(np.isfinite(v), v, np.inf)
+
+    a, b = lo, hi
+    x_best, v_best = best_x, value(best_x)
+    for _ in range(10):
+        xs = np.linspace(a, b, 33)
+        vals = value(xs)
+        i = int(np.argmin(vals))
+        if vals[i] < v_best:
+            x_best, v_best = xs[i], vals[i]
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, 32)]
+    return fun(x_best)
+
+
+def _loop_search(fun, rows, grid, maximize):
+    """The per-row OMA search: a coarse grid and a refinement per row."""
+    out = []
+    for r in rows:
+        vals = fun(r, grid)
+        if np.all(np.isnan(vals)):
+            out.append(math.nan)
+            continue
+        i = int(np.nanargmax(vals) if maximize else np.nanargmin(vals))
+        out.append(float(_loop_refine(lambda x: fun(r, x), grid[max(i - 1, 0)],
+                                      grid[min(i + 1, len(grid) - 1)], grid[i], maximize)))
+    return np.array(out)
+
+
+def _loop_oma_rate(q, rates):
+    w_grid = np.linspace(0.0, q.scenario.bandwidth_hz, q.grid_points, endpoint=False)
+    return _loop_search(lambda r, x: _oma_rate_at(q, TEXT, IMAGE, r, x), rates, w_grid, True)
+
+
+def _loop_oma_power(q, levels):
+    w = q.scenario.bandwidth_hz
+    w_lo = q.rate_req_near * w / rate_prefactor(q.near_profile, w)
+    if w_lo >= w:
+        return np.full(len(levels), math.nan)
+    grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
+    return q.scenario.p_max_watts * _loop_search(
+        lambda lv, x: _oma_power_total(q, TEXT, IMAGE, lv, x), levels, grid, False)
+
+
+def _same_curve(curve, want):
+    got = curve.ys()
+    assert [p.feasible for p in curve.points] == list(~np.isnan(want))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(_bits(got[~np.isnan(got)]), _bits(want[~np.isnan(want)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gain_near=st.floats(0.0, 30.0), gain_gap=st.floats(0.0, 20.0),
+       bandwidth=st.floats(0.5, 50.0), p_max=st.floats(0.1, 1e6),
+       xi_near=st.floats(0.12, 0.94), xi_far=st.floats(0.06, 0.97),
+       rate_near=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+       rate_far=st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
+       grid_points=st.integers(8, 300), sweep=st.integers(2, 9))
+def test_row_batched_oma_curves_equal_the_per_row_loop(gain_near, gain_gap, bandwidth, p_max,
+                                                        xi_near, xi_far, rate_near, rate_far,
+                                                        grid_points, sweep):
+    # xi_far reaches above the far ceiling 0.90, rate_near above a whole band
+    sc = LinkScenario(gain_near_db=gain_near, gain_far_db=gain_near - gain_gap,
+                      bandwidth_hz=bandwidth, p_max_watts=p_max)
+    q = shipped_query(scenario=sc, xi_req_near=xi_near, xi_req_far=xi_far,
+                      rate_req_near=rate_near, rate_req_far=rate_far,
+                      grid_points=grid_points, sweep_points=sweep)
+    rates = np.concatenate([[0.0], default_rate_grid(q, TEXT)])  # with a zero near rate
+    _same_curve(oma_rate_region(q, TEXT, IMAGE, rates), _loop_oma_rate(q, rates))
+    levels = np.linspace(xi_near, 0.94, sweep)
+    _same_curve(oma_power_region(q, TEXT, IMAGE, levels), _loop_oma_power(q, levels))
+
+
+def test_rows_without_a_valid_grid_point_stay_infeasible():
+    # row 0 is valid only between the first two grid points, where the
+    # refinement would reach; a row needs a valid coarse point to count
+    grid = np.linspace(0.0, 1.0, 8, endpoint=False)
+
+    def fun(r, x):
+        return np.where(((x > 0.01) & (x < 0.1)) | ((r > 0.5) & (x >= 0.5)), r + x, np.nan)
+
+    got = _oma_search(fun, np.array([0.0, 1.0]), grid, maximize=True)
+    assert math.isnan(got[0])
+    assert got[1] == 1.875
+
+
+def test_oma_rate_search_memory_is_bounded():
+    # the coarse grid is evaluated a few rows at a time, not all 33 x 2048 at once
+    q = shipped_query(grid_points=2048, sweep_points=33)
+    oma_rate_region(q, TEXT, IMAGE)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        curve = oma_rate_region(q, TEXT, IMAGE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve.points) == 33 and curve.feasible
+    assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_oma_power_close_to_dense_oracle():
@@ -273,7 +416,6 @@ def test_curve_accessors():
                                   RegionPoint(1.0, math.nan, False)))
     assert c.feasible
     assert c.dropped == 1
-    assert np.array_equal(c.xs(), [0.0, 1.0])
     assert c.ys()[0] == 1.0 and math.isnan(c.ys()[1])
 
 

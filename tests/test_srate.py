@@ -10,7 +10,7 @@ from nomalink.srate import (AccuracyModel, AccuracyRangeError, FIT_MAX_ITERS,
                             FitResult, SourceProfile, TRUE_IMAGE_CURVE,
                             TRUE_TEXT_CURVE,
                             fit_logistic, gamma_required, image_profile,
-                            load_accuracy_csv, rate_prefactor, s_rate,
+                            load_accuracy_csv, rate_prefactor,
                             synthetic_accuracy_samples, text_profile,
                             write_accuracy_csv, xi_eval, xi_inverse)
 
@@ -72,13 +72,6 @@ def test_rate_formulas():
     image = image_profile(compression=0.33)
     assert rate_prefactor(text, 12.0) == pytest.approx(12.0 / 128.0)
     assert rate_prefactor(image, 12.0) == pytest.approx(12.0 / 0.33)
-    m = TRUE_TEXT_CURVE
-    assert s_rate(text, m, 12.0, 4.0) == pytest.approx(
-        (12.0 / 128.0) * xi_eval(m, 4.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        s_rate(text, m, 12.0, -1.0)
-    with pytest.raises(ValueError):
-        s_rate(text, m, -1.0, 1.0)
 
 
 def test_profile_validation():
