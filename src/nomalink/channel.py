@@ -5,6 +5,12 @@ receiver's estimate h_hat = h + delta * e with e ~ CN(0, 1), and the
 noise power sigma2 = 10**(-snr_db / 10) defined against a unit-power
 transmit signal.  Noise is drawn from the realization's own sub-stream,
 so a (spec, user, block) triple always reproduces the same link.
+
+Each transmit call draws fresh noise once, for the last axis of its
+input, and adds that one draw to every row before it.  link.run_link
+stacks the transmit signals of all detectors of a cell and calls it once
+per user, so every detector sees the same noise: one draw per user and
+block, shared by the detectors.
 """
 
 import math
@@ -70,9 +76,12 @@ def realize(spec: ChannelSpec, user: int = 0, block: int = 0) -> ChannelRealizat
 
 
 def transmit(x: np.ndarray, real: ChannelRealization) -> np.ndarray:
-    """y = h x + n with n ~ CN(0, sigma2), fresh noise per call."""
+    """y = h x + n with n ~ CN(0, sigma2), fresh noise per call.
+
+    n has the length of x's last axis and is shared by all of x's rows.
+    """
     x = np.asarray(x)
-    n = real._noise_rng.standard_normal((*x.shape, 2)).view(complex)[..., 0]
+    n = real._noise_rng.standard_normal((*x.shape[-1:], 2)).view(complex)[..., 0]
     n *= np.sqrt(real.sigma2 / 2.0)
     return real.h * x + n
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import rng as _rng
 from .channel import ChannelSpec
-from .config import (ConfigError, ExperimentConfig, RegionSection, config_hash,
-                     load_config)
+from .config import (ConfigError, ExperimentConfig, RegionSection, check_seed,
+                     config_hash, load_config)
 from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario, run_link,
                    sample_features)
 from .modem import (TrainConfig, TrainingDivergedError, count_macs, load_model,
@@ -84,15 +84,14 @@ def cmd_train_modem(cfg: ExperimentConfig, seed: int, out_dir: str) -> int:
     return 0
 
 
-def _snr_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ConfigError("grid_step_db must be positive")
-    return np.arange(lo, hi + step / 2.0, step)
-
-
 def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
               models_dir: str | None, grid_step_db: float | None,
               delta: float | None) -> int:
+    # the overrides face the config's own checks
+    sweep = dataclasses.replace(
+        cfg.sweep,
+        grid_step_db=cfg.sweep.grid_step_db if grid_step_db is None else grid_step_db,
+        estimation_error_delta=cfg.sweep.estimation_error_delta if delta is None else delta)
     detectors = {"both": (DETECTOR_NEURAL, DETECTOR_SIC)}.get(detector, (detector,))
     models = None
     if DETECTOR_NEURAL in detectors:
@@ -105,12 +104,11 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
                 "(run train-modem first or pass --models)")
         models = (load_model(near_path), load_model(far_path))
 
-    step = cfg.sweep.grid_step_db if grid_step_db is None else grid_step_db
-    dlt = cfg.sweep.estimation_error_delta if delta is None else delta
-    near_grid = _snr_grid(cfg.sweep.snr_near_lo_db, cfg.sweep.snr_near_hi_db, step)
-    far_grid = _snr_grid(cfg.sweep.snr_far_lo_db, cfg.sweep.snr_far_hi_db, step)
+    step, dlt = sweep.grid_step_db, sweep.estimation_error_delta
+    near_grid = np.arange(sweep.snr_near_lo_db, sweep.snr_near_hi_db + step / 2.0, step)
+    far_grid = np.arange(sweep.snr_far_lo_db, sweep.snr_far_hi_db + step / 2.0, step)
     base = _scenario(cfg)
-    n = cfg.sweep.n_symbols
+    n = sweep.n_symbols
 
     rows = []
     for i, snr_n in enumerate(near_grid):
@@ -122,12 +120,11 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
                                     _rng.USER_NEAR, block)
             vec_f = sample_features(n, sc.bound_s, sc.bound_d, seed,
                                     _rng.USER_FAR, block)
-            for det in detectors:
-                rep = run_link(sc, vec_n, vec_f, models=models, detector=det,
-                               kind=cfg.sweep.kind, delta=dlt, seed=seed,
-                               block=block)
-                rows.append((det, cfg.sweep.kind, dlt, float(snr_n), float(snr_f),
-                             rep.mse_near, rep.mse_far, rep.ser_near, rep.ser_far))
+            reports = run_link(sc, vec_n, vec_f, models=models, detectors=detectors,
+                               kind=sweep.kind, delta=dlt, seed=seed, block=block)
+            rows.extend((rep.detector, sweep.kind, dlt, float(snr_n), float(snr_f),
+                         rep.mse_near, rep.mse_far, rep.ser_near, rep.ser_far)
+                        for rep in reports)
     _write_csv(os.path.join(out_dir, "sweep.csv"), cfg, seed,
                "detector,kind,delta,snr_near_db,snr_far_db,"
                "mse_near,mse_far,ser_near,ser_far", rows)
@@ -286,6 +283,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         seed = cfg.seed if args.seed is None else args.seed
+        check_seed(seed)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "train-modem":
             return cmd_train_modem(cfg, seed, args.out)

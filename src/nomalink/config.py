@@ -11,10 +11,14 @@ makes reruns byte-comparable.
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 import typing
 from dataclasses import dataclass, field
 
-from .modem import check_power_split
+from .channel import KIND_AWGN, KIND_RAYLEIGH
+from .modem import check_power_split, check_train_settings
+from .srate import GAMMA_DB_LIMIT
 
 SCHEMA_VERSION = 1
 
@@ -23,12 +27,28 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
+def _check_db(section, *keys):
+    """Gains and SNRs share the accuracy CSV's dB range: beyond it a value
+    is a units or typing error, and far beyond it 10**(dB / 10) overflows
+    or a grid step vanishes against the bound."""
+    for key in keys:
+        if not abs(getattr(section, key)) <= GAMMA_DB_LIMIT:
+            raise ValueError(f"{key} must lie in [-{GAMMA_DB_LIMIT:g}, {GAMMA_DB_LIMIT:g}] dB")
+
+
 @dataclass(frozen=True)
 class QuantSection:
     bits_near: int = 2
     bits_far: int = 2
     bound_s: float = 5.0
     bound_d: float = 1.0
+
+    def __post_init__(self):
+        for key in ("bits_near", "bits_far"):
+            if not 1 <= getattr(self, key) <= 16:
+                raise ValueError(f"{key} must be in 1..16")
+        if not (0 < self.bound_d < self.bound_s):
+            raise ValueError("bounds must satisfy 0 < bound_d < bound_s")
 
 
 @dataclass(frozen=True)
@@ -45,6 +65,7 @@ class LinkSection:
         check_power_split(self.rho_near, self.rho_far, self.superposition)
         if self.p_max_watts <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("power ceiling and bandwidth must be positive")
+        _check_db(self, "gain_near_db", "gain_far_db")
 
 
 @dataclass(frozen=True)
@@ -57,6 +78,11 @@ class TrainSection:
     snr_train_far_db: float = 6.0
     hidden: tuple = (32, 32, 32)
 
+    def __post_init__(self):
+        check_train_settings(self.epochs, self.batch_size, self.learning_rate,
+                             self.dataset_size, self.hidden)
+        _check_db(self, "snr_train_near_db", "snr_train_far_db")
+
 
 @dataclass(frozen=True)
 class SweepSection:
@@ -66,8 +92,23 @@ class SweepSection:
     snr_far_hi_db: float = 20.0
     grid_step_db: float = 2.0
     n_symbols: int = 20000
-    kind: str = "awgn"
+    kind: str = KIND_AWGN
     estimation_error_delta: float = 0.0
+
+    def __post_init__(self):
+        _check_db(self, "snr_near_lo_db", "snr_near_hi_db", "snr_far_lo_db", "snr_far_hi_db")
+        for user in ("near", "far"):
+            if not getattr(self, f"snr_{user}_lo_db") <= getattr(self, f"snr_{user}_hi_db"):
+                raise ValueError(f"snr_{user}_lo_db must not exceed snr_{user}_hi_db")
+        if not (0 < self.grid_step_db < math.inf):
+            raise ValueError("grid_step_db must be a positive finite number")
+        if self.n_symbols < 1:
+            raise ValueError("n_symbols must be at least 1")
+        if self.kind not in (KIND_AWGN, KIND_RAYLEIGH):
+            raise ValueError(f"kind must be {KIND_AWGN!r} or {KIND_RAYLEIGH!r}, "
+                             f"got {self.kind!r}")
+        if not (0 <= self.estimation_error_delta < math.inf):
+            raise ValueError("estimation_error_delta must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,6 +140,9 @@ class RegionSection:
         RequirementCase("low", 0.65, 0.063, 3.13),
     )
 
+    def __post_init__(self):
+        _check_db(self, "gain_near_db", "gain_far_db")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,6 +154,15 @@ class ExperimentConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
     region: RegionSection = field(default_factory=RegionSection)
 
+    def __post_init__(self):
+        check_seed(self.seed)
+
+
+def check_seed(seed: int):
+    """Raise ConfigError unless seed fits the 64-bit seed part of a stream key."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in 0..2**64 - 1, got {seed}")
+
 
 _SCALARS = {int, float, str, bool}
 
@@ -118,6 +171,9 @@ def _coerce_scalar(value, target, path):
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        # json reads NaN, Infinity and integers beyond the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if target is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -184,7 +240,7 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 

@@ -3,9 +3,12 @@
 One run takes a feature vector per user, quantizes both, superimposes
 the per-user transmit symbols with the configured power split, pushes
 the composite through each user's own channel and detects at both
-receivers, either with the trained neural demodulators or with the
-QAM + SIC baseline.  Block fading: one channel draw per feature vector
-per user.
+receivers, with the trained neural demodulators, the QAM + SIC
+baseline, or both.  Block fading: one channel draw per feature vector
+per user.  The detectors of one run share everything but their transmit
+signals: the quantized features, each user's channel realization and one
+noise draw per user, so a run with both detectors reports exactly what
+one run per detector would, at one channel pass.
 
 SNR bookkeeping: each user's channel gain in dB is its receive SNR for a
 unit power transmit signal, and the per-user effective SNRs after the
@@ -31,7 +34,7 @@ from .channel import ChannelSpec, equalize, realize, transmit
 from .modem import (SUPERPOSE_SQRT, ModemModel, amplitudes, check_power_split,
                     demodulate, tx_symbols)
 from .qam import detect_far, make_qam, nearest_point, qam_modulate, sic_detect
-from .quant import FeatureVector, QuantizerParams, dequantize, fit_quantizer, quantize
+from .quant import FeatureVector, dequantize, fit_quantizer, quantize
 
 DETECTOR_NEURAL = "neural"
 DETECTOR_SIC = "sic"
@@ -106,19 +109,28 @@ def _clamp_to_hull(est: np.ndarray, constellation: np.ndarray) -> np.ndarray:
 
 def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVector,
              models: tuple[ModemModel, ModemModel] | None = None,
-             detector: str = DETECTOR_NEURAL,
+             detectors: tuple[str, ...] = (DETECTOR_NEURAL,),
              kind: str = "awgn", delta: float = 0.0,
-             seed: int = 0, block: int = 0) -> LinkReport:
-    """Simulate one feature vector pair end to end.
+             seed: int = 0, block: int = 0) -> tuple[LinkReport, ...]:
+    """Simulate one feature vector pair end to end, once per detector.
 
-    models is the trained (near, far) pair and is required for the
-    neural detector; the SIC detector only needs the scenario.  Feature
-    MSE is measured between the true dequantized values and the detected
-    estimates (neural estimates are clamped to the constellation hull),
-    SER between true and detected quantizer indices.
+    Returns one LinkReport per entry of detectors, in order.  The
+    detectors share one set-up: the quantized features, each user's
+    channel realization and one noise draw per user, added to every
+    detector's own transmit signal.  models is the trained (near, far)
+    pair and is required for the neural detector; the SIC detector only
+    needs the scenario.  Feature MSE is measured between the true
+    dequantized values and the detected estimates (neural estimates are
+    clamped to the constellation hull), SER between true and detected
+    quantizer indices.
     """
     if len(vec_near) != len(vec_far):
         raise ValueError("both users must send the same number of symbols")
+    if not detectors:
+        raise ValueError("at least one detector is needed")
+    for det in detectors:
+        if det not in (DETECTOR_NEURAL, DETECTOR_SIC):
+            raise ValueError(f"unknown detector {det!r}")
     q_near = fit_quantizer(scenario.m_near, scenario.bound_s, scenario.bound_d)
     q_far = fit_quantizer(scenario.m_far, scenario.bound_s, scenario.bound_d)
     idx_n = quantize(vec_near, q_near)
@@ -126,26 +138,26 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
     v_n = dequantize(idx_n, q_near)
     v_f = dequantize(idx_f, q_far)
 
-    if detector == DETECTOR_NEURAL:
-        if models is None:
-            raise ValueError("neural detection needs a trained model pair")
-        near_m, far_m = models
-        for m, q in ((near_m, q_near), (far_m, q_far)):
-            if (m.quantizer.bits_m, m.quantizer.bound_s, m.quantizer.bound_d) != \
-                    (q.bits_m, q.bound_s, q.bound_d):
-                raise ValueError("model quantizer does not match the scenario")
-        s_n = tx_symbols(v_n, near_m)
-        s_f = tx_symbols(v_f, far_m)
-    elif detector == DETECTOR_SIC:
-        qam_n = make_qam(scenario.m_near)
-        qam_f = make_qam(scenario.m_far)
-        s_n = qam_modulate(idx_n, qam_n)
-        s_f = qam_modulate(idx_f, qam_f)
-    else:
-        raise ValueError(f"unknown detector {detector!r}")
-
-    x = superpose(s_n, s_f, *amplitudes(scenario.rho_near, scenario.rho_far,
-                                        scenario.superposition))
+    amps = amplitudes(scenario.rho_near, scenario.rho_far, scenario.superposition)
+    tx = []
+    for det in detectors:
+        if det == DETECTOR_NEURAL:
+            if models is None:
+                raise ValueError("neural detection needs a trained model pair")
+            near_m, far_m = models
+            for m, q in ((near_m, q_near), (far_m, q_far)):
+                if (m.quantizer.bits_m, m.quantizer.bound_s, m.quantizer.bound_d) != \
+                        (q.bits_m, q.bound_s, q.bound_d):
+                    raise ValueError("model quantizer does not match the scenario")
+            s_n = tx_symbols(v_n, near_m)
+            s_f = tx_symbols(v_f, far_m)
+        else:
+            qam_n = make_qam(scenario.m_near)
+            qam_f = make_qam(scenario.m_far)
+            s_n = qam_modulate(idx_n, qam_n)
+            s_f = qam_modulate(idx_f, qam_f)
+        tx.append(superpose(s_n, s_f, *amps))
+    x = np.stack(tx)  # one row per detector, all rows under the same noise draw
 
     eq = []
     for user, gain in ((_rng.USER_NEAR, scenario.gain_near_db),
@@ -153,31 +165,32 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
         spec = ChannelSpec(kind=kind, snr_db=gain, estimation_error_delta=delta, seed=seed)
         real = realize(spec, user=user, block=block)
         eq.append(equalize(transmit(x, real), real))
-    eq_near_rx, eq_far_rx = eq
-
-    if detector == DETECTOR_NEURAL:
-        out_n = demodulate(eq_near_rx, near_m)
-        out_f = demodulate(eq_far_rx, far_m)
-        est_n = _clamp_to_hull(out_n[:, 0], q_near.constellation_deq)
-        est_f = _clamp_to_hull(out_f[:, 0], q_far.constellation_deq)
-        det_idx_n = nearest_point(out_n[:, 0], q_near.constellation_deq)
-        det_idx_f = nearest_point(out_f[:, 0], q_far.constellation_deq)
-    else:
-        det_idx_n, _ = sic_detect(eq_near_rx, qam_n, qam_f, scenario.rho_near,
-                                  scenario.rho_far, scenario.superposition)
-        det_idx_f = detect_far(eq_far_rx, qam_f, scenario.rho_near,
-                               scenario.rho_far, scenario.superposition)
-        est_n = dequantize(det_idx_n, q_near)
-        est_f = dequantize(det_idx_f, q_far)
 
     snr_n, snr_f = effective_snrs_db(scenario)
-    return LinkReport(
-        detector=detector,
-        n_symbols=len(v_n),
-        mse_near=float(np.mean((est_n - v_n) ** 2)),
-        mse_far=float(np.mean((est_f - v_f) ** 2)),
-        ser_near=float(np.mean(det_idx_n != idx_n)),
-        ser_far=float(np.mean(det_idx_f != idx_f)),
-        snr_eff_near_db=snr_n,
-        snr_eff_far_db=snr_f,
-    )
+    reports = []
+    for det, eq_near_rx, eq_far_rx in zip(detectors, *eq):
+        if det == DETECTOR_NEURAL:
+            out_n = demodulate(eq_near_rx, near_m)
+            out_f = demodulate(eq_far_rx, far_m)
+            est_n = _clamp_to_hull(out_n[:, 0], q_near.constellation_deq)
+            est_f = _clamp_to_hull(out_f[:, 0], q_far.constellation_deq)
+            det_idx_n = nearest_point(out_n[:, 0], q_near.grid)
+            det_idx_f = nearest_point(out_f[:, 0], q_far.grid)
+        else:
+            det_idx_n, _ = sic_detect(eq_near_rx, qam_n, qam_f, scenario.rho_near,
+                                      scenario.rho_far, scenario.superposition)
+            det_idx_f = detect_far(eq_far_rx, qam_f, scenario.rho_near,
+                                   scenario.rho_far, scenario.superposition)
+            est_n = dequantize(det_idx_n, q_near)
+            est_f = dequantize(det_idx_f, q_far)
+        reports.append(LinkReport(
+            detector=det,
+            n_symbols=len(v_n),
+            mse_near=float(np.mean((est_n - v_n) ** 2)),
+            mse_far=float(np.mean((est_f - v_f) ** 2)),
+            ser_near=float(np.mean(det_idx_n != idx_n)),
+            ser_far=float(np.mean(det_idx_f != idx_f)),
+            snr_eff_near_db=snr_n,
+            snr_eff_far_db=snr_f,
+        ))
+    return tuple(reports)

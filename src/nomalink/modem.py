@@ -95,10 +95,23 @@ class TrainConfig:
 
     def __post_init__(self):
         check_power_split(self.rho_near, self.rho_far, self.superposition)
-        if self.learning_rate <= 0 or self.epochs < 1:
-            raise ValueError("bad optimizer settings")
-        if not (1 <= self.batch_size <= self.dataset_size):
-            raise ValueError("batch_size must be in 1..dataset_size")
+        check_train_settings(self.epochs, self.batch_size, self.learning_rate,
+                             self.dataset_size, self.hidden)
+
+
+def check_train_settings(epochs: int, batch_size: int, learning_rate: float,
+                         dataset_size: int, hidden):
+    """Raise ValueError, naming the setting, unless the loop can run:
+    at least one epoch, a positive finite learning rate, a batch that fits
+    the dataset and hidden layers at least one unit wide."""
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    if not (0 < learning_rate < math.inf):
+        raise ValueError("learning_rate must be a positive finite number")
+    if not (1 <= batch_size <= dataset_size):
+        raise ValueError("batch_size must be in 1..dataset_size")
+    if any(w < 1 for w in hidden):
+        raise ValueError("hidden widths must be at least 1")
 
 
 def check_power_split(rho_near: float, rho_far: float, convention: str):
@@ -429,11 +442,19 @@ def _field(doc, key, path, prefix=""):
     return doc[key]
 
 
+def _numbers(value) -> bool:
+    """True for a JSON number or nested lists of them; true and false are
+    not numbers, though numpy would read them as 1.0 and 0.0."""
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value, shape, key, path) -> np.ndarray:
     """value as a float array of the given shape with finite entries."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float) if _numbers(value) else None
+    except (ValueError, OverflowError):  # ragged lists, integers beyond float
         arr = None
     if arr is None or arr.shape != shape or not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: {key!r} must hold finite numbers of shape {shape}")
@@ -449,7 +470,7 @@ def load_model(path) -> ModemModel:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ValueError(f"not a modem model file: {path}")
@@ -487,6 +508,10 @@ def load_model(path) -> ModemModel:
     if mean_power <= 0:
         raise ValueError(f"{path}: 'mean_power' must be positive")
     clip = _field(doc, "input_clip_radius", path)
+    if clip is not None:
+        clip = float(_finite(clip, (), "input_clip_radius", path))
+        if clip <= 0:
+            raise ValueError(f"{path}: 'input_clip_radius' must be positive or null")
     return ModemModel(
         role=role,
         mod_w=_finite(_field(doc, "modulator_weights", path), (2,), "modulator_weights", path),
@@ -494,6 +519,5 @@ def load_model(path) -> ModemModel:
         demod=demod,
         quantizer=q,
         mean_power=mean_power,
-        input_clip_radius=None if clip is None else float(
-            _finite(clip, (), "input_clip_radius", path)),
+        input_clip_radius=clip,
     )

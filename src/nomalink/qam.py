@@ -7,10 +7,17 @@ independent Gray-coded PAM.  The far user's index is detected first by
 nearest-point search treating the near signal as noise, its contribution
 is subtracted, and the near index is detected from the residual.
 
-Detection brackets the input between two levels per axis (PAM slicing)
-and compares only those up to four grid points: exactly the exhaustive
-search's argmin, ties to the lowest index, in O(N) memory for every
-width up to 16 bits.  The neural chain uses it on its real levels.
+Detection runs on a PointGrid, built once per QAM map or quantizer by
+point_grid: each axis's sorted levels with their origin and step, the
+(real level, imaginary level) -> index table and the far-row reach.
+Every point set the package detects on is a uniform rectangular grid (the
+PAM levels, the quantizer levels), and point_grid rejects any other.  On
+such a grid the input is sliced per axis by arithmetic (PAM slicing):
+the level just below it is floor((x - origin) / step), clipped to the
+axis.  Only the up to four bracketing grid points are compared: exactly
+the exhaustive search's argmin, ties to the lowest index, in O(N) memory
+for every width up to 16 bits.  The neural chain uses it on its real
+levels.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +30,66 @@ from .modem import SUPERPOSE_SQRT, amplitudes
 # (relative error ~1e-16) cannot make an outside point tie with a bracket
 # point; rows farther out are rare and get a full scan.
 _BRACKET_REACH = 1e6
+# Largest distance, in steps, of a level from origin + k * step.  Far below
+# half a step, so an arithmetic bracket off by one still holds the level
+# nearest to the input; the package's grids stray by about 1e-11.
+_UNIFORM_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class PointGrid:
+    """A uniform rectangular grid of distinct points, ready for detection.
+
+    lev_re and lev_im are the sorted levels of each axis, lev[k] = lev[0]
+    + k * step (step 0 on a single-level axis); points[index[r *
+    len(lev_im) + i]] is the point at (lev_re[r], lev_im[i]).  Rows whose
+    bracketing points all lie farther than reach get a full scan.
+    """
+
+    points: np.ndarray = field(repr=False)
+    lev_re: np.ndarray = field(repr=False)
+    lev_im: np.ndarray = field(repr=False)
+    step_re: float
+    step_im: float
+    index: np.ndarray = field(repr=False)
+    reach: float
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def _uniform_step(lev: np.ndarray) -> float:
+    """Step of sorted, evenly spaced levels; ValueError if they are not."""
+    if len(lev) == 1:
+        return 0.0
+    step = (lev[-1] - lev[0]) / (len(lev) - 1)
+    if not np.all(np.abs((lev - lev[0]) / step - np.arange(len(lev))) <= _UNIFORM_TOL):
+        raise ValueError("points are not a uniform grid: levels are unevenly spaced")
+    return float(step)
+
+
+def point_grid(points) -> PointGrid:
+    """Build the detection grid of a finite point set.
+
+    The points must form a uniform rectangular grid of distinct points
+    (a QAM map or a real constellation); ValueError names what fails.
+    """
+    points = np.array(points, dtype=complex).ravel()
+    if len(points) == 0 or not np.all(np.isfinite(points)):
+        raise ValueError("points must be a non-empty set of finite values")
+    points.flags.writeable = False
+    lev_re, pos_re = np.unique(points.real, return_inverse=True)
+    lev_im, pos_im = np.unique(points.imag, return_inverse=True)
+    # (real level, imaginary level) cell of each point, and its inverse
+    cells = pos_re * len(lev_im) + pos_im
+    index = np.argsort(cells)
+    if len(cells) != len(lev_re) * len(lev_im) or \
+            np.any(cells[index] != np.arange(len(cells))):
+        raise ValueError("points are not a rectangular grid of distinct points")
+    step_re, step_im = _uniform_step(lev_re), _uniform_step(lev_im)
+    reach = _BRACKET_REACH * min(np.diff(lev, append=np.inf).min()
+                                 for lev in (lev_re, lev_im))
+    return PointGrid(points, lev_re, lev_im, step_re, step_im, index, float(reach))
 
 
 def _gray(n: int) -> int:
@@ -42,10 +109,15 @@ def _pam_levels(bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QamMap:
-    """Index -> symbol table for a Gray-coded rectangular QAM."""
+    """Index -> symbol table for a Gray-coded rectangular QAM, with its
+    detection grid."""
 
     bits_m: int
-    points: np.ndarray = field(repr=False)
+    grid: PointGrid = field(repr=False)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.grid.points
 
     @property
     def size(self) -> int:
@@ -68,8 +140,7 @@ def make_qam(bits_m: int) -> QamMap:
     idx = np.arange(2**bits_m)
     pts = lev_i[idx >> bits_q] + 1j * lev_q[idx & ((1 << bits_q) - 1)]
     pts = pts / np.sqrt(np.mean(np.abs(pts) ** 2))
-    pts.flags.writeable = False
-    return QamMap(bits_m, pts)
+    return QamMap(bits_m, point_grid(pts))
 
 
 def qam_modulate(indices, qmap: QamMap) -> np.ndarray:
@@ -79,40 +150,46 @@ def qam_modulate(indices, qmap: QamMap) -> np.ndarray:
     return qmap.points[idx]
 
 
-def nearest_point(y, points: np.ndarray) -> np.ndarray:
-    """Index of the closest constellation point (ties -> lowest index).
+def _bracket(x: np.ndarray, lev: np.ndarray, step: float) -> list:
+    """Level positions just below and above x (one on a single-level axis).
 
-    points must be a rectangular grid of distinct points: a QAM map or a
-    real constellation.  Equals argmin |y - p| over all points, in
-    O(len(y) + len(points)) memory.
+    x is clamped to the levels first, so NaN lands on the lowest level and
+    huge values cannot overflow the division; such rows are far rows.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    points = np.asarray(points, dtype=complex)
-    lev_re, pos_re = np.unique(points.real, return_inverse=True)
-    lev_im, pos_im = np.unique(points.imag, return_inverse=True)
-    # (real level, imaginary level) cell of each point, and its inverse
-    cells = pos_re * len(lev_im) + pos_im
-    grid = np.argsort(cells)
-    if len(cells) != len(lev_re) * len(lev_im) or \
-            np.any(cells[grid] != np.arange(len(cells))):
-        raise ValueError("points are not a rectangular grid of distinct points")
+    if len(lev) == 1:
+        return [np.zeros(x.shape, dtype=np.intp)]
+    x = np.fmin(np.fmax(x, lev[0]), lev[-1])
+    k = np.minimum(((x - lev[0]) / step).astype(np.intp), len(lev) - 2)
+    return [k, k + 1]
 
-    def bracket(lev, x):
-        """Level positions just below and above x (one on a single-level axis)."""
-        k = np.searchsorted(lev, x)
-        return [np.maximum(k - 1, 0), np.minimum(k, len(lev) - 1)][:len(lev)]
 
-    cands = [grid[r * len(lev_im) + i]
-             for r in bracket(lev_re, y.real) for i in bracket(lev_im, y.imag)]
-    dists = [np.abs(y - points[c]) for c in cands]
-    idx, d = cands[0], dists[0]
+def nearest_point(y, grid: PointGrid) -> np.ndarray:
+    """Index of the closest grid point (ties -> lowest index).
+
+    Equals argmin |y - p| over all points, in O(len(y) + len(grid))
+    memory.  A real y on a real grid (one imaginary level, 0) is compared
+    in float, which equals the complex comparison bit for bit.
+    """
+    y = np.atleast_1d(np.asarray(y))
+    if not np.iscomplexobj(y) and len(grid.lev_im) == 1 and grid.lev_im[0] == 0:
+        y = y.astype(float, copy=False)
+        rows = _bracket(y, grid.lev_re, grid.step_re)
+        cands = [grid.index[r] for r in rows]
+        dists = [np.abs(y - grid.lev_re[r]) for r in rows]
+    else:
+        y = y.astype(complex, copy=False)
+        n_im = len(grid.lev_im)
+        cands = [grid.index[r * n_im + i]
+                 for r in _bracket(y.real, grid.lev_re, grid.step_re)
+                 for i in _bracket(y.imag, grid.lev_im, grid.step_im)]
+        dists = [np.abs(y - grid.points[c]) for c in cands]
+    idx, d, worst = cands[0], dists[0], dists[0]
     for c, d_c in zip(cands[1:], dists[1:]):
         take = (d_c < d) | ((d_c == d) & (c < idx))
-        idx, d = np.where(take, c, idx), np.minimum(d, d_c)
+        idx, d, worst = np.where(take, c, idx), np.minimum(d, d_c), np.maximum(worst, d_c)
 
-    step = min(np.diff(lev, append=np.inf).min() for lev in (lev_re, lev_im))
-    for k in np.flatnonzero(~(np.max(dists, axis=0) <= _BRACKET_REACH * step)):
-        idx[k] = np.argmin(np.abs(y[k] - points))
+    for k in np.flatnonzero(~(worst <= grid.reach)):
+        idx[k] = np.argmin(np.abs(y[k] - grid.points))
     return idx
 
 
@@ -124,7 +201,7 @@ def detect_far(y, qmap_far: QamMap, rho_near: float, rho_far: float,
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     _, a_f = amplitudes(rho_near, rho_far, convention)
-    return nearest_point(y / a_f, qmap_far.points)
+    return nearest_point(y / a_f, qmap_far.grid)
 
 
 def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap,
@@ -139,7 +216,7 @@ def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap,
     a_n, a_f = amplitudes(rho_near, rho_far, convention)
     idx_far = detect_far(y, qmap_far, rho_near, rho_far, convention)
     residual = y - a_f * qmap_far.points[idx_far]
-    idx_near = nearest_point(residual / a_n, qmap_near.points)
+    idx_near = nearest_point(residual / a_n, qmap_near.grid)
     return idx_near, idx_far
 
 

@@ -9,12 +9,17 @@ scaled by s and shifted by d).  An m-bit quantizer over that interval has
 with round() meaning half away from zero.  Quantization maps a value x to
 the integer clamp(round(x * f_s) - p_z, 0, 2**m - 1) and dequantization
 maps index i back to (i + p_z) / f_s.  The dequantized constellation
-always contains exactly 0.0.
+always contains exactly 0.0; its detection grid (qam.PointGrid) is built
+once, with the quantizer.
 """
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .qam import PointGrid
 
 EPS_RANGE = 1e-9  # slack for the input range check
 
@@ -56,7 +61,8 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class QuantizerParams:
-    """Fitted quantizer: bit width, analog range, scale, zero point, codebook."""
+    """Fitted quantizer: bit width, analog range, scale, zero point, codebook
+    and the codebook's detection grid."""
 
     bits_m: int
     bound_s: float
@@ -64,6 +70,7 @@ class QuantizerParams:
     scale_fs: float
     zero_pz: int
     constellation_deq: np.ndarray = field(repr=False)
+    grid: "PointGrid" = field(repr=False, compare=False)
 
     @property
     def levels(self) -> int:
@@ -86,6 +93,9 @@ def fit_quantizer(bits_m: int, bound_s: float, bound_d: float) -> QuantizerParam
     The scale uses the full fixed range (2 s wide), not the data; the zero
     point shifts the grid so index -p_z dequantizes to exactly 0.0.
     """
+    # imported here because qam imports modem, which imports this module
+    from .qam import point_grid
+
     if not (1 <= bits_m <= 16):
         raise ValueError("bits_m must be in 1..16")
     if not (0 < bound_d < bound_s):
@@ -96,7 +106,8 @@ def fit_quantizer(bits_m: int, bound_s: float, bound_d: float) -> QuantizerParam
     # integer numerator keeps the zero level exactly 0.0
     constellation = (idx + zero) / scale
     constellation.flags.writeable = False
-    return QuantizerParams(bits_m, float(bound_s), float(bound_d), scale, zero, constellation)
+    return QuantizerParams(bits_m, float(bound_s), float(bound_d), scale, zero,
+                           constellation, point_grid(constellation))
 
 
 def _as_values(v) -> np.ndarray:

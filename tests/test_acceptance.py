@@ -159,9 +159,8 @@ def test_criterion_06_low_snr_advantage_and_cliff(table1_models):
         sc = LinkScenario(gain_near_db=snr_f + 8.0, gain_far_db=snr_f)
         vn = sample_features(n, 5.0, 1.0, seed=0, user=0, block=k)
         vf = sample_features(n, 5.0, 1.0, seed=0, user=1, block=k)
-        neural = run_link(sc, vn, vf, models=(near_m, far_m),
-                          detector=DETECTOR_NEURAL, seed=0, block=k)
-        sic = run_link(sc, vn, vf, detector=DETECTOR_SIC, seed=0, block=k)
+        neural, sic = run_link(sc, vn, vf, models=(near_m, far_m),
+                               detectors=(DETECTOR_NEURAL, DETECTOR_SIC), seed=0, block=k)
         assert neural.mse_far <= sic.mse_far, (
             f"far SNR {snr_f} dB: neural MSE {neural.mse_far:.4f} "
             f"> SIC MSE {sic.mse_far:.4f}")
@@ -173,7 +172,7 @@ def test_criterion_06_low_snr_advantage_and_cliff(table1_models):
         sc = LinkScenario(gain_near_db=snr_f + 8.0, gain_far_db=snr_f)
         vn = sample_features(n, 5.0, 1.0, seed=0, user=0, block=100 + k)
         vf = sample_features(n, 5.0, 1.0, seed=0, user=1, block=100 + k)
-        rep = run_link(sc, vn, vf, detector=DETECTOR_SIC, seed=0, block=100 + k)
+        rep, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), seed=0, block=100 + k)
         ser_near.append(rep.ser_near)
         ser_far.append(rep.ser_far)
 

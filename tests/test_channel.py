@@ -88,6 +88,17 @@ def test_noise_is_the_complex_view_of_the_normal_draw():
     assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
 
 
+def test_rows_of_one_transmit_share_its_noise_draw():
+    # a cell's detectors stack their transmit signals: each row must get
+    # exactly what a call of its own on a fresh realization gives
+    spec = ChannelSpec(KIND_RAYLEIGH, 3.0, estimation_error_delta=0.1, seed=9)
+    x = np.stack([np.exp(1j * np.arange(500)), np.linspace(-1, 1, 500) + 0.5j])
+    y = transmit(x, realize(spec, USER_NEAR, 4))
+    for row, x_row in zip(y, x):
+        want = transmit(x_row, realize(spec, USER_NEAR, 4))
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
 def test_coefficients_take_fading_then_error_from_one_stream():
     # the training order: both pairs from the user's one TRAIN_FADING stream
     g = rng.stream_rng(5, 1, rng.TRAIN_FADING)

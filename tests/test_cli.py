@@ -57,6 +57,22 @@ def test_sweep_row_count_is_full_cross_product(tiny_cfg, tmp_path):
     assert sum(l.startswith("sic,") for l in lines) == 9
 
 
+def test_sweep_both_rows_are_the_single_detector_rows(tiny_cfg, tmp_path):
+    # one shared channel pass per cell writes, byte for byte, the rows of
+    # a neural-only and a SIC-only sweep, interleaved cell by cell
+    models = tmp_path / "m"
+    assert main(["train-modem", "--config", tiny_cfg, "--out", str(models)]) == 0
+    lines = {}
+    for det in ("both", "neural", "sic"):
+        out = tmp_path / det
+        assert main(["sweep", "--config", tiny_cfg, "--out", str(out), "--detector", det,
+                     "--models", str(models), "--delta", "0.1"]) == 0
+        lines[det] = (out / "sweep.csv").read_bytes().splitlines(keepends=True)
+    assert lines["both"][:2] == lines["neural"][:2] == lines["sic"][:2]
+    assert lines["both"][2::2] == lines["neural"][2:]
+    assert lines["both"][3::2] == lines["sic"][2:]
+
+
 def test_sweep_sic_only_needs_no_models(tiny_cfg, tmp_path):
     out = tmp_path / "o"
     assert main(["sweep", "--config", tiny_cfg, "--out", str(out),

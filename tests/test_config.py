@@ -142,3 +142,81 @@ def test_equal_power_split_and_both_conventions_accepted():
     cfg = config_from_dict({"link": {"rho_near": 0.5, "rho_far": 0.5,
                                      "superposition": "literal"}})
     assert (cfg.link.rho_near, cfg.link.superposition) == (0.5, "literal")
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"train": {"hidden": [0]}}, "hidden"),
+    ({"train": {"hidden": [32, -1]}}, "hidden"),
+    ({"train": {"epochs": 0}}, "epochs"),
+    ({"train": {"learning_rate": 0.0}}, "learning_rate"),
+    ({"train": {"batch_size": 0}}, "batch_size"),
+    ({"train": {"dataset_size": 3}}, "batch_size"),
+    ({"sweep": {"snr_near_lo_db": 10, "snr_near_hi_db": 0}}, "snr_near_lo_db"),
+    ({"sweep": {"snr_far_lo_db": 30}}, "snr_far_lo_db"),
+    ({"sweep": {"kind": "foo"}}, "kind"),
+    ({"sweep": {"n_symbols": -3}}, "n_symbols"),
+    ({"sweep": {"n_symbols": 0}}, "n_symbols"),
+    ({"sweep": {"estimation_error_delta": -1}}, "estimation_error_delta"),
+    ({"sweep": {"grid_step_db": 0}}, "grid_step_db"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 2**64}, "seed"),
+    ({"quant": {"bits_near": 17}}, "bits_near"),
+    ({"quant": {"bits_far": 0}}, "bits_far"),
+    ({"quant": {"bound_d": 5.0}}, "bound_d"),
+    # dB values share the accuracy CSV's +-100 dB range; at 1e300 dB the
+    # parent wrote a 0-row sweep.csv or ended regions in an OverflowError
+    ({"sweep": {"snr_near_lo_db": 1e300, "snr_near_hi_db": 1e300}}, "snr_near_lo_db"),
+    ({"link": {"gain_near_db": 100.5}}, "gain_near_db"),
+    ({"region": {"gain_near_db": 1e300}}, "gain_near_db"),
+    ({"region": {"gain_far_db": -101}}, "gain_far_db"),
+    ({"train": {"snr_train_far_db": 150}}, "snr_train_far_db"),
+])
+@pytest.mark.parametrize("command", [["train-modem"], ["sweep", "--detector", "sic"],
+                                     ["macs"]])
+def test_bad_values_exit_2_at_load_naming_the_key(tmp_path, capfd, doc, key, command):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(p), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("text", [
+    '{"sweep": {"grid_step_db": NaN}}',
+    '{"sweep": {"snr_near_hi_db": Infinity}}',
+    '{"link": {"gain_far_db": -Infinity}}',
+    '{"region": {"bandwidth_hz": 1e999}}',
+    '{"train": {"learning_rate": ' + "9" * 400 + '}}',
+])
+def test_non_finite_numbers_rejected_at_load(tmp_path, capfd, text):
+    # python's json reads NaN, Infinity and floats or integers beyond the
+    # float range; none of them is a setting
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    assert main(["macs", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capfd.readouterr().err
+    assert "expected a finite number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--grid-step-db", "nan"], "grid_step_db"),
+    (["--grid-step-db", "0"], "grid_step_db"),
+    (["--grid-step-db", "inf"], "grid_step_db"),
+    (["--delta", "-1"], "estimation_error_delta"),
+    (["--delta", "nan"], "estimation_error_delta"),
+    (["--seed", "-1"], "seed"),
+])
+def test_bad_sweep_flags_exit_2_naming_the_key(tmp_path, capfd, flags, key):
+    out = tmp_path / "o"
+    assert main(["sweep", "--detector", "sic", "--out", str(out), *flags]) == 2
+    err = capfd.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_db_values_at_the_limits_load():
+    cfg = config_from_dict({"link": {"gain_near_db": 100.0, "gain_far_db": -100.0},
+                            "sweep": {"snr_near_lo_db": -100, "snr_near_hi_db": 100}})
+    assert (cfg.link.gain_near_db, cfg.sweep.snr_near_hi_db) == (100.0, 100.0)

@@ -8,7 +8,7 @@ import oracles
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
                            effective_snrs_db, run_link, sample_features,
                            superpose)
-from nomalink.modem import SUPERPOSE_LITERAL, amplitudes, tx_symbols
+from nomalink.modem import SUPERPOSE_LITERAL, SUPERPOSE_SQRT, amplitudes, tx_symbols
 from nomalink.quant import FeatureVector
 
 
@@ -43,7 +43,7 @@ def test_literal_sic_near_ser_matches_its_effective_snr():
     n = 20_000
     v_n = sample_features(n, sc.bound_s, sc.bound_d, seed=4, user=0)
     v_f = sample_features(n, sc.bound_s, sc.bound_d, seed=4, user=1)
-    rep = run_link(sc, v_n, v_f, detector=DETECTOR_SIC, seed=4)
+    rep, = run_link(sc, v_n, v_f, detectors=(DETECTOR_SIC,), seed=4)
     q = 0.5 * math.erfc(math.sqrt(10**(rep.snr_eff_near_db / 10) / 2))
     expected = 2 * q - q * q
     assert expected / 2 < rep.ser_near < 2 * expected
@@ -96,7 +96,7 @@ def test_sic_exact_at_extreme_gain():
     sc = LinkScenario(gain_near_db=300, gain_far_db=300)
     vn = sample_features(2000, 5.0, 1.0, seed=1, user=0)
     vf = sample_features(2000, 5.0, 1.0, seed=1, user=1)
-    rep = run_link(sc, vn, vf, detector=DETECTOR_SIC, seed=1)
+    rep, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), seed=1)
     assert rep.ser_near == 0.0 and rep.ser_far == 0.0
     assert rep.mse_near <= (1 / 0.3) ** 2 / 4 + 1e-12  # only quantization error left
 
@@ -107,7 +107,7 @@ def test_sic_ser_non_increasing_in_gain():
     sers = []
     for gain in (0.0, 8.0, 16.0, 24.0):
         sc = LinkScenario(gain_near_db=gain + 8, gain_far_db=gain)
-        rep = run_link(sc, vn, vf, detector=DETECTOR_SIC, seed=2)
+        rep, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), seed=2)
         sers.append(rep.ser_far)
     assert all(a >= b - 0.005 for a, b in zip(sers, sers[1:]))
     assert sers[0] > sers[-1]
@@ -118,7 +118,7 @@ def test_neural_detector_runs_and_beats_chance(table1_models):
     sc = LinkScenario()
     vn = sample_features(5000, 5.0, 1.0, seed=4, user=0)
     vf = sample_features(5000, 5.0, 1.0, seed=4, user=1)
-    rep = run_link(sc, vn, vf, models=(near_m, far_m), detector=DETECTOR_NEURAL, seed=4)
+    rep, = run_link(sc, vn, vf, models=(near_m, far_m), detectors=(DETECTOR_NEURAL,), seed=4)
     assert rep.detector == DETECTOR_NEURAL
     assert rep.n_symbols == 5000
     assert rep.ser_near < 0.25 and rep.ser_far < 0.25
@@ -130,7 +130,7 @@ def test_neural_requires_models():
     vn = sample_features(10, 5.0, 1.0, seed=0, user=0)
     vf = sample_features(10, 5.0, 1.0, seed=0, user=1)
     with pytest.raises(ValueError):
-        run_link(sc, vn, vf, detector=DETECTOR_NEURAL)
+        run_link(sc, vn, vf, detectors=(DETECTOR_NEURAL,))
 
 
 def test_neural_rejects_mismatched_quantizer(table1_models):
@@ -139,7 +139,7 @@ def test_neural_rejects_mismatched_quantizer(table1_models):
     vn = sample_features(10, 5.0, 1.0, seed=0, user=0)
     vf = sample_features(10, 5.0, 1.0, seed=0, user=1)
     with pytest.raises(ValueError):
-        run_link(sc, vn, vf, models=(near_m, far_m), detector=DETECTOR_NEURAL)
+        run_link(sc, vn, vf, models=(near_m, far_m), detectors=(DETECTOR_NEURAL,))
 
 
 def test_length_mismatch_rejected():
@@ -147,23 +147,47 @@ def test_length_mismatch_rejected():
     vn = sample_features(10, 5.0, 1.0, seed=0, user=0)
     vf = sample_features(11, 5.0, 1.0, seed=0, user=1)
     with pytest.raises(ValueError):
-        run_link(sc, vn, vf, detector=DETECTOR_SIC)
+        run_link(sc, vn, vf, detectors=(DETECTOR_SIC,))
 
 
 def test_unknown_detector_rejected():
     sc = LinkScenario()
     vn = sample_features(4, 5.0, 1.0, seed=0, user=0)
     with pytest.raises(ValueError):
-        run_link(sc, vn, vn, detector="maximum-likelihood")
+        run_link(sc, vn, vn, detectors=("maximum-likelihood",))
+    with pytest.raises(ValueError):
+        run_link(sc, vn, vn, detectors=(DETECTOR_SIC, "maximum-likelihood"))
+    with pytest.raises(ValueError):
+        run_link(sc, vn, vn, detectors=())
+
+
+@pytest.mark.parametrize("superposition", [SUPERPOSE_SQRT, SUPERPOSE_LITERAL])
+@pytest.mark.parametrize("kind, delta", [("awgn", 0.0), ("rayleigh", 0.1)])
+def test_shared_cell_setup_reports_what_single_detector_runs_do(
+        table1_models, superposition, kind, delta):
+    # both detectors from one quantization, one realization and one noise
+    # draw per user: field for field what one run per detector reports
+    near_m, far_m, _ = table1_models
+    sc = LinkScenario(gain_near_db=12, gain_far_db=4, superposition=superposition)
+    vn = sample_features(3000, 5.0, 1.0, seed=7, user=0, block=2)
+    vf = sample_features(3000, 5.0, 1.0, seed=7, user=1, block=2)
+
+    def run(*detectors):
+        return run_link(sc, vn, vf, models=(near_m, far_m), detectors=detectors,
+                        kind=kind, delta=delta, seed=7, block=2)
+
+    single = run(DETECTOR_NEURAL) + run(DETECTOR_SIC)
+    assert run(DETECTOR_NEURAL, DETECTOR_SIC) == single
+    assert run(DETECTOR_SIC, DETECTOR_NEURAL) == single[::-1]
 
 
 def test_run_is_deterministic_per_seed_and_block():
     sc = LinkScenario(gain_near_db=10, gain_far_db=4)
     vn = sample_features(500, 5.0, 1.0, seed=5, user=0)
     vf = sample_features(500, 5.0, 1.0, seed=5, user=1)
-    r1 = run_link(sc, vn, vf, detector=DETECTOR_SIC, seed=5, block=3)
-    r2 = run_link(sc, vn, vf, detector=DETECTOR_SIC, seed=5, block=3)
-    r3 = run_link(sc, vn, vf, detector=DETECTOR_SIC, seed=5, block=4)
+    r1, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), seed=5, block=3)
+    r2, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), seed=5, block=3)
+    r3, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), seed=5, block=4)
     assert r1 == r2
     assert (r1.mse_near, r1.mse_far) != (r3.mse_near, r3.mse_far)
 
@@ -172,6 +196,6 @@ def test_rayleigh_kind_accepted():
     sc = LinkScenario(gain_near_db=20, gain_far_db=14)
     vn = sample_features(2000, 5.0, 1.0, seed=6, user=0)
     vf = sample_features(2000, 5.0, 1.0, seed=6, user=1)
-    rep = run_link(sc, vn, vf, detector=DETECTOR_SIC, kind="rayleigh", seed=6)
+    rep, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), kind="rayleigh", seed=6)
     assert 0.0 <= rep.ser_far <= 1.0
     assert np.isfinite(rep.mse_far)

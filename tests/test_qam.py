@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from nomalink.modem import SUPERPOSE_LITERAL
-from nomalink.qam import (detect_far, make_qam, nearest_point, qam_modulate,
-                          sic_detect, sic_macs_per_symbol)
+from nomalink.qam import (detect_far, make_qam, nearest_point, point_grid,
+                          qam_modulate, sic_detect, sic_macs_per_symbol)
 from nomalink.quant import fit_quantizer
 from nomalink.rng import stream_rng
 
@@ -120,20 +120,24 @@ def test_modulate_rejects_bad_indices():
 
 def test_nearest_point_tie_breaks_low():
     pts = np.array([1.0 + 0j, -1.0 + 0j])
-    assert nearest_point(np.array([0.0 + 0j]), pts)[0] == 0
+    assert nearest_point(np.array([0.0 + 0j]), point_grid(pts))[0] == 0
 
 
 def _grid(kind, m, bound_s=5.0, bound_d=1.0):
+    """The detection grid a QAM map or quantizer carries, and its points as
+    the package's callers hold them."""
     if kind == "qam":
-        return make_qam(m).points
-    return fit_quantizer(m, bound_s, bound_d).constellation_deq
+        qmap = make_qam(m)
+        return qmap.grid, qmap.points
+    q = fit_quantizer(m, bound_s, bound_d)
+    return q.grid, q.constellation_deq
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["qam", "quant"]), m=st.integers(1, 10),
+@given(kind=st.sampled_from(["qam", "quant"]), m=st.integers(1, 16),
        bound_s=st.floats(0.1, 10.0), d_frac=st.floats(0.01, 0.99), data=st.data())
 def test_nearest_point_matches_dense_search(kind, m, bound_s, d_frac, data):
-    points = _grid(kind, m, bound_s, d_frac * bound_s)
+    grid, points = _grid(kind, m, bound_s, d_frac * bound_s)
     lev_re = np.unique(points.real)
     lev_im = np.unique(np.asarray(points, dtype=complex).imag)
     # every level and every per-axis midpoint: the decision boundaries
@@ -154,11 +158,13 @@ def test_nearest_point_matches_dense_search(kind, m, bound_s, d_frac, data):
                          st.floats(1e4, 1e12) | st.floats(-1e12, -1e4), st.booleans())
     anywhere = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
                          st.floats(allow_nan=False, allow_infinity=False))
+    # the dense oracle holds len(y) x 2^m distances: few rows at wide grids
     y = np.array(data.draw(st.lists(
-        st.one_of(on_marks, inside, outside, far_axis, anywhere), min_size=1, max_size=40)))
-    assert np.array_equal(nearest_point(y, points), oracles.dense_nearest(y, points))
+        st.one_of(on_marks, inside, outside, far_axis, anywhere), min_size=1,
+        max_size=40 if m <= 12 else 4)))
+    assert np.array_equal(nearest_point(y, grid), oracles.dense_nearest(y, points))
     if kind == "quant":  # the neural chain passes real estimates
-        assert np.array_equal(nearest_point(y.real, points),
+        assert np.array_equal(nearest_point(y.real, grid),
                               oracles.dense_nearest(y.real, points))
 
 
@@ -174,33 +180,90 @@ def test_nearest_point_ties_go_to_lowest_index(m):
     y = np.concatenate([[0j], (mid_re[:, None] + 1j * mid_im[None, :]).ravel()])
     d = np.abs(y[:, None] - points[None, :])
     assert np.sum(d[0] == d[0].min()) >= 2
-    assert np.array_equal(nearest_point(y, points), oracles.dense_nearest(y, points))
+    assert np.array_equal(nearest_point(y, make_qam(m).grid),
+                          oracles.dense_nearest(y, points))
 
 
 def test_nearest_point_non_finite_inputs_match_dense_search():
-    points = make_qam(4).points
+    qmap = make_qam(4)
     y = np.array([complex(np.nan, 0), complex(np.inf, 1), complex(-np.inf, np.inf),
                   complex(1e300, -1e300), 0.3 - 0.2j])
-    assert np.array_equal(nearest_point(y, points), oracles.dense_nearest(y, points))
+    assert np.array_equal(nearest_point(y, qmap.grid), oracles.dense_nearest(y, qmap.points))
+
+
+@pytest.mark.parametrize("kind, m", [("quant", 1), ("quant", 4), ("quant", 16), ("qam", 1)])
+def test_nearest_point_real_non_finite_inputs_match_dense_search(kind, m):
+    # real inputs on a real grid take the float path; NaN, infinities and
+    # values whose bracket arithmetic would overflow must bracket without a
+    # RuntimeWarning (an error under this suite) and fall to the full scan
+    grid, points = _grid(kind, m)
+    big = np.finfo(float).max
+    y = np.array([np.nan, np.inf, -np.inf, big, -big, 1e300, -1e-310, 0.3, 7.5])
+    assert np.array_equal(nearest_point(y, grid), oracles.dense_nearest(y, points))
 
 
 def test_nearest_point_rejects_points_off_a_grid():
-    with pytest.raises(ValueError):
-        nearest_point([0j], np.array([0, 1, 1j]))
+    with pytest.raises(ValueError, match="rectangular grid of distinct points"):
+        point_grid(np.array([0, 1, 1j]))
+    with pytest.raises(ValueError, match="rectangular grid of distinct points"):
+        point_grid(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        point_grid(np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("points", [
+    np.array([0.0, 1.0, 3.0]),
+    (np.array([0.0, 1.0])[:, None] + 1j * np.array([0.0, 1.0, 3.0])[None, :]).ravel(),
+])
+def test_point_grid_rejects_unevenly_spaced_levels(points):
+    with pytest.raises(ValueError, match="unevenly spaced"):
+        point_grid(points)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_grids_of_qam_maps_and_quantizers(m):
+    # the tables detection slices on: uniform levels, and the index table
+    # that maps (real level, imaginary level) back to the point
+    for kind in ("qam", "quant"):
+        grid, points = _grid(kind, m)
+        assert len(grid) == len(points) == 2**m
+        for lev, step in ((grid.lev_re, grid.step_re), (grid.lev_im, grid.step_im)):
+            assert np.allclose(lev, lev[0] + step * np.arange(len(lev)),
+                               rtol=0, atol=1e-9 * step)
+        cell = grid.points[grid.index].reshape(len(grid.lev_re), len(grid.lev_im))
+        assert np.array_equal(cell.real, np.broadcast_to(grid.lev_re[:, None], cell.shape))
+        assert np.array_equal(cell.imag, np.broadcast_to(grid.lev_im[None, :], cell.shape))
 
 
 def test_nearest_point_memory_is_linear():
     # the dense (N, 2^m) search needs about 270 MB here
-    points = make_qam(12).points
+    grid = make_qam(12).grid
     rng = stream_rng(11)
     y = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
     tracemalloc.start()
     try:
-        nearest_point(y, points)
+        nearest_point(y, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_sic_memory_is_linear_at_16_bits():
+    # both SIC stages at m = 16; the dense search would need about 4.3 GB
+    q = make_qam(16)
+    rng = stream_rng(12)
+    idx_n, idx_f = rng.integers(0, q.size, size=(2, 4096))
+    y = np.sqrt(0.3) * q.points[idx_n] + np.sqrt(0.7) * q.points[idx_f]
+    y = y + 1e-4 * (rng.standard_normal(4096) + 1j * rng.standard_normal(4096))
+    tracemalloc.start()
+    try:
+        got_n, got_f = sic_detect(y, q, q, 0.3, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert got_n.shape == got_f.shape == (4096,)
 
 
 def test_sic_literal_agrees_with_loop_reference():
