@@ -50,29 +50,38 @@ class ChannelRealization:
     _noise_rng: np.random.Generator = field(repr=False, compare=False)
 
 
-def coefficients(spec: ChannelSpec, stream) -> tuple[complex, complex]:
-    """The coefficient h and its estimate h_hat for one fading block.
+def coefficients(spec: ChannelSpec, stream, n: int):
+    """Coefficients h and estimates h_hat of n fading blocks, (n,) arrays.
 
-    stream(purpose) gives the generator of the rng.FADING or rng.EST_ERROR
-    draw and is called only for a draw that is made; each draw takes one
-    (re, im) standard normal pair.
+    A block draws one (re, im) normal pair for the fading on Rayleigh,
+    then one for the estimation error when delta > 0.  stream(purposes)
+    gets the purposes of the draws made (rng.FADING, rng.EST_ERROR) and
+    returns their normals as an (n, len(purposes), 2) array; it is not
+    called when no draw is made.
     """
-    h = 1.0 + 0.0j
+    purposes = [p for p, made in ((_rng.FADING, spec.kind == KIND_RAYLEIGH),
+                                  (_rng.EST_ERROR, spec.estimation_error_delta > 0))
+                if made]
+    h = np.ones(n, dtype=complex)
+    if not purposes:
+        return h, h
+    z = stream(purposes)
+    # scaled as real pairs: numpy's complex / real multiplies by a reciprocal
     if spec.kind == KIND_RAYLEIGH:
-        h = complex(*stream(_rng.FADING).standard_normal(2)) / math.sqrt(2.0)
+        h = (z[:, 0] / math.sqrt(2.0)).view(complex)[:, 0]
     if spec.estimation_error_delta > 0:
-        err = complex(*stream(_rng.EST_ERROR).standard_normal(2))
-        return h, h + spec.estimation_error_delta * err / math.sqrt(2.0)
+        err = spec.estimation_error_delta * z[:, -1] / math.sqrt(2.0)
+        return h, h + err.view(complex)[:, 0]
     return h, h
 
 
 def realize(spec: ChannelSpec, user: int = 0, block: int = 0) -> ChannelRealization:
     """Draw one fading block for the given user and block index."""
-    h, h_hat = coefficients(
-        spec, lambda purpose: _rng.stream_rng(spec.seed, user, purpose, block))
+    h, h_hat = coefficients(spec, lambda purposes: np.array(
+        [[_rng.stream_rng(spec.seed, user, p, block).standard_normal(2) for p in purposes]]), 1)
     sigma2 = 10.0 ** (-spec.snr_db / 10.0)
     noise = _rng.stream_rng(spec.seed, user, _rng.NOISE, block)
-    return ChannelRealization(h, h_hat, sigma2, noise)
+    return ChannelRealization(complex(h[0]), complex(h_hat[0]), sigma2, noise)
 
 
 def transmit(x: np.ndarray, real: ChannelRealization) -> np.ndarray:

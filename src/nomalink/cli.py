@@ -23,7 +23,7 @@ from .config import (ConfigError, ExperimentConfig, RegionSection, check_seed,
 from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario, run_link,
                    sample_features)
 from .modem import (TrainConfig, TrainingDivergedError, count_macs, load_model,
-                    save_model, train_modem)
+                    modem_macs, save_model, train_modem)
 from .qam import sic_macs_per_symbol
 from .quant import fit_quantizer
 from .regions import (RegionQuery, default_rate_grid, noma_power_region,
@@ -136,14 +136,13 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
 
 def _accuracy_model(kind: str, csv_path: str | None):
     """Fit an accuracy curve from a CSV or the shipped synthetic samples."""
-    if csv_path:
-        samples = load_accuracy_csv(csv_path)
-        source = csv_path
-    else:
-        samples = synthetic_accuracy_samples(kind)
-        source = "builtin-synthetic"
-    fit = fit_logistic(samples)
-    return fit, source
+    if not csv_path:
+        return fit_logistic(synthetic_accuracy_samples(kind)), "builtin-synthetic"
+    samples = load_accuracy_csv(csv_path)
+    try:
+        return fit_logistic(samples), csv_path
+    except ValueError as exc:  # too few rows, nan, accuracy beyond [0, 1]
+        raise ValueError(f"{csv_path}: {exc}") from None
 
 
 def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
@@ -219,11 +218,9 @@ def cmd_macs(cfg: ExperimentConfig, seed: int, out_dir: str,
         far = load_model(os.path.join(models_dir, "modem_far.json"))
         macs_near, macs_far = count_macs(near), count_macs(far)
     else:
-        # architecture alone fixes the count: modulator + dense demod chain
-        def arch_macs(out_dim):
-            widths = [2, *cfg.train.hidden, out_dim]
-            return 2 + sum(a * b for a, b in zip(widths[:-1], widths[1:]))
-        macs_near, macs_far = arch_macs(2), arch_macs(1)
+        # the architecture alone fixes the count
+        macs_near, macs_far = (modem_macs([2, *cfg.train.hidden, out_dim])
+                               for out_dim in (2, 1))
     macs_sic = sic_macs_per_symbol(cfg.quant.bits_near, cfg.quant.bits_far)
 
     rows = [(n, n * macs_near, n * macs_far, n * macs_sic)

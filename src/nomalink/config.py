@@ -27,6 +27,13 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
+def _check_range(section, key, lo, hi):
+    """Sizes have upper bounds far above any run this package makes: beyond
+    them a value is a typo that would run out of time or memory."""
+    if not lo <= getattr(section, key) <= hi:
+        raise ValueError(f"{key} must be in {lo}..{hi}")
+
+
 def _check_db(section, *keys):
     """Gains and SNRs share the accuracy CSV's dB range: beyond it a value
     is a units or typing error, and far beyond it 10**(dB / 10) overflows
@@ -102,8 +109,13 @@ class SweepSection:
                 raise ValueError(f"snr_{user}_lo_db must not exceed snr_{user}_hi_db")
         if not (0 < self.grid_step_db < math.inf):
             raise ValueError("grid_step_db must be a positive finite number")
-        if self.n_symbols < 1:
-            raise ValueError("n_symbols must be at least 1")
+        _check_range(self, "n_symbols", 1, 1_000_000)
+        # about the cells of cli.cmd_sweep's grids; inf if too many to count
+        cells = math.prod((getattr(self, f"snr_{u}_hi_db") - getattr(self, f"snr_{u}_lo_db"))
+                          / self.grid_step_db + 1.0 for u in ("near", "far"))
+        if not cells <= 100_000:
+            raise ValueError(f"grid_step_db {self.grid_step_db:g} gives about {cells:.3g} "
+                             "SNR cells; at most 100000 are allowed")
         if self.kind not in (KIND_AWGN, KIND_RAYLEIGH):
             raise ValueError(f"kind must be {KIND_AWGN!r} or {KIND_RAYLEIGH!r}, "
                              f"got {self.kind!r}")
@@ -142,6 +154,13 @@ class RegionSection:
 
     def __post_init__(self):
         _check_db(self, "gain_near_db", "gain_far_db")
+        _check_range(self, "text_k_symbols", 1, 1_000_000)
+        if not 0 < self.image_compression <= 1:
+            raise ValueError("image_compression must lie in (0, 1]")
+        # lower bounds: the searches' own minimums (regions.RegionQuery)
+        _check_range(self, "grid_points", 8, 65_536)
+        _check_range(self, "sweep_points", 2, 1024)
+        _check_range(self, "power_sweep_points", 2, 1024)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,15 @@ one output.
 Training follows an alternating scheme: per mini-batch both losses are
 computed from one superimposed transmission, the near network's
 parameters are updated only with the gradient of the near loss and the
-far network's only with the far loss.
+far network's only with the far loss.  The models hold parameters
+only: pair_forward's cache carries the demodulator activations to
+pair_backward, which returns every gradient for the loop to apply.
+Each epoch draws each user's channel coefficients and noise at once.
 
 Losses are squared Euclidean distances between true and estimated
 dequantized features.  The gradient step normalizes each squared-error
-term by the variance of that user's dequantized constellation, which
+term by the variance of that user's dequantized constellation
+(QuantizerParams.variance, fixed when the quantizer is fitted), which
 makes the optimization invariant to the arbitrary feature scale (the
 same learning rate works for s = 5 and s = 0.5) and keeps plain SGD at
 the default rate stable.  The recorded loss trace stays in raw
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import rng as _rng
 from .channel import ChannelSpec, coefficients
-from .nn import Mlp
+from .nn import Mlp, dense_macs
 from .quant import QuantizerParams, fit_quantizer
 
 ROLE_NEAR = "near"
@@ -72,10 +76,6 @@ class ModemModel:
     mean_power: float | None = None
     input_clip_radius: float | None = None
 
-    @property
-    def out_dim(self) -> int:
-        return self.demod.widths[-1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -99,19 +99,32 @@ class TrainConfig:
                              self.dataset_size, self.hidden)
 
 
+# upper bounds on the training sizes, far above any run this package makes:
+# beyond them a value is a typo that would run out of time or memory
+MAX_EPOCHS = 1_000_000
+MAX_DATASET_SIZE = 100_000
+MAX_HIDDEN_LAYERS = 8
+MAX_HIDDEN_WIDTH = 256
+
+
 def check_train_settings(epochs: int, batch_size: int, learning_rate: float,
                          dataset_size: int, hidden):
     """Raise ValueError, naming the setting, unless the loop can run:
-    at least one epoch, a positive finite learning rate, a batch that fits
-    the dataset and hidden layers at least one unit wide."""
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
+    1..MAX_EPOCHS epochs, a positive finite learning rate, a batch that
+    fits a dataset of at most MAX_DATASET_SIZE and at most
+    MAX_HIDDEN_LAYERS hidden layers, each 1..MAX_HIDDEN_WIDTH units wide."""
+    if not 1 <= epochs <= MAX_EPOCHS:
+        raise ValueError(f"epochs must be in 1..{MAX_EPOCHS}")
     if not (0 < learning_rate < math.inf):
         raise ValueError("learning_rate must be a positive finite number")
+    if dataset_size > MAX_DATASET_SIZE:
+        raise ValueError(f"dataset_size must be at most {MAX_DATASET_SIZE}")
     if not (1 <= batch_size <= dataset_size):
         raise ValueError("batch_size must be in 1..dataset_size")
-    if any(w < 1 for w in hidden):
-        raise ValueError("hidden widths must be at least 1")
+    if len(hidden) > MAX_HIDDEN_LAYERS:
+        raise ValueError(f"hidden must list at most {MAX_HIDDEN_LAYERS} widths")
+    if not all(1 <= w <= MAX_HIDDEN_WIDTH for w in hidden):
+        raise ValueError(f"hidden widths must be in 1..{MAX_HIDDEN_WIDTH}")
 
 
 def check_power_split(rho_near: float, rho_far: float, convention: str):
@@ -135,11 +148,6 @@ def amplitudes(rho_near: float, rho_far: float, convention: str = SUPERPOSE_SQRT
     if convention == SUPERPOSE_LITERAL:
         return rho_near, rho_far
     raise ValueError(f"unknown superposition convention {convention!r}")
-
-
-def target_scale(q: QuantizerParams) -> float:
-    """Std of the dequantized constellation under a uniform prior."""
-    return float(np.std(q.constellation_deq))
 
 
 def modulate(v, model: ModemModel) -> np.ndarray:
@@ -181,9 +189,15 @@ def demodulate(received, model: ModemModel) -> np.ndarray:
     return model.demod.infer(d)
 
 
+def modem_macs(widths) -> int:
+    """Multiply-accumulate operations for one symbol through the 1 -> 2
+    modulator and a demodulator of these widths."""
+    return 2 + dense_macs(widths)
+
+
 def count_macs(model: ModemModel) -> int:
     """Multiply-accumulate operations for one symbol through mod + demod."""
-    return 2 + model.demod.macs
+    return modem_macs(model.demod.widths)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +248,8 @@ def pair_forward(near: ModemModel, far: ModemModel, vn, vf, amp_n, amp_f,
     """Both users' losses for one batch with fixed channel draws.
 
     chan_* is a (h, h_hat, noise_array) triple for that user's receiver.
-    Returns (PairLosses, cache); pure apart from the forward caches
-    stored in the demodulator layers.
+    Returns (PairLosses, cache); the cache holds what pair_backward needs,
+    the demodulators' activations among it.
     """
     norm_n, cache_n = _live_norm(near, vn)
     norm_f, cache_f = _live_norm(far, vf)
@@ -243,12 +257,12 @@ def pair_forward(near: ModemModel, far: ModemModel, vn, vf, amp_n, amp_f,
     s_f = norm_f[:, 0] + 1j * norm_f[:, 1]
     x = amp_n * s_n + amp_f * s_f
 
-    outs = []
-    factors = []
+    outs, acts, factors = [], [], []
     for model, (h, h_hat, noise) in ((near, chan_n), (far, chan_f)):
         eq = (h * x + noise) / h_hat
-        d = np.stack([eq.real, eq.imag], axis=1)
-        outs.append(model.demod.forward(d))
+        out, a = model.demod.forward(np.stack([eq.real, eq.imag], axis=1))
+        outs.append(out)
+        acts.append(a)
         factors.append(h / h_hat)
     out_n, out_f = outs
 
@@ -256,44 +270,42 @@ def pair_forward(near: ModemModel, far: ModemModel, vn, vf, amp_n, amp_f,
     tgt_n = np.stack([vn, vf], axis=1)
     sq_n = np.sum((out_n - tgt_n) ** 2, axis=0) / b          # per-target terms
     sq_f = float(np.sum((out_f[:, 0] - vf) ** 2) / b)
-    var_n = target_scale(near.quantizer) ** 2
-    var_f = target_scale(far.quantizer) ** 2
+    var_n = near.quantizer.variance
+    var_f = far.quantizer.variance
     losses = PairLosses(
         near=float(sq_n.sum()),
         far=sq_f,
         near_scaled=float(sq_n[0] / var_n + sq_n[1] / var_f),
         far_scaled=sq_f / var_f,
     )
-    cache = (cache_n, cache_f, out_n, out_f, tgt_n, factors, amp_n, amp_f, b, var_n, var_f)
+    cache = (cache_n, cache_f, out_n, out_f, tgt_n, acts, factors, amp_n, amp_f, b,
+             var_n, var_f)
     return losses, cache
 
 
 def pair_backward(near: ModemModel, far: ModemModel, vf, cache):
     """Per-user gradients of each user's own scaled loss.
 
-    Returns ((gw_n, gb_n), (gw_f, gb_f)); demodulator gradients are
-    accumulated in place in the Mlp layers.
+    Returns ((gw_n, gb_n, demod_n), (gw_f, gb_f, demod_f)): the modulator
+    weight and bias gradients, then the demodulator's (gW, gb) lists.
     """
-    cache_n, cache_f, out_n, out_f, tgt_n, factors, amp_n, amp_f, b, var_n, var_f = cache
+    cache_n, cache_f, out_n, out_f, tgt_n, acts, factors, amp_n, amp_f, b, var_n, var_f = cache
 
     g_out_n = 2.0 * (out_n - tgt_n) / b
     g_out_n[:, 0] /= var_n
     g_out_n[:, 1] /= var_f
-    g_in_n = near.demod.backward(g_out_n)
-    g_eq_n = g_in_n[:, 0] + 1j * g_in_n[:, 1]
-    g_x_n = np.conj(factors[0]) * g_eq_n
-    g_s_n = amp_n * g_x_n
-    gw_n, gb_n = _live_norm_backward(near, np.stack([g_s_n.real, g_s_n.imag], axis=1), cache_n)
-
     g_out_f = np.zeros_like(out_f)
     g_out_f[:, 0] = 2.0 * (out_f[:, 0] - vf) / (b * var_f)
-    g_in_f = far.demod.backward(g_out_f)
-    g_eq_f = g_in_f[:, 0] + 1j * g_in_f[:, 1]
-    g_x_f = np.conj(factors[1]) * g_eq_f
-    g_s_f = amp_f * g_x_f
-    gw_f, gb_f = _live_norm_backward(far, np.stack([g_s_f.real, g_s_f.imag], axis=1), cache_f)
 
-    return (gw_n, gb_n), (gw_f, gb_f)
+    grads = []
+    for model, g_out, a, factor, amp, mod_cache in zip(
+            (near, far), (g_out_n, g_out_f), acts, factors, (amp_n, amp_f), (cache_n, cache_f)):
+        g_demod, g_in = model.demod.backward(a, g_out)
+        g_eq = g_in[:, 0] + 1j * g_in[:, 1]
+        g_s = amp * (np.conj(factor) * g_eq)
+        gw, gb = _live_norm_backward(model, np.stack([g_s.real, g_s.imag], axis=1), mod_cache)
+        grads.append((gw, gb, g_demod))
+    return tuple(grads)
 
 
 def _init_model(role: str, out_dim: int, hidden, q: QuantizerParams,
@@ -345,35 +357,36 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
 
     amp_n, amp_f = amplitudes(cfg.rho_near, cfg.rho_far, cfg.superposition)
     batches = cfg.dataset_size // cfg.batch_size
+    lr = cfg.learning_rate
     trace = np.zeros((cfg.epochs, 2))
 
     for epoch in range(cfg.epochs):
         perm = data_rng.permutation(cfg.dataset_size)
+        # equal to per-batch draws bit for bit: a Philox stream yields the same
+        # sequence however it is split.  A batch's fading and error pairs
+        # both come from the user's one training stream, in that order.
+        draws = []
+        for u in (0, 1):
+            h, h_hat = coefficients(
+                channel, lambda p: fade_rng[u].standard_normal((batches, len(p), 2)), batches)
+            noise = noise_rng[u].standard_normal((batches, cfg.batch_size, 2)).view(complex)[..., 0]
+            noise *= math.sqrt(sigma2[u] / 2.0)
+            draws.append((h, h_hat, noise))
         ep_loss = np.zeros(2)
         for bi in range(batches):
             sel = perm[bi * cfg.batch_size:(bi + 1) * cfg.batch_size]
             vn, vf = vn_all[sel], vf_all[sel]
-            chans = []
-            for u in (0, 1):
-                # both draws from the user's one training stream: fading, then error
-                h, h_hat = coefficients(channel, lambda _: fade_rng[u])
-                noise = noise_rng[u].standard_normal((cfg.batch_size, 2)).view(complex)[..., 0]
-                noise *= math.sqrt(sigma2[u] / 2.0)
-                chans.append((h, h_hat, noise))
-
-            near.demod.zero_grad()
-            far.demod.zero_grad()
+            # Python complex scalars: numpy's h / h_hat rounds differently
+            chans = [(complex(h[bi]), complex(h_hat[bi]), noise[bi])
+                     for h, h_hat, noise in draws]
             losses, cache = pair_forward(near, far, vn, vf, amp_n, amp_f, *chans)
             if not (math.isfinite(losses.near) and math.isfinite(losses.far)):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            (gw_n, gb_n), (gw_f, gb_f) = pair_backward(near, far, vf, cache)
-
-            near.mod_w -= cfg.learning_rate * gw_n
-            near.mod_b -= cfg.learning_rate * gb_n
-            far.mod_w -= cfg.learning_rate * gw_f
-            far.mod_b -= cfg.learning_rate * gb_f
-            near.demod.sgd_step(cfg.learning_rate)
-            far.demod.sgd_step(cfg.learning_rate)
+            for model, (gw, gb, g_demod) in zip((near, far),
+                                                pair_backward(near, far, vf, cache)):
+                model.mod_w -= lr * gw
+                model.mod_b -= lr * gb
+                model.demod.sgd_step(g_demod, lr)
             ep_loss += (losses.near, losses.far)
         trace[epoch] = ep_loss / batches
 
@@ -415,13 +428,12 @@ def save_model(model: ModemModel, path):
     """Write the model to a JSON file; loading restores it bit exactly."""
     if model.mean_power is None:
         raise ValueError("refusing to save a model without frozen mean power")
-    denses = model.demod.dense_layers()
     doc = {
         "format": _MODEL_FORMAT,
         "role": model.role,
         "widths": model.demod.widths,
-        "weights": [list(l.W.ravel(order="C")) for l in denses],
-        "biases": [list(l.b) for l in denses],
+        "weights": [list(W.ravel(order="C")) for W in model.demod.W],
+        "biases": [list(b) for b in model.demod.b],
         "modulator_weights": list(model.mod_w),
         "modulator_biases": list(model.mod_b),
         "mean_power": model.mean_power,
@@ -501,9 +513,8 @@ def load_model(path) -> ModemModel:
                for i, (w, (n_in, n_out)) in enumerate(zip(weights, shapes))]
     biases = [_finite(b, (n_out,), f"biases[{i}]", path)
               for i, (b, (_, n_out)) in enumerate(zip(biases, shapes))]
-    demod = Mlp(widths, rng=None)
-    for layer, w, b in zip(demod.dense_layers(), weights, biases):
-        layer.W, layer.b = w, b
+    demod = Mlp(widths)
+    demod.W, demod.b = weights, biases
     mean_power = float(_finite(_field(doc, "mean_power", path), (), "mean_power", path))
     if mean_power <= 0:
         raise ValueError(f"{path}: 'mean_power' must be positive")

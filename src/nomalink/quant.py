@@ -61,8 +61,9 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class QuantizerParams:
-    """Fitted quantizer: bit width, analog range, scale, zero point, codebook
-    and the codebook's detection grid."""
+    """Fitted quantizer: bit width, analog range, scale, zero point, codebook,
+    the codebook's detection grid and its variance under a uniform prior
+    (the square of its std, which training divides squared errors by)."""
 
     bits_m: int
     bound_s: float
@@ -71,6 +72,7 @@ class QuantizerParams:
     zero_pz: int
     constellation_deq: np.ndarray = field(repr=False)
     grid: "PointGrid" = field(repr=False, compare=False)
+    variance: float = field(repr=False, compare=False)
 
     @property
     def levels(self) -> int:
@@ -107,7 +109,8 @@ def fit_quantizer(bits_m: int, bound_s: float, bound_d: float) -> QuantizerParam
     constellation = (idx + zero) / scale
     constellation.flags.writeable = False
     return QuantizerParams(bits_m, float(bound_s), float(bound_d), scale, zero,
-                           constellation, point_grid(constellation))
+                           constellation, point_grid(constellation),
+                           float(np.std(constellation)) ** 2)
 
 
 def _as_values(v) -> np.ndarray:

@@ -256,8 +256,11 @@ def load_accuracy_csv(path) -> np.ndarray:
     beyond +-GAMMA_DB_LIMIT, raises ValueError naming the file and the
     line; non-finite values are left to fit_logistic, which rejects them.
     """
-    with open(path, newline="") as fh:
-        lines = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            lines = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a UTF-8 text file ({exc})") from None
     if not lines:
         raise ValueError(f"empty accuracy CSV: {path}")
     header = next(csv.reader([lines[0][1]]), [])

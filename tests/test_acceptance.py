@@ -131,16 +131,16 @@ def test_criterion_05_gradients_match_finite_differences():
             return pair_forward(near, far, vn, vf, amp_n, amp_f, *chans)[0].far_scaled
 
         _, cache = pair_forward(near, far, vn, vf, amp_n, amp_f, *chans)
-        near.demod.zero_grad()
-        far.demod.zero_grad()
-        (gw_n, gb_n), (gw_f, gb_f) = pair_backward(near, far, vf, cache)
+        (gw_n, gb_n, (gW_n, gb_n_demod)), (gw_f, gb_f, (gW_f, gb_f_demod)) = \
+            pair_backward(near, far, vf, cache)
 
         checks = [(gw_n, near.mod_w, near_loss), (gb_n, near.mod_b, near_loss),
                   (gw_f, far.mod_w, far_loss), (gb_f, far.mod_b, far_loss)]
-        for layer in near.demod.dense_layers():
-            checks += [(layer.gW, layer.W, near_loss), (layer.gb, layer.b, near_loss)]
-        for layer in far.demod.dense_layers():
-            checks += [(layer.gW, layer.W, far_loss), (layer.gb, layer.b, far_loss)]
+        for model, gW, gb, loss in ((near, gW_n, gb_n_demod, near_loss),
+                                    (far, gW_f, gb_f_demod, far_loss)):
+            assert len(gW) == len(gb) == len(model.demod.W) == len(hidden) + 1
+            for i in range(len(gW)):
+                checks += [(gW[i], model.demod.W[i], loss), (gb[i], model.demod.b[i], loss)]
         for analytic, param, loss in checks:
             fd = oracles.fd_gradient(loss, param)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)

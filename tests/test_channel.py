@@ -103,10 +103,62 @@ def test_coefficients_take_fading_then_error_from_one_stream():
     # the training order: both pairs from the user's one TRAIN_FADING stream
     g = rng.stream_rng(5, 1, rng.TRAIN_FADING)
     h, h_hat = coefficients(ChannelSpec(KIND_RAYLEIGH, estimation_error_delta=0.3),
-                            lambda _: g)
+                            lambda p: g.standard_normal((1, len(p), 2)), 1)
     z = rng.stream_rng(5, 1, rng.TRAIN_FADING).standard_normal(4)
-    assert h == complex(z[0], z[1]) / math.sqrt(2.0)
-    assert h_hat == h + 0.3 * complex(z[2], z[3]) / math.sqrt(2.0)
+    assert h.shape == h_hat.shape == (1,)
+    assert h[0] == complex(z[0], z[1]) / math.sqrt(2.0)
+    assert h_hat[0] == h[0] + 0.3 * complex(z[2], z[3]) / math.sqrt(2.0)
+
+
+def _scalar_coefficients(spec, gens):
+    """One block drawn and scaled as Python complex numbers, the reference
+    for the batched arrays; gens maps each purpose to its generator."""
+    h = 1.0 + 0.0j
+    if spec.kind == KIND_RAYLEIGH:
+        h = complex(*gens[rng.FADING].standard_normal(2)) / math.sqrt(2.0)
+    if spec.estimation_error_delta > 0:
+        err = complex(*gens[rng.EST_ERROR].standard_normal(2))
+        return h, h + spec.estimation_error_delta * err / math.sqrt(2.0)
+    return h, h
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("kind,delta", [(KIND_AWGN, 0.0), (KIND_AWGN, 0.2),
+                                        (KIND_RAYLEIGH, 0.0), (KIND_RAYLEIGH, 0.1)])
+def test_batched_coefficients_equal_scalar_draws(kind, delta, shared):
+    # shared: one generator serves both draws, interleaved per block as in
+    # training; otherwise each purpose has its own generator, as in realize
+    spec = ChannelSpec(kind, estimation_error_delta=delta)
+    n = 37
+
+    def generators():
+        if shared:
+            g = rng.stream_rng(2, 1, rng.TRAIN_FADING)
+            return {rng.FADING: g, rng.EST_ERROR: g}
+        return {p: rng.stream_rng(2, 1, p, 9) for p in (rng.FADING, rng.EST_ERROR)}
+
+    def stream_of(gens, n):
+        if shared:
+            return lambda p: gens[rng.FADING].standard_normal((n, len(p), 2))
+        return lambda p: np.stack([gens[q].standard_normal((n, 2)) for q in p], axis=1)
+
+    gens = generators()
+    h, h_hat = coefficients(spec, stream_of(gens, n), n)
+    gens = generators()
+    ref = [_scalar_coefficients(spec, gens) for _ in range(n)]
+    gens = generators()
+    one_by_one = [coefficients(spec, stream_of(gens, 1), 1) for _ in range(n)]
+    assert h.shape == h_hat.shape == (n,)
+    for got, want in ((h, [r[0] for r in ref]), (h_hat, [r[1] for r in ref]),
+                      (h, [c[0][0] for c in one_by_one]),
+                      (h_hat, [c[1][0] for c in one_by_one])):
+        assert np.array_equal(_bits(got), _bits(want))
+    # the per-step factor training takes from Python scalars
+    assert all(complex(a) / complex(b) == r[0] / r[1] for a, b, r in zip(h, h_hat, ref))
 
 
 @pytest.mark.parametrize("kind,delta,opened", [

@@ -1,7 +1,11 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomalink.cli import main
 from nomalink.srate import FIT_MAX_ITERS
@@ -201,6 +205,29 @@ def test_macs_table_and_stdout(tiny_cfg, tmp_path, capsys):
     assert int(row["neural_near"]) == n * 2178
     assert int(row["neural_far"]) == n * 2146
     assert int(row["sic"]) == n * 32
+
+
+@settings(max_examples=10, deadline=None)
+@given(hidden=st.lists(st.integers(1, 48), max_size=4))
+def test_macs_from_models_equal_macs_from_the_architecture(hidden):
+    # both paths of the macs command, and the weights the model files hold
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 1, "dataset_size": 4,
+                                             "hidden": hidden}}))
+        common = ["--config", str(cfg)]
+        assert main(["train-modem", *common, "--out", str(tmp / "m")]) == 0
+        assert main(["macs", *common, "--out", str(tmp / "arch")]) == 0
+        assert main(["macs", *common, "--out", str(tmp / "models"),
+                     "--models", str(tmp / "m")]) == 0
+        table = (tmp / "arch" / "macs.csv").read_bytes()
+        assert table == (tmp / "models" / "macs.csv").read_bytes()
+        row = table.decode().splitlines()[2].split(",")  # message length 1
+        for role, column in (("near", 1), ("far", 2)):
+            doc = json.loads((tmp / "m" / f"modem_{role}.json").read_text())
+            weights = sum(len(w) for w in doc["weights"])
+            assert int(row[column]) == weights + len(doc["modulator_weights"])
 
 
 def test_seed_flag_overrides_config(tiny_cfg, tmp_path):

@@ -170,6 +170,31 @@ def test_equal_power_split_and_both_conventions_accepted():
     ({"region": {"gain_near_db": 1e300}}, "gain_near_db"),
     ({"region": {"gain_far_db": -101}}, "gain_far_db"),
     ({"train": {"snr_train_far_db": 150}}, "snr_train_far_db"),
+    # sizes: lower bounds the commands need, upper bounds far above any
+    # shipped run; checked at load, so nothing of that size is allocated
+    ({"region": {"grid_points": 0}}, "grid_points"),
+    ({"region": {"grid_points": 7}}, "grid_points"),
+    ({"region": {"grid_points": 65_537}}, "grid_points"),
+    ({"region": {"sweep_points": -2}}, "sweep_points"),
+    ({"region": {"sweep_points": 1025}}, "sweep_points"),
+    ({"region": {"power_sweep_points": 0}}, "power_sweep_points"),
+    ({"region": {"power_sweep_points": 10**9}}, "power_sweep_points"),
+    ({"region": {"text_k_symbols": 0}}, "text_k_symbols"),
+    ({"region": {"text_k_symbols": 10**6 + 1}}, "text_k_symbols"),
+    ({"region": {"image_compression": 0.0}}, "image_compression"),
+    ({"region": {"image_compression": 1.5}}, "image_compression"),
+    ({"sweep": {"n_symbols": 10**6 + 1}}, "n_symbols"),
+    ({"sweep": {"n_symbols": 10**12}}, "n_symbols"),
+    ({"sweep": {"grid_step_db": 1e-3}}, "grid_step_db"),
+    ({"sweep": {"grid_step_db": 5e-324}}, "grid_step_db"),
+    ({"sweep": {"snr_near_lo_db": -100, "snr_near_hi_db": 100, "snr_far_lo_db": -100,
+                "snr_far_hi_db": 100, "grid_step_db": 0.5}}, "grid_step_db"),
+    ({"train": {"epochs": 10**6 + 1}}, "epochs"),
+    ({"train": {"epochs": 10**15}}, "epochs"),
+    ({"train": {"dataset_size": 10**5 + 1}}, "dataset_size"),
+    ({"train": {"hidden": [257]}}, "hidden"),
+    ({"train": {"hidden": [32, 2**40]}}, "hidden"),
+    ({"train": {"hidden": [4] * 9}}, "hidden"),
 ])
 @pytest.mark.parametrize("command", [["train-modem"], ["sweep", "--detector", "sic"],
                                      ["macs"]])
@@ -207,6 +232,7 @@ def test_non_finite_numbers_rejected_at_load(tmp_path, capfd, text):
     (["--delta", "-1"], "estimation_error_delta"),
     (["--delta", "nan"], "estimation_error_delta"),
     (["--seed", "-1"], "seed"),
+    (["--grid-step-db", "1e-9"], "grid_step_db"),
 ])
 def test_bad_sweep_flags_exit_2_naming_the_key(tmp_path, capfd, flags, key):
     out = tmp_path / "o"
@@ -220,3 +246,15 @@ def test_db_values_at_the_limits_load():
     cfg = config_from_dict({"link": {"gain_near_db": 100.0, "gain_far_db": -100.0},
                             "sweep": {"snr_near_lo_db": -100, "snr_near_hi_db": 100}})
     assert (cfg.link.gain_near_db, cfg.sweep.snr_near_hi_db) == (100.0, 100.0)
+
+
+def test_sizes_at_their_upper_bounds_load():
+    cfg = config_from_dict({
+        "train": {"epochs": 10**6, "dataset_size": 10**5, "hidden": [256] * 8},
+        "sweep": {"n_symbols": 10**6, "snr_near_lo_db": -100, "snr_near_hi_db": 100,
+                  "snr_far_lo_db": -100, "snr_far_hi_db": 100, "grid_step_db": 1.0},
+        "region": {"grid_points": 65_536, "sweep_points": 1024,
+                   "power_sweep_points": 1024, "text_k_symbols": 10**6,
+                   "image_compression": 1.0}})
+    assert (cfg.train.epochs, cfg.sweep.n_symbols, cfg.region.grid_points) == (
+        10**6, 10**6, 65_536)

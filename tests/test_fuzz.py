@@ -1,8 +1,9 @@
-"""Loader fuzzing through cli.main: configs and model files.
+"""Loader fuzzing through cli.main: configs, model files and accuracy CSVs.
 
-Every generated document is invalid by construction, so each must end
-in exit code 2 with an error line; any exception escaping main (a
-traceback for a user) fails the test.
+Every generated config and model file is invalid by construction, so
+each must end in exit code 2 with an error line; accuracy CSVs are
+arbitrary bytes or edits of the shipped format, which may still load.
+Any exception escaping main (a traceback for a user) fails the test.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from nomalink.cli import main
 from nomalink.config import ExperimentConfig
+from nomalink.srate import synthetic_accuracy_samples, write_accuracy_csv
 
 TINY_TRAIN = {"train": {"epochs": 5, "dataset_size": 16}}
 
@@ -73,20 +75,28 @@ OUT_OF_RANGE = {
     "link.p_max_watts": st.floats(-1e300, 0.0),
     "link.bandwidth_hz": st.floats(-1e300, 0.0),
     "link.superposition": st.text(max_size=8).filter(lambda v: v not in ("sqrt", "literal")),
-    "train.epochs": st.integers(max_value=0),
+    "train.epochs": st.integers(max_value=0) | st.integers(min_value=10**6 + 1),
     "train.batch_size": st.integers(max_value=0) | st.integers(min_value=65),
     "train.learning_rate": st.floats(-1e300, 0.0),
-    "train.dataset_size": st.integers(max_value=3),
+    "train.dataset_size": st.integers(max_value=3) | st.integers(min_value=10**5 + 1),
     "train.hidden": st.lists(st.integers(1, 64), max_size=2).flatmap(
-        lambda ok: st.integers(max_value=0).map(lambda bad: [*ok, bad])),
+        lambda ok: (st.integers(max_value=0) | st.integers(min_value=257)).map(
+            lambda bad: [*ok, bad])) | st.lists(st.integers(1, 64), min_size=9, max_size=12),
     "sweep.snr_near_lo_db": st.floats(28.0, 1e300, exclude_min=True),
     "sweep.snr_near_hi_db": st.floats(-1e300, 0.0, exclude_max=True),
     "sweep.snr_far_lo_db": st.floats(20.0, 1e300, exclude_min=True),
     "sweep.snr_far_hi_db": st.floats(-1e300, -8.0, exclude_max=True),
-    "sweep.grid_step_db": st.floats(-1e300, 0.0),
-    "sweep.n_symbols": st.integers(max_value=0),
+    # the default ranges hold over 100,000 cells below a step of 0.088 dB
+    "sweep.grid_step_db": st.floats(-1e300, 0.0) | st.floats(5e-324, 0.08),
+    "sweep.n_symbols": st.integers(max_value=0) | st.integers(min_value=10**6 + 1),
     "sweep.kind": st.text(max_size=8).filter(lambda v: v not in ("awgn", "rayleigh")),
     "sweep.estimation_error_delta": st.floats(-1e300, 0.0, exclude_max=True),
+    "region.grid_points": st.integers(max_value=7) | st.integers(min_value=65_537),
+    "region.sweep_points": st.integers(max_value=1) | st.integers(min_value=1025),
+    "region.power_sweep_points": st.integers(max_value=1) | st.integers(min_value=1025),
+    "region.text_k_symbols": st.integers(max_value=0) | st.integers(min_value=10**6 + 1),
+    "region.image_compression": st.floats(-1e300, 0.0) | st.floats(1.0, 1e300,
+                                                                    exclude_min=True),
 }
 
 
@@ -218,3 +228,81 @@ def test_fuzzed_bad_model_files_exit_2(model_docs, data):
         code, err = _run(["macs", "--models", str(models), "--out", str(models / "o")])
     assert code == 2, text[:200]
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# ---- accuracy CSVs -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def csv_lines(tmp_path_factory):
+    """The shipped text samples in the format the loader reads."""
+    path = tmp_path_factory.mktemp("csv") / "text.csv"
+    write_accuracy_csv(path, synthetic_accuracy_samples("text"))
+    return path.read_text().splitlines(keepends=True)
+
+
+CSV_CELLS = st.one_of(
+    st.floats().map(repr), st.text(max_size=6),
+    st.integers(-10**400, 10**400).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "", " ", "0x1",
+                     "1_0", '"0.5"', "100", "100.0001", "-100", "1", "0", "-0"]))
+
+
+@st.composite
+def mutated_csvs(draw, lines):
+    """The shipped CSV with a few rows edited, dropped, duplicated or
+    reordered, cells replaced or added, or bytes inserted."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["cell", "drop", "dup", "swap", "extra", "bytes",
+                                   "comment", "blank"]))
+        at = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if op == "cell" and lines:
+            cells = lines[at].rstrip("\r\n").split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CSV_CELLS)
+            lines[at] = ",".join(cells) + "\n"
+        elif op == "drop" and lines:
+            del lines[at]
+        elif op == "dup" and lines:
+            lines.insert(at, lines[at])
+        elif op == "swap" and len(lines) > 1:
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif op == "extra" and lines:
+            lines[at] = lines[at].rstrip("\r\n") + "," + draw(CSV_CELLS) + "\n"
+        elif op == "comment":
+            lines.insert(at, "#" + draw(st.text(max_size=5)) + "\n")
+        elif op == "blank":
+            lines.insert(at, draw(st.sampled_from(["\n", "\r\n", ",\n", " , \n"])))
+    raw = "".join(lines).encode("utf-8", "surrogatepass")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00", b'"', b"\r"])) + raw[at:]
+    return raw
+
+
+def _regions_with_text_csv(raw: bytes) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "text.csv"
+        csv.write_bytes(raw)
+        return _run(["regions", "--text-csv", str(csv), "--out", str(Path(tmp) / "o")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=st.binary(max_size=60))
+def test_fuzzed_accuracy_csv_bytes_never_escape(raw):
+    code, err = _regions_with_text_csv(raw)
+    assert code in (0, 2), raw
+    assert (code == 2) == err.startswith("error: ") and "Traceback" not in err
+    assert code == 0 or "text.csv" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_accuracy_csv_rows_never_escape(csv_lines, data):
+    raw = data.draw(mutated_csvs(csv_lines))
+    code, err = _regions_with_text_csv(raw)
+    # a CSV that still loads may fit a curve under which no region point is
+    # feasible: exit 3, the documented "all region curves empty"
+    assert code in (0, 2, 3), raw
+    assert (code == 2) == err.startswith("error: ") and "Traceback" not in err
+    assert code != 2 or "text.csv" in err

@@ -4,28 +4,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nomalink.nn import INFER_BLOCK_ROWS, Dense, Mlp, Relu
+from nomalink.nn import INFER_BLOCK_ROWS, Mlp, dense_macs
 from nomalink.rng import stream_rng
 
 B = INFER_BLOCK_ROWS
 
 
 def _loss_of(mlp, x, target):
-    diff = mlp.forward(x) - target
+    diff = mlp.forward(x)[0] - target
     return float(np.sum(diff * diff) / len(x))
 
 
 def test_dense_forward_is_affine():
-    layer = Dense(3, 2, stream_rng(0))
+    mlp = Mlp([3, 2], stream_rng(0))
     x = stream_rng(1).standard_normal((5, 3))
-    assert np.allclose(layer.forward(x), x @ layer.W + layer.b)
+    out, acts = mlp.forward(x)
+    assert np.allclose(out, x @ mlp.W[0] + mlp.b[0])
+    assert len(acts) == 1 and acts[0] is x
 
 
 def test_relu_masks_negative():
-    r = Relu()
-    x = np.array([[-1.0, 0.0, 2.0]])
-    assert np.array_equal(r.forward(x), [[0.0, 0.0, 2.0]])
-    assert np.array_equal(r.backward(np.ones((1, 3))), [[0.0, 0.0, 1.0]])
+    # identity layers around one ReLU: forward zeroes what is not > 0, NaN
+    # included, and backward passes gradient only where forward kept it
+    mlp = Mlp([4, 4, 4])
+    for W in mlp.W:
+        W[:] = np.eye(4)
+    mlp.b[0][3] = np.nan
+    x = np.array([[-1.0, 0.0, 2.0, 5.0]])
+    out, acts = mlp.forward(x)
+    assert np.array_equal(out, [[0.0, 0.0, 2.0, 0.0]])
+    (gW, gb), g_in = mlp.backward(acts, np.ones((1, 4)))
+    assert np.array_equal(g_in, [[0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(gb[0], [0.0, 0.0, 1.0, 0.0])
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -34,50 +44,51 @@ def test_mlp_gradients_match_finite_differences():
     x = rng.standard_normal((6, 2))
     target = rng.standard_normal((6, 3))
 
-    pred = mlp.forward(x)
+    pred, acts = mlp.forward(x)
     g = 2.0 * (pred - target) / len(x)  # gradient of the batch-mean squared error
-    mlp.zero_grad()
-    g_in = mlp.backward(g)
+    (gW, gb), g_in = mlp.backward(acts, g)
 
-    for layer in mlp.dense_layers():
-        for arr, got in ((layer.W, layer.gW), (layer.b, layer.gb)):
+    for params, grads in ((mlp.W, gW), (mlp.b, gb)):
+        assert len(grads) == len(params) == 3
+        for arr, got in zip(params, grads):
             fd = oracles.fd_gradient(lambda: _loss_of(mlp, x, target), arr)
             assert np.allclose(got, fd, rtol=1e-6, atol=1e-8)
     fd_x = oracles.fd_gradient(lambda: _loss_of(mlp, x, target), x)
     assert np.allclose(g_in, fd_x, rtol=1e-6, atol=1e-8)
 
 
-def test_gradients_accumulate_until_zero_grad():
+def test_backward_returns_fresh_gradients():
+    # nothing accumulates between calls: the same pass gives the same grads
     mlp = Mlp([2, 3, 1], stream_rng(4))
-    x = np.ones((2, 2))
+    _, acts = mlp.forward(np.ones((2, 2)))
     g = np.ones((2, 1))
-    mlp.forward(x)
-    mlp.backward(g)
-    once = mlp.dense_layers()[0].gW.copy()
-    mlp.forward(x)
-    mlp.backward(g)
-    assert np.allclose(mlp.dense_layers()[0].gW, 2 * once)
-    mlp.zero_grad()
-    assert np.all(mlp.dense_layers()[0].gW == 0)
+    (gW1, gb1), g_in1 = mlp.backward(acts, g)
+    (gW2, gb2), g_in2 = mlp.backward(acts, g)
+    for a, b in zip([*gW1, *gb1, g_in1], [*gW2, *gb2, g_in2]):
+        assert a is not b and np.array_equal(a, b)
+    assert np.array_equal(gW1[0], acts[0].T @ ((g @ mlp.W[1].T) * (acts[1] > 0)))
 
 
 def test_sgd_step_moves_against_gradient():
-    layer = Dense(1, 1, stream_rng(5))
-    layer.gW[:] = 2.0
-    w0 = layer.W.copy()
-    layer.sgd_step(0.1)
-    assert np.allclose(layer.W, w0 - 0.2)
+    mlp = Mlp([1, 2, 1], stream_rng(5))
+    before = [a.copy() for a in (*mlp.W, *mlp.b)]
+    grads = ([np.full_like(W, 2.0) for W in mlp.W], [np.full_like(b, -1.0) for b in mlp.b])
+    mlp.sgd_step(grads, 0.1)
+    assert all(np.allclose(W, w0 - 0.2) for W, w0 in zip(mlp.W, before[:2]))
+    assert all(np.allclose(b, b0 + 0.1) for b, b0 in zip(mlp.b, before[2:]))
 
 
 def test_macs_counts_weights_only():
     mlp = Mlp([2, 32, 32, 32, 2])
     assert mlp.macs == 2 * 32 + 32 * 32 + 32 * 32 + 32 * 2
-    assert Dense(7, 3).macs == 21
+    assert Mlp([7, 3]).macs == dense_macs([7, 3]) == 21
 
 
 def test_zero_init_without_rng():
-    layer = Dense(4, 4)
-    assert np.all(layer.W == 0) and np.all(layer.b == 0)
+    mlp = Mlp([4, 4, 2])
+    assert [W.shape for W in mlp.W] == [(4, 4), (4, 2)]
+    assert [b.shape for b in mlp.b] == [(4,), (2,)]
+    assert all(np.all(a == 0) for a in (*mlp.W, *mlp.b))
     with pytest.raises(ValueError):
         Mlp([3])
 
@@ -110,7 +121,7 @@ def test_infer_equals_forward_bit_for_bit_within_one_block(seed, n_in, hidden, n
     mlp = Mlp([n_in, *hidden, n_out], stream_rng(seed))
     x = _inputs(seed, n, n_in, nonfinite)
     with np.errstate(invalid="ignore"):
-        assert _same_bits(mlp.infer(x), mlp.forward(x))
+        assert _same_bits(mlp.infer(x), mlp.forward(x)[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -122,7 +133,7 @@ def test_infer_equals_forward_bit_for_bit_for_the_demodulators(seed, n_out, nonf
     mlp = Mlp([2, 32, 32, 32, n_out], stream_rng(seed))
     x = _inputs(seed, n, 2, nonfinite)
     with np.errstate(invalid="ignore"):
-        assert _same_bits(mlp.infer(x), mlp.forward(x))
+        assert _same_bits(mlp.infer(x), mlp.forward(x)[0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,7 +148,7 @@ def test_infer_matches_forward_across_blocks_for_any_widths(seed, n_in, hidden, 
     mlp = Mlp([n_in, *hidden, n_out], stream_rng(seed))
     x = _inputs(seed, n, n_in, nonfinite)
     with np.errstate(invalid="ignore"):
-        got, want = mlp.infer(x), mlp.forward(x)
+        got, want = mlp.infer(x), mlp.forward(x)[0]
     for where in (np.isnan, np.isposinf, np.isneginf):
         assert np.array_equal(where(got), where(want))
     # activations here are O(1); a reordered sum moves them by a few ulps
@@ -145,14 +156,15 @@ def test_infer_matches_forward_across_blocks_for_any_widths(seed, n_in, hidden, 
     assert np.allclose(got[fin], want[fin], rtol=1e-12, atol=1e-12)
 
 
-def test_infer_leaves_training_caches_untouched():
+def test_forward_backward_and_infer_leave_the_mlp_unchanged():
     mlp = Mlp([2, 8, 8, 1], stream_rng(6))
-    assert all(l._x is None for l in mlp.dense_layers())
-    mlp.infer(np.ones((3 * B, 2)))
-    assert all(getattr(l, "_x", None) is None and getattr(l, "_mask", None) is None
-               for l in mlp.layers)
-    mlp.forward(np.ones((4, 2)))
-    cached = [(l.__dict__.get("_x"), l.__dict__.get("_mask")) for l in mlp.layers]
-    mlp.infer(stream_rng(7).standard_normal((3 * B, 2)))
-    assert all(l.__dict__.get("_x") is x and l.__dict__.get("_mask") is m
-               for l, (x, m) in zip(mlp.layers, cached))
+    attrs = dict(vars(mlp))
+    values = [a.copy() for a in (*mlp.W, *mlp.b)]
+    x = stream_rng(7).standard_normal((4, 2))
+    out, acts = mlp.forward(x)
+    mlp.backward(acts, np.ones_like(out))
+    mlp.infer(stream_rng(8).standard_normal((3 * B, 2)))
+    assert vars(mlp).keys() == attrs.keys()
+    assert all(vars(mlp)[k] is v for k, v in attrs.items())
+    assert mlp.widths == [2, 8, 8, 1] and len(mlp.W) == len(mlp.b) == 3
+    assert all(np.array_equal(a, v) for a, v in zip((*mlp.W, *mlp.b), values))

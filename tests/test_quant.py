@@ -118,3 +118,9 @@ def test_bits_validation():
         fit_quantizer(17, 5.0, 1.0)
     with pytest.raises(ValueError):
         fit_quantizer(2, 1.0, 1.0)
+
+
+def test_variance_is_squared_constellation_std():
+    for m in (1, 2, 6, 16):
+        q = fit_quantizer(m, 5.0, 1.0)
+        assert q.variance == float(np.std(q.constellation_deq)) ** 2
