@@ -20,8 +20,8 @@ from . import rng as _rng
 from .channel import ChannelSpec
 from .config import (ConfigError, ExperimentConfig, RegionSection, check_seed,
                      config_hash, load_config)
-from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario, run_link,
-                   sample_features)
+from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
+                   build_constellations, run_link, sample_features)
 from .modem import (TrainConfig, TrainingDivergedError, count_macs, load_model,
                     modem_macs, save_model, train_modem)
 from .qam import sic_macs_per_symbol
@@ -70,8 +70,9 @@ def cmd_train_modem(cfg: ExperimentConfig, seed: int, out_dir: str) -> int:
         seed=seed)
     q_near = fit_quantizer(cfg.quant.bits_near, cfg.quant.bound_s, cfg.quant.bound_d)
     q_far = fit_quantizer(cfg.quant.bits_far, cfg.quant.bound_s, cfg.quant.bound_d)
-    near, far, trace = train_modem(tc, q_near, q_far,
-                                   ChannelSpec(kind=cfg.sweep.kind, seed=seed))
+    channel = ChannelSpec(kind=cfg.sweep.kind,
+                          estimation_error_delta=cfg.sweep.estimation_error_delta, seed=seed)
+    near, far, trace = train_modem(tc, q_near, q_far, channel)
     save_model(near, os.path.join(out_dir, "modem_near.json"))
     save_model(far, os.path.join(out_dir, "modem_far.json"))
     rows = [(e + 1, float(trace[e, 0]), float(trace[e, 1]))
@@ -108,6 +109,7 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
     near_grid = np.arange(sweep.snr_near_lo_db, sweep.snr_near_hi_db + step / 2.0, step)
     far_grid = np.arange(sweep.snr_far_lo_db, sweep.snr_far_hi_db + step / 2.0, step)
     base = _scenario(cfg)
+    books = build_constellations(base)  # the cells differ only in their gains
     n = sweep.n_symbols
 
     rows = []
@@ -121,7 +123,8 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
             vec_f = sample_features(n, sc.bound_s, sc.bound_d, seed,
                                     _rng.USER_FAR, block)
             reports = run_link(sc, vec_n, vec_f, models=models, detectors=detectors,
-                               kind=sweep.kind, delta=dlt, seed=seed, block=block)
+                               kind=sweep.kind, delta=dlt, seed=seed, block=block,
+                               constellations=books)
             rows.extend((rep.detector, sweep.kind, dlt, float(snr_n), float(snr_f),
                          rep.mse_near, rep.mse_far, rep.ser_near, rep.ser_far)
                         for rep in reports)

@@ -8,7 +8,10 @@ baseline, or both.  Block fading: one channel draw per feature vector
 per user.  The detectors of one run share everything but their transmit
 signals: the quantized features, each user's channel realization and one
 noise draw per user, so a run with both detectors reports exactly what
-one run per detector would, at one channel pass.
+one run per detector would, at one channel pass.  Both users' quantizers
+and QAM maps depend only on the scenario's bit widths and range, so a
+sweep builds them once (build_constellations) and hands them to every
+run.
 
 SNR bookkeeping: each user's channel gain in dB is its receive SNR for a
 unit power transmit signal, and the per-user effective SNRs after the
@@ -33,8 +36,8 @@ from . import rng as _rng
 from .channel import ChannelSpec, equalize, realize, transmit
 from .modem import (SUPERPOSE_SQRT, ModemModel, amplitudes, check_power_split,
                     demodulate, tx_symbols)
-from .qam import detect_far, make_qam, nearest_point, qam_modulate, sic_detect
-from .quant import FeatureVector, dequantize, fit_quantizer, quantize
+from .qam import QamMap, detect_far, make_qam, nearest_point, qam_modulate, sic_detect
+from .quant import FeatureVector, QuantizerParams, dequantize, fit_quantizer, quantize
 
 DETECTOR_NEURAL = "neural"
 DETECTOR_SIC = "sic"
@@ -60,6 +63,25 @@ class LinkScenario:
         check_power_split(self.rho_near, self.rho_far, self.superposition)
         if self.p_max_watts <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("power ceiling and bandwidth must be positive")
+
+
+@dataclass(frozen=True)
+class Constellations:
+    """Both users' quantizers and QAM maps, with their detection grids."""
+
+    q_near: QuantizerParams
+    q_far: QuantizerParams
+    qam_near: QamMap
+    qam_far: QamMap
+
+
+def build_constellations(scenario: LinkScenario) -> Constellations:
+    """The constellations a scenario's bit widths and range fix; the same
+    for every SNR cell of a sweep."""
+    s, d = scenario.bound_s, scenario.bound_d
+    return Constellations(fit_quantizer(scenario.m_near, s, d),
+                          fit_quantizer(scenario.m_far, s, d),
+                          make_qam(scenario.m_near), make_qam(scenario.m_far))
 
 
 @dataclass(frozen=True)
@@ -111,7 +133,8 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
              models: tuple[ModemModel, ModemModel] | None = None,
              detectors: tuple[str, ...] = (DETECTOR_NEURAL,),
              kind: str = "awgn", delta: float = 0.0,
-             seed: int = 0, block: int = 0) -> tuple[LinkReport, ...]:
+             seed: int = 0, block: int = 0,
+             constellations: Constellations | None = None) -> tuple[LinkReport, ...]:
     """Simulate one feature vector pair end to end, once per detector.
 
     Returns one LinkReport per entry of detectors, in order.  The
@@ -119,7 +142,8 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
     channel realization and one noise draw per user, added to every
     detector's own transmit signal.  models is the trained (near, far)
     pair and is required for the neural detector; the SIC detector only
-    needs the scenario.  Feature MSE is measured between the true
+    needs the scenario.  constellations are build_constellations(scenario),
+    built here when not given.  Feature MSE is measured between the true
     dequantized values and the detected estimates (neural estimates are
     clamped to the constellation hull), SER between true and detected
     quantizer indices.
@@ -131,8 +155,14 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
     for det in detectors:
         if det not in (DETECTOR_NEURAL, DETECTOR_SIC):
             raise ValueError(f"unknown detector {det!r}")
-    q_near = fit_quantizer(scenario.m_near, scenario.bound_s, scenario.bound_d)
-    q_far = fit_quantizer(scenario.m_far, scenario.bound_s, scenario.bound_d)
+    if constellations is None:
+        constellations = build_constellations(scenario)
+    q_near, q_far = constellations.q_near, constellations.q_far
+    qam_n, qam_f = constellations.qam_near, constellations.qam_far
+    for q, qmap, m in ((q_near, qam_n, scenario.m_near), (q_far, qam_f, scenario.m_far)):
+        if (q.bits_m, qmap.bits_m, q.bound_s, q.bound_d) != \
+                (m, m, scenario.bound_s, scenario.bound_d):
+            raise ValueError("constellations do not match the scenario")
     idx_n = quantize(vec_near, q_near)
     idx_f = quantize(vec_far, q_far)
     v_n = dequantize(idx_n, q_near)
@@ -152,8 +182,6 @@ def run_link(scenario: LinkScenario, vec_near: FeatureVector, vec_far: FeatureVe
             s_n = tx_symbols(v_n, near_m)
             s_f = tx_symbols(v_f, far_m)
         else:
-            qam_n = make_qam(scenario.m_near)
-            qam_f = make_qam(scenario.m_far)
             s_n = qam_modulate(idx_n, qam_n)
             s_f = qam_modulate(idx_f, qam_f)
         tx.append(superpose(s_n, s_f, *amps))

@@ -9,15 +9,17 @@ is subtracted, and the near index is detected from the residual.
 
 Detection runs on a PointGrid, built once per QAM map or quantizer by
 point_grid: each axis's sorted levels with their origin and step, the
-(real level, imaginary level) -> index table and the far-row reach.
-Every point set the package detects on is a uniform rectangular grid (the
-PAM levels, the quantizer levels), and point_grid rejects any other.  On
-such a grid the input is sliced per axis by arithmetic (PAM slicing):
-the level just below it is floor((x - origin) / step), clipped to the
-axis.  Only the up to four bracketing grid points are compared: exactly
-the exhaustive search's argmin, ties to the lowest index, in O(N) memory
-for every width up to 16 bits.  The neural chain uses it on its real
-levels.
+(real level, imaginary level) -> index table and the smallest level
+spacing.  Every point set the package detects on is a uniform
+rectangular grid (the PAM levels, the quantizer levels), and point_grid
+rejects any other.  On such a grid the nearest level of each axis is
+plain PAM slicing, round((x - origin) / step), and the nearest point is
+the pair of nearest levels.  nearest_point slices every row and sends
+only the rows it cannot certify (near a level midpoint, or far from the
+grid) to the exact bracket search, which compares the up to four
+bracketing grid points.  Both give exactly the exhaustive search's
+argmin, ties to the lowest index, in O(N) memory for every width up to
+16 bits.  The neural chain uses it on its real levels.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +32,11 @@ from .modem import SUPERPOSE_SQRT, amplitudes
 # (relative error ~1e-16) cannot make an outside point tie with a bracket
 # point; rows farther out are rare and get a full scan.
 _BRACKET_REACH = 1e6
+# A sliced row is certified when, on every axis, it lies at least
+# _SLICE_MARGIN of that axis's step from a level midpoint and at most
+# _SLICE_FAR smallest grid steps from its nearest level (see nearest_point).
+_SLICE_MARGIN = 1e-5
+_SLICE_FAR = 1e4
 # Largest distance, in steps, of a level from origin + k * step.  Far below
 # half a step, so an arithmetic bracket off by one still holds the level
 # nearest to the input; the package's grids stray by about 1e-11.
@@ -42,8 +49,9 @@ class PointGrid:
 
     lev_re and lev_im are the sorted levels of each axis, lev[k] = lev[0]
     + k * step (step 0 on a single-level axis); points[index[r *
-    len(lev_im) + i]] is the point at (lev_re[r], lev_im[i]).  Rows whose
-    bracketing points all lie farther than reach get a full scan.
+    len(lev_im) + i]] is the point at (lev_re[r], lev_im[i]).  unit is
+    the smallest spacing of adjacent levels on either axis (inf for a
+    single point), the length the detector's distance limits count in.
     """
 
     points: np.ndarray = field(repr=False)
@@ -52,7 +60,7 @@ class PointGrid:
     step_re: float
     step_im: float
     index: np.ndarray = field(repr=False)
-    reach: float
+    unit: float
 
     def __len__(self) -> int:
         return len(self.points)
@@ -87,9 +95,8 @@ def point_grid(points) -> PointGrid:
             np.any(cells[index] != np.arange(len(cells))):
         raise ValueError("points are not a rectangular grid of distinct points")
     step_re, step_im = _uniform_step(lev_re), _uniform_step(lev_im)
-    reach = _BRACKET_REACH * min(np.diff(lev, append=np.inf).min()
-                                 for lev in (lev_re, lev_im))
-    return PointGrid(points, lev_re, lev_im, step_re, step_im, index, float(reach))
+    unit = min(np.diff(lev, append=np.inf).min() for lev in (lev_re, lev_im))
+    return PointGrid(points, lev_re, lev_im, step_re, step_im, index, float(unit))
 
 
 def _gray(n: int) -> int:
@@ -163,21 +170,28 @@ def _bracket(x: np.ndarray, lev: np.ndarray, step: float) -> list:
     return [k, k + 1]
 
 
-def nearest_point(y, grid: PointGrid) -> np.ndarray:
-    """Index of the closest grid point (ties -> lowest index).
-
-    Equals argmin |y - p| over all points, in O(len(y) + len(grid))
-    memory.  A real y on a real grid (one imaginary level, 0) is compared
-    in float, which equals the complex comparison bit for bit.
-    """
+def _detection_input(y, grid: PointGrid) -> np.ndarray:
+    """y as a 1-d array: float when it is real and the grid lies on the
+    real axis (one imaginary level, 0), where comparing in float equals
+    the complex comparison bit for bit; complex otherwise."""
     y = np.atleast_1d(np.asarray(y))
     if not np.iscomplexobj(y) and len(grid.lev_im) == 1 and grid.lev_im[0] == 0:
-        y = y.astype(float, copy=False)
+        return y.astype(float, copy=False)
+    return y.astype(complex, copy=False)
+
+
+def _bracket_nearest(y, grid: PointGrid) -> np.ndarray:
+    """nearest_point by comparing the up to four bracketing points.
+
+    Exact for every row: rows whose bracketing points all lie farther
+    than _BRACKET_REACH smallest steps get a full scan.
+    """
+    y = _detection_input(y, grid)
+    if not np.iscomplexobj(y):
         rows = _bracket(y, grid.lev_re, grid.step_re)
         cands = [grid.index[r] for r in rows]
         dists = [np.abs(y - grid.lev_re[r]) for r in rows]
     else:
-        y = y.astype(complex, copy=False)
         n_im = len(grid.lev_im)
         cands = [grid.index[r * n_im + i]
                  for r in _bracket(y.real, grid.lev_re, grid.step_re)
@@ -188,8 +202,69 @@ def nearest_point(y, grid: PointGrid) -> np.ndarray:
         take = (d_c < d) | ((d_c == d) & (c < idx))
         idx, d, worst = np.where(take, c, idx), np.minimum(d, d_c), np.maximum(worst, d_c)
 
-    for k in np.flatnonzero(~(worst <= grid.reach)):
+    for k in np.flatnonzero(~(worst <= _BRACKET_REACH * grid.unit)):
         idx[k] = np.argmin(np.abs(y[k] - grid.points))
+    return idx
+
+
+def _slice(x: np.ndarray, lev: np.ndarray, step: float, far: float):
+    """Nearest level position of x on one axis, and the rows slicing cannot
+    certify: within _SLICE_MARGIN steps of a level midpoint, or farther
+    than far from the nearest level (NaN counts as far)."""
+    if len(lev) == 1:
+        return np.zeros(x.shape, dtype=np.intp), ~((x >= lev[0] - far) & (x <= lev[0] + far))
+    # clamped first, so NaN and huge values neither warn nor overflow; a
+    # clamped row lies farther than far
+    t = np.fmin(np.fmax(x, lev[0] - far - step), lev[-1] + far + step)
+    t -= lev[0]
+    t /= step
+    k = np.clip(np.rint(t), 0, len(lev) - 1)
+    t -= k
+    r = np.abs(t, out=t)
+    r -= 0.5  # signed distance, in steps, from the nearest level's midpoint
+    doubt = (np.abs(r) < _SLICE_MARGIN) | (r > far / step - 0.5)
+    return k.astype(np.intp), doubt
+
+
+def nearest_point(y, grid: PointGrid) -> np.ndarray:
+    """Index of the closest grid point (ties -> lowest index).
+
+    Equals argmin |y - p| over all points, as numpy computes |y - p|, in
+    O(len(y) + len(grid)) memory.  A real y on a real grid is compared
+    in float (see _detection_input).
+
+    Each axis is sliced: its level is round((x - origin) / step), clipped
+    to the axis.  A row is certified when, on every axis, x lies at least
+    _SLICE_MARGIN steps (1e-5) from the midpoint of two levels and at
+    most _SLICE_FAR smallest grid steps u (1e4 u) from its sliced level;
+    a single-level axis checks only the second.  A certified row's sliced
+    point is the exhaustive argmin.  Levels stray from origin + j * step
+    by at most _UNIFORM_TOL (1e-6 steps), and the computed position errs
+    by under 2e-11 steps (x lies within 2^16 + 1e4 steps of the origin),
+    so every other level of an axis is farther from x, in squared
+    distance, by at least (2e-5 - 2.1e-6) * (1 - 2e-6) steps^2 >
+    1.7e-5 u^2.  The sliced point lies within sqrt(2) * 1e4 u of y, so
+    every other point is farther by a relative 1.7e-5 / (2 * 2e8) > 4e-14:
+    more than forty times the few ulps by which the computed |y - p| can
+    err, so rounding can neither tie nor reverse a comparison.  The other
+    rows (NaN, infinities, far rows, rows on or near a decision boundary)
+    go to the bracket search.
+    """
+    y = _detection_input(y, grid)
+    far = _SLICE_FAR * grid.unit
+    if not np.iscomplexobj(y):
+        k, doubt = _slice(y, grid.lev_re, grid.step_re, far)
+        idx = grid.index[k]
+    else:
+        k_re, doubt = _slice(y.real, grid.lev_re, grid.step_re, far)
+        k_im, doubt_im = _slice(y.imag, grid.lev_im, grid.step_im, far)
+        doubt |= doubt_im
+        k_re *= len(grid.lev_im)
+        k_re += k_im
+        idx = grid.index[k_re]
+    rows = np.flatnonzero(doubt)
+    if len(rows):
+        idx[rows] = _bracket_nearest(y[rows], grid)
     return idx
 
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import tempfile
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nomalink import cli, link, modem, qam, quant
 from nomalink.cli import main
 from nomalink.srate import FIT_MAX_ITERS
 
@@ -75,6 +77,49 @@ def test_sweep_both_rows_are_the_single_detector_rows(tiny_cfg, tmp_path):
     assert lines["both"][:2] == lines["neural"][:2] == lines["sic"][:2]
     assert lines["both"][2::2] == lines["neural"][2:]
     assert lines["both"][3::2] == lines["sic"][2:]
+
+
+def _count_constellation_builds(monkeypatch):
+    """Count fit_quantizer, make_qam and point_grid calls at every binding."""
+    counts = collections.Counter()
+    for mod in (cli, link, modem, qam, quant):
+        for name in ("fit_quantizer", "make_qam", "point_grid"):
+            fn = getattr(mod, name, None)
+            if fn is not None:
+                def counted(*args, _fn=fn, _name=name):
+                    counts[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_sweep_builds_constellations_once_whatever_the_grid(tiny_cfg, tmp_path,
+                                                            monkeypatch):
+    models = tmp_path / "m"
+    assert main(["train-modem", "--config", tiny_cfg, "--out", str(models)]) == 0
+    counts = _count_constellation_builds(monkeypatch)
+    seen = []
+    for step in ("14", "4"):  # 3 x 3 and 8 x 8 cells
+        counts.clear()
+        assert main(["sweep", "--config", tiny_cfg, "--out", str(tmp_path / step),
+                     "--models", str(models), "--grid-step-db", step]) == 0
+        seen.append(dict(counts))
+    # two quantizers for the model files, then one quantizer and one QAM
+    # map per user for the whole sweep, each with its point grid
+    assert seen[0] == seen[1] == {"fit_quantizer": 4, "make_qam": 2, "point_grid": 6}
+
+
+def test_train_modem_trains_under_the_configured_csi_error(tmp_path):
+    files = {}
+    for delta in (0.0, 0.3):
+        cfg = tmp_path / f"{delta}.json"
+        cfg.write_text(json.dumps({
+            "train": {"epochs": 5, "dataset_size": 16},
+            "sweep": {"kind": "rayleigh", "estimation_error_delta": delta}}))
+        out = tmp_path / f"out{delta}"
+        assert main(["train-modem", "--config", str(cfg), "--out", str(out)]) == 0
+        files[delta] = [_read(out / name) for name in ("modem_near.json", "modem_far.json")]
+    assert all(a != b for a, b in zip(files[0.0], files[0.3]))
 
 
 def test_sweep_sic_only_needs_no_models(tiny_cfg, tmp_path):

@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
-                           effective_snrs_db, run_link, sample_features,
-                           superpose)
+                           build_constellations, effective_snrs_db, run_link,
+                           sample_features, superpose)
 from nomalink.modem import SUPERPOSE_LITERAL, SUPERPOSE_SQRT, amplitudes, tx_symbols
 from nomalink.quant import FeatureVector
 
@@ -140,6 +140,27 @@ def test_neural_rejects_mismatched_quantizer(table1_models):
     vf = sample_features(10, 5.0, 1.0, seed=0, user=1)
     with pytest.raises(ValueError):
         run_link(sc, vn, vf, models=(near_m, far_m), detectors=(DETECTOR_NEURAL,))
+
+
+def test_given_constellations_report_what_built_ones_do(table1_models):
+    near_m, far_m, _ = table1_models
+    sc = LinkScenario(gain_near_db=12, gain_far_db=4)
+    vn = sample_features(2000, 5.0, 1.0, seed=3, user=0)
+    vf = sample_features(2000, 5.0, 1.0, seed=3, user=1)
+    both = (DETECTOR_NEURAL, DETECTOR_SIC)
+    assert run_link(sc, vn, vf, models=(near_m, far_m), detectors=both, seed=3,
+                    constellations=build_constellations(sc)) == \
+        run_link(sc, vn, vf, models=(near_m, far_m), detectors=both, seed=3)
+
+
+@pytest.mark.parametrize("other", [dict(m_near=3), dict(m_far=1), dict(bound_s=6.0),
+                                   dict(bound_d=0.5)])
+def test_mismatched_constellations_rejected(other):
+    sc = LinkScenario()
+    vn = sample_features(10, 5.0, 1.0, seed=0, user=0)
+    books = build_constellations(dataclasses.replace(sc, **other))
+    with pytest.raises(ValueError, match="constellations do not match"):
+        run_link(sc, vn, vn, detectors=(DETECTOR_SIC,), constellations=books)
 
 
 def test_length_mismatch_rejected():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nomalink import qam
 from nomalink.modem import SUPERPOSE_LITERAL
 from nomalink.qam import (detect_far, make_qam, nearest_point, point_grid,
                           qam_modulate, sic_detect, sic_macs_per_symbol)
@@ -200,6 +201,103 @@ def test_nearest_point_real_non_finite_inputs_match_dense_search(kind, m):
     big = np.finfo(float).max
     y = np.array([np.nan, np.inf, -np.inf, big, -big, 1e300, -1e-310, 0.3, 7.5])
     assert np.array_equal(nearest_point(y, grid), oracles.dense_nearest(y, points))
+
+
+def _rows_sent_to_bracket(monkeypatch):
+    """Count the rows nearest_point cannot certify by slicing."""
+    sent = []
+    bracket = qam._bracket_nearest
+
+    def spy(y, grid):
+        sent.append(len(y))
+        return bracket(y, grid)
+    monkeypatch.setattr(qam, "_bracket_nearest", spy)
+    return sent
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("kind", ["qam", "quant"])
+def test_sliced_nearest_point_equals_bracket_search(monkeypatch, kind, m):
+    # the slicer's answer for certified rows against the exact bracket
+    # search, on noisy grid points at several noise scales (in grid steps)
+    grid, points = _grid(kind, m)
+    rng = stream_rng(13, m)
+    bracket = qam._bracket_nearest
+    sent = _rows_sent_to_bracket(monkeypatch)
+    for scale in (0.02, 0.4, 3.0, 300.0):
+        base = points[rng.integers(0, len(points), 20_000)]
+        noise = scale * grid.unit * rng.standard_normal((20_000, 2)).view(complex)[:, 0]
+        inputs = [base + noise]
+        if kind == "quant":  # the neural chain passes real estimates
+            inputs.append(base.real + noise.real)
+        for y in inputs:
+            got, want = nearest_point(y, grid), bracket(y, grid)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    # a margin of 1e-5 steps leaves about 4e-5 of the rows to the bracket
+    assert sum(sent) < 100
+
+
+def _dense_in_chunks(y, points, rows=8):
+    return np.concatenate([oracles.dense_nearest(y[k:k + rows], points)
+                           for k in range(0, len(y), rows)])
+
+
+def _uncertified_rows(grid, rng):
+    """Rows slicing cannot certify: on a level midpoint or one ulp off it,
+    just beyond the far limit on some axis, or far off a real grid's
+    single imaginary level; and rows just inside the far limit."""
+    far = qam._SLICE_FAR * grid.unit
+    axes = []
+    for lev in (grid.lev_re, grid.lev_im):
+        pick = np.unique(np.r_[0, len(lev) - 2, rng.integers(0, max(len(lev) - 1, 1), 4)])
+        mid = (lev[pick] + lev[np.minimum(pick + 1, len(lev) - 1)]) / 2 \
+            if len(lev) > 1 else np.empty(0)
+        mid = np.concatenate([mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)])
+        beyond = np.array([lev[0] - far * (1 + 1e-9), lev[-1] + far * (1 + 1e-9)])
+        inside = np.array([lev[0] - far * (1 - 1e-9), lev[-1] + far * (1 - 1e-9)])
+        axes.append((mid, beyond, inside, lev[rng.integers(0, len(lev), 3)]))
+    (mid_re, out_re, in_re, on_re), (mid_im, out_im, in_im, on_im) = axes
+
+    def cross(re, im):
+        return (np.asarray(re)[:, None] + 1j * np.asarray(im)[None, :]).ravel()
+    doubt = [cross(mid_re, np.r_[on_im, mid_im]), cross(on_re, mid_im),
+             cross(out_re, np.r_[on_im, in_im]), cross(np.r_[on_re, in_re], out_im)]
+    if len(grid.lev_im) > 1:  # inside the far limit on one axis, a midpoint on the other
+        doubt += [cross(in_re, mid_im), cross(mid_re, in_im)]
+    else:
+        far_off = np.array([1673.0, -1673.0, 1e3 * far])  # beyond the bracket reach too
+        doubt += [cross(mid_re, in_im), cross(on_re, far_off[np.abs(far_off) > far])]
+    edge = cross(in_re, on_im) if len(grid.lev_im) == 1 else cross(in_re, in_im)
+    return np.concatenate(doubt), edge
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("kind", ["qam", "quant"])
+def test_uncertified_rows_match_dense_search(monkeypatch, kind, m):
+    grid, points = _grid(kind, m)
+    doubt, edge = _uncertified_rows(grid, stream_rng(14, m))
+    sent = _rows_sent_to_bracket(monkeypatch)
+    assert np.array_equal(nearest_point(doubt, grid), _dense_in_chunks(doubt, points))
+    assert sent == [len(doubt)]
+    assert np.array_equal(nearest_point(edge, grid), _dense_in_chunks(edge, points))
+    if kind == "quant":
+        real = doubt.real[doubt.imag == 0]
+        assert np.array_equal(nearest_point(real, grid), _dense_in_chunks(real, points))
+
+
+@pytest.mark.parametrize("kind", ["qam", "quant"])
+def test_uncertified_rows_memory_is_linear_at_16_bits(kind):
+    grid, points = _grid(kind, 16)
+    doubt, _ = _uncertified_rows(grid, stream_rng(15))
+    y = np.resize(doubt, 4096)
+    tracemalloc.start()
+    try:
+        got = nearest_point(y, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(got, np.resize(_dense_in_chunks(doubt, points), 4096))
 
 
 def test_nearest_point_rejects_points_off_a_grid():
