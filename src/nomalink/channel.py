@@ -89,10 +89,14 @@ def transmit(x: np.ndarray, real: ChannelRealization) -> np.ndarray:
 
     n has the length of x's last axis and is shared by all of x's rows.
     """
-    x = np.asarray(x)
+    # complex128 up front: float32 or complex64 input still gets a complex128
+    # result, and the in-place add below does not round the noise to it
+    x = np.asarray(x, dtype=complex)
     n = real._noise_rng.standard_normal((*x.shape[-1:], 2)).view(complex)[..., 0]
     n *= np.sqrt(real.sigma2 / 2.0)
-    return real.h * x + n
+    y = real.h * x
+    y += n
+    return y
 
 
 def equalize(y: np.ndarray, real: ChannelRealization) -> np.ndarray:

@@ -181,12 +181,16 @@ def demodulate(received, model: ModemModel) -> np.ndarray:
     feature estimate and column 1 the far one.
     """
     y = np.atleast_1d(np.asarray(received, dtype=complex))
-    if model.input_clip_radius is not None:
+    radius = model.input_clip_radius
+    if radius is not None:
         mag = np.abs(y)
-        scale = np.where(mag > model.input_clip_radius, model.input_clip_radius / np.maximum(mag, 1e-300), 1.0)
-        y = y * scale
-    d = np.stack([y.real, y.imag], axis=1)
-    return model.demod.infer(d)
+        # rows inside the radius would be scaled by 1.0, which can flip only
+        # the sign of a zero part; a NaN maximum fails the test and takes the
+        # scaling path
+        if not mag.max(initial=0.0) <= radius:
+            y = y * np.where(mag > radius, radius / np.maximum(mag, 1e-300), 1.0)
+    # (re, im) pairs as a view of the complex samples
+    return model.demod.infer(np.ascontiguousarray(y).view(np.float64).reshape(len(y), 2))
 
 
 def modem_macs(widths) -> int:
@@ -209,7 +213,7 @@ def _live_norm(model: ModemModel, v: np.ndarray):
     raw = v[:, None] * model.mod_w + model.mod_b            # (B, 2)
     cpts = model.quantizer.constellation_deq
     raw_c = cpts[:, None] * model.mod_w + model.mod_b        # (M, 2)
-    pbar = float(np.mean(np.sum(raw_c**2, axis=1)))
+    pbar = float((raw_c**2).sum(axis=1).mean())
     norm = raw / math.sqrt(pbar)
     return norm, (v, raw, raw_c, pbar, norm)
 
@@ -219,13 +223,13 @@ def _live_norm_backward(model: ModemModel, g_norm: np.ndarray, cache):
     v, raw, raw_c, pbar, norm = cache
     g_raw = g_norm / math.sqrt(pbar)
     # d norm / d pbar = -raw / (2 pbar^{3/2}) = -norm / (2 pbar)
-    g_pbar = -float(np.sum(g_norm * norm)) / (2.0 * pbar)
+    g_pbar = -float((g_norm * norm).sum()) / (2.0 * pbar)
     m = raw_c.shape[0]
     cpts = model.quantizer.constellation_deq
-    dp_dw = (2.0 / m) * np.sum(raw_c * cpts[:, None], axis=0)  # (2,)
-    dp_db = (2.0 / m) * np.sum(raw_c, axis=0)
-    gw = np.sum(g_raw * v[:, None], axis=0) + g_pbar * dp_dw
-    gb = np.sum(g_raw, axis=0) + g_pbar * dp_db
+    dp_dw = (2.0 / m) * (raw_c * cpts[:, None]).sum(axis=0)  # (2,)
+    dp_db = (2.0 / m) * raw_c.sum(axis=0)
+    gw = (g_raw * v[:, None]).sum(axis=0) + g_pbar * dp_dw
+    gb = g_raw.sum(axis=0) + g_pbar * dp_db
     return gw, gb
 
 
@@ -260,16 +264,18 @@ def pair_forward(near: ModemModel, far: ModemModel, vn, vf, amp_n, amp_f,
     outs, acts, factors = [], [], []
     for model, (h, h_hat, noise) in ((near, chan_n), (far, chan_f)):
         eq = (h * x + noise) / h_hat
-        out, a = model.demod.forward(np.stack([eq.real, eq.imag], axis=1))
+        out, a = model.demod.forward(eq.view(np.float64).reshape(-1, 2))
         outs.append(out)
         acts.append(a)
         factors.append(h / h_hat)
     out_n, out_f = outs
 
     b = len(vn)
-    tgt_n = np.stack([vn, vf], axis=1)
-    sq_n = np.sum((out_n - tgt_n) ** 2, axis=0) / b          # per-target terms
-    sq_f = float(np.sum((out_f[:, 0] - vf) ** 2) / b)
+    tgt_n = np.empty((b, 2))
+    tgt_n[:, 0] = vn
+    tgt_n[:, 1] = vf
+    sq_n = ((out_n - tgt_n) ** 2).sum(axis=0) / b          # per-target terms
+    sq_f = float(((out_f[:, 0] - vf) ** 2).sum() / b)
     var_n = near.quantizer.variance
     var_f = far.quantizer.variance
     losses = PairLosses(
@@ -303,7 +309,7 @@ def pair_backward(near: ModemModel, far: ModemModel, vf, cache):
         g_demod, g_in = model.demod.backward(a, g_out)
         g_eq = g_in[:, 0] + 1j * g_in[:, 1]
         g_s = amp * (np.conj(factor) * g_eq)
-        gw, gb = _live_norm_backward(model, np.stack([g_s.real, g_s.imag], axis=1), mod_cache)
+        gw, gb = _live_norm_backward(model, g_s.view(np.float64).reshape(-1, 2), mod_cache)
         grads.append((gw, gb, g_demod))
     return tuple(grads)
 

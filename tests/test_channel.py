@@ -88,6 +88,22 @@ def test_noise_is_the_complex_view_of_the_normal_draw():
     assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex64, np.complex128])
+def test_transmit_equals_h_x_plus_n_for_every_input_dtype(dtype):
+    # y = h x; y += n is h x + n in complex128 whatever the input precision
+    spec = ChannelSpec(KIND_RAYLEIGH, 3.0, estimation_error_delta=0.1, seed=9)
+    z = 3.0 * np.exp(1j * np.arange(1000))
+    x = (z if np.issubdtype(dtype, np.complexfloating) else z.real).astype(dtype)
+    x = np.stack([x, -x])
+    y = transmit(x, realize(spec, USER_NEAR, 1))
+    real = realize(spec, USER_NEAR, 1)
+    n = real._noise_rng.standard_normal((1000, 2)).view(complex)[..., 0]
+    n *= np.sqrt(real.sigma2 / 2.0)
+    want = real.h * x.astype(complex) + n
+    assert y.dtype == np.complex128
+    assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+
+
 def test_rows_of_one_transmit_share_its_noise_draw():
     # a cell's detectors stack their transmit signals: each row must get
     # exactly what a call of its own on a fresh realization gives

@@ -255,6 +255,48 @@ def test_demodulate_equals_training_forward_bit_for_bit(q22):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _clip_then_stack(received, model):
+    """demodulate as it was: every row scaled, (re, im) stacked into a copy."""
+    y = np.atleast_1d(np.asarray(received, dtype=complex))
+    if model.input_clip_radius is not None:
+        mag = np.abs(y)
+        scale = np.where(mag > model.input_clip_radius,
+                         model.input_clip_radius / np.maximum(mag, 1e-300), 1.0)
+        y = y * scale
+    return model.demod.infer(np.stack([y.real, y.imag], axis=1))
+
+
+def _receive_cases():
+    z = stream_rng(9).standard_normal((6000, 2)) @ np.array([1.0, 1.0j])
+    inside = z / (1.0 + np.abs(z).max())          # every row below radius 3
+    signed_zeros = np.array([complex(a, b) for a in (0.0, -0.0, 1.5) for b in (0.0, -0.0, -2.0)])
+    wide = 4.0 * z
+    return {
+        "all_inside": 2.9 * inside,
+        "some_outside": 2.0 * z,
+        "at_radius": np.concatenate([inside, [3.0, -3.0, 3.0j, -3.0j, 3.0 * np.exp(0.3j)]]),
+        "nonfinite": np.concatenate([2.0 * z, [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                               complex(np.inf, 0.0), complex(-np.inf, 1.0),
+                                               complex(0.5, np.inf), complex(np.nan, np.inf)]]),
+        "signed_zeros": np.concatenate([inside, signed_zeros]),
+        "signed_zeros_outside": np.concatenate([wide, signed_zeros]),
+        "strided_inside": inside[::3],
+        "strided_outside": wide[1::2],
+    }
+
+
+@pytest.mark.parametrize("case", list(_receive_cases()))
+@pytest.mark.parametrize("radius", [3.0, None])
+def test_demodulate_equals_clip_then_stack_bit_for_bit(q22, case, radius):
+    near = _shipped_near(q22)
+    near.input_clip_radius = radius
+    y = _receive_cases()[case]
+    with np.errstate(invalid="ignore"):  # inf rows scale to inf * 0
+        got, want = demodulate(y, near), _clip_then_stack(y, near)
+    assert got.shape == want.shape == (len(y), 2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_demodulate_peak_memory_is_bounded(q22):
     # the training forward kept every layer's (20000, 32) input alive: ~23 MB
     near = _shipped_near(q22)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,3 +170,36 @@ def test_forward_backward_and_infer_leave_the_mlp_unchanged():
     assert all(vars(mlp)[k] is v for k, v in attrs.items())
     assert mlp.widths == [2, 8, 8, 1] and len(mlp.W) == len(mlp.b) == 3
     assert all(np.array_equal(a, v) for a, v in zip((*mlp.W, *mlp.b), values))
+
+
+def test_infer_without_hidden_layers_is_one_whole_batch_product():
+    mlp = Mlp([3, 2], stream_rng(10))
+    x = _inputs(10, 3 * B + 5, 3, 1)
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(mlp.infer(x), mlp.forward(x)[0])
+
+
+def test_infer_peak_memory_is_its_outputs_plus_block_buffers():
+    # h_all (20000, 32) and out (20000, 2) are the only batch-sized arrays;
+    # the bias tiles and block buffers are a few block-sized ones
+    mlp = Mlp([2, 32, 32, 32, 2], stream_rng(11))
+    x = stream_rng(12).standard_normal((20000, 2))
+    tracemalloc.start()
+    try:
+        mlp.infer(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20000 * 32 * 8 + 20000 * 2 * 8 + 2e6
+
+
+@pytest.mark.parametrize("widths", [[2, 32, 32, 32, 2], [2, 5, 1], [2, 3]])
+def test_infer_returns_fresh_arrays(widths):
+    mlp = Mlp(widths, stream_rng(13))
+    x = stream_rng(14).standard_normal((2 * B + 3, 2))
+    x0 = x.copy()
+    a, b = mlp.infer(x), mlp.infer(x)
+    assert not np.shares_memory(a, x) and not np.shares_memory(a, b)
+    assert _same_bits(a, b)
+    a[:] = np.nan
+    assert np.array_equal(b, mlp.infer(x)) and np.array_equal(x, x0)
