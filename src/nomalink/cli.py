@@ -9,6 +9,7 @@ region curves empty.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -32,6 +33,43 @@ from .srate import (fit_logistic, image_profile, load_accuracy_csv,
                     synthetic_accuracy_samples, text_profile)
 
 _MACS_LENGTHS = (1, 16, 64, 256, 1024)
+
+# glibc's mallopt parameters (malloc.h) and the values main sets.  By
+# default glibc gives each block at or above its mmap threshold (128 kB,
+# raised to the size of each such block freed) a mapping of its own, and
+# returns the top of the heap to the kernel once more than twice that
+# threshold lies free there, so every cell of a neural sweep faulted its
+# working memory in again: about 330k minor faults and 1.2 s of system
+# time per default `sweep --detector both`.
+# An mmap threshold of 8 MiB keeps the largest array of a default cell,
+# Mlp.infer's 20,000 x 32 float64 hidden-layer buffer (4.9 MiB), on the
+# heap (4 MiB still churned); a trim threshold of 16 MiB keeps the heap
+# top a cell frees (10 MiB still churned, 12 MiB did not).  With both the
+# second of two sweeps in one process takes about 10 faults.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 8 << 20), (_M_TRIM_THRESHOLD, 16 << 20))
+
+
+def _libc_mallopt():
+    """The C library's mallopt, or None where it has none."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_int)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _set_allocator_policy():
+    """Set the heap thresholds above.  Without mallopt, or where it
+    rejects a value (it returns 0), the allocator keeps its default: only
+    speed depends on this, no output."""
+    mallopt = _libc_mallopt()
+    if mallopt is not None:
+        for param, value in _ALLOCATOR_POLICY:
+            mallopt(param, value)
 
 
 def _fmt(v) -> str:
@@ -279,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _set_allocator_policy()
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()

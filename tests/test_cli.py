@@ -1,5 +1,6 @@
 import collections
 import json
+import resource
 import tempfile
 import warnings
 from pathlib import Path
@@ -310,3 +311,58 @@ def test_diverging_training_exits_2_naming_the_stage(tmp_path, capfd):
     assert "train-modem: training diverged" in err and "epoch" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not (out / "modem_near.json").exists()
+
+
+def _sweep_twice(cfg, models, tmp_path, capsys):
+    """sweep --detector both twice through main: the second run's minor
+    page faults, both runs' sweep.csv bytes and what they printed."""
+    argv = ["sweep", "--config", cfg, "--models", str(models), "--detector", "both"]
+    capsys.readouterr()
+    csvs, faults = [], None
+    for k in range(2):
+        out = tmp_path / f"sweep{k}"
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main([*argv, "--out", str(out)]) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        csvs.append((out / "sweep.csv").read_bytes())
+    printed = capsys.readouterr()
+    return faults, csvs, printed.out, printed.err
+
+
+@pytest.fixture()
+def fault_case(tmp_path):
+    """A tiny trained pair and a 3 x 3 sweep of 20,000 symbols a cell: each
+    cell's inference buffer (20,000 x 32 float64, 4.9 MiB) is above glibc's
+    default mmap threshold."""
+    cfg = tmp_path / "faults.json"
+    cfg.write_text(json.dumps(dict(TINY, sweep=dict(TINY["sweep"], n_symbols=20000))))
+    models = tmp_path / "m"
+    assert main(["train-modem", "--config", str(cfg), "--out", str(models)]) == 0
+    return str(cfg), models
+
+
+@pytest.mark.skipif(cli._libc_mallopt() is None, reason="the C library has no mallopt")
+def test_repeated_sweep_does_not_fault_its_heap_back_in(fault_case, tmp_path, capsys):
+    # with glibc's default thresholds each cell mmaps its largest arrays and
+    # the heap top goes back to the kernel between cells: 16k-18k minor
+    # faults in the second sweep; under main's allocator policy a handful
+    faults, csvs, _, _ = _sweep_twice(*fault_case, tmp_path, capsys)
+    assert faults < 1000
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("has_mallopt", [False, True], ids=["no-mallopt", "mallopt-rejects"])
+def test_sweep_without_the_allocator_policy_is_unchanged(fault_case, tmp_path, capsys,
+                                                         monkeypatch, has_mallopt):
+    expected = _sweep_twice(*fault_case, tmp_path, capsys)
+    calls = []
+
+    def rejecting_mallopt(param, value):
+        calls.append((param, value))
+        return 0
+
+    monkeypatch.setattr(cli, "_libc_mallopt",
+                        lambda: rejecting_mallopt if has_mallopt else None)
+    got = _sweep_twice(*fault_case, tmp_path, capsys)
+    assert got[1:] == expected[1:]  # sweep.csv bytes, stdout and stderr
+    assert calls == (2 * list(cli._ALLOCATOR_POLICY) if has_mallopt else [])

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nomalink import srate
 from nomalink.srate import (AccuracyModel, AccuracyRangeError, FIT_MAX_ITERS,
-                            FitResult, SourceProfile, TRUE_IMAGE_CURVE,
+                            FIT_STALL_ITERS, FitResult, SourceProfile, TRUE_IMAGE_CURVE,
                             TRUE_TEXT_CURVE,
                             fit_logistic, gamma_required, image_profile,
                             load_accuracy_csv, rate_prefactor,
@@ -153,6 +154,47 @@ def test_fit_of_a_step_converges():
         assert res.residual_rms < 1e-9
         assert res.model.a1 == pytest.approx(lo, abs=1e-9)
         assert res.model.a2 == pytest.approx(hi, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["text", "image"])
+def test_shipped_sample_fits_converge_within_the_stall_window(kind):
+    # so the stall stop can not end them: their parameters and iteration
+    # counts are those of the fit without it
+    samples = [synthetic_accuracy_samples(kind)]
+    samples += [synthetic_accuracy_samples(kind, noise=0.01, seed=s) for s in range(50)]
+    for sample in samples:
+        res = fit_logistic(sample)
+        assert res.warning is None
+        assert res.iterations < FIT_STALL_ITERS
+
+
+def test_fit_of_an_in_range_outlier_stops_at_the_first_stalled_window():
+    # one row at 100 dB with accuracy 0.1: the fit creeps along a flat
+    # valley (about 2.5e-9 relative per 1,000 iterations) and without the
+    # stall stop runs into FIT_MAX_ITERS
+    samples = np.vstack([synthetic_accuracy_samples("text"), [[1e10, 0.1]]])
+    res = fit_logistic(samples)
+    assert res.iterations == FIT_STALL_ITERS <= FIT_MAX_ITERS // 5
+    assert res.warning == "non-increasing fit (c1 <= 0)"
+
+
+def test_fit_that_creeps_then_drops_is_not_stopped():
+    # rows at -100, -10, 0, 5, 10 and 100 dB: about 1e-10 relative per
+    # 100 iterations for 750 iterations, then the cost falls twentyfold
+    gamma = 10.0 ** (np.array([-100.0, -10.0, 0.0, 5.0, 10.0, 100.0]) / 10.0)
+    acc = np.array([0.1, 0.2, 0.5, 0.7, 0.8, 0.95])
+    res = fit_logistic(np.stack([gamma, acc], axis=1))
+    assert FIT_STALL_ITERS < res.iterations < FIT_MAX_ITERS
+    assert res.residual_rms < 0.06
+
+
+def test_a_stalled_fit_says_so(monkeypatch):
+    monkeypatch.setattr(srate, "FIT_STALL_ITERS", 10)
+    monkeypatch.setattr(srate, "FIT_STALL_TOL", 1.0)  # every window stalls
+    res = fit_logistic(synthetic_accuracy_samples("text"))
+    assert res.iterations == 10
+    assert res.residual_rms < srate.FIT_RESIDUAL_WARN
+    assert res.warning.startswith("stalled: the last 10 iterations")
 
 
 def test_fit_tolerates_one_percent_noise():
