@@ -19,8 +19,7 @@ import numpy as np
 
 from . import rng as _rng
 from .channel import ChannelSpec
-from .config import (ConfigError, ExperimentConfig, RegionSection, check_seed,
-                     config_hash, load_config)
+from .config import ConfigError, ExperimentConfig, check_seed, config_hash, load_config
 from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
                    build_constellations, run_link, sample_features)
 from .modem import (TrainConfig, TrainingDivergedError, count_macs, load_model,
@@ -86,16 +85,6 @@ def _write_csv(path: str, cfg: ExperimentConfig, seed: int, header: str, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _scenario(cfg: ExperimentConfig) -> LinkScenario:
-    return LinkScenario(
-        rho_near=cfg.link.rho_near, rho_far=cfg.link.rho_far,
-        m_near=cfg.quant.bits_near, m_far=cfg.quant.bits_far,
-        gain_near_db=cfg.link.gain_near_db, gain_far_db=cfg.link.gain_far_db,
-        p_max_watts=cfg.link.p_max_watts, bandwidth_hz=cfg.link.bandwidth_hz,
-        bound_s=cfg.quant.bound_s, bound_d=cfg.quant.bound_d,
-        superposition=cfg.link.superposition)
-
-
 def cmd_train_modem(cfg: ExperimentConfig, seed: int, out_dir: str) -> int:
     tc = TrainConfig(
         epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
@@ -146,7 +135,11 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
     step, dlt = sweep.grid_step_db, sweep.estimation_error_delta
     near_grid = np.arange(sweep.snr_near_lo_db, sweep.snr_near_hi_db + step / 2.0, step)
     far_grid = np.arange(sweep.snr_far_lo_db, sweep.snr_far_hi_db + step / 2.0, step)
-    base = _scenario(cfg)
+    base = LinkScenario(
+        rho_near=cfg.link.rho_near, rho_far=cfg.link.rho_far,
+        m_near=cfg.quant.bits_near, m_far=cfg.quant.bits_far,
+        bound_s=cfg.quant.bound_s, bound_d=cfg.quant.bound_d,
+        superposition=cfg.link.superposition)
     books = build_constellations(base)  # the cells differ only in their gains
     n = sweep.n_symbols
 
@@ -196,18 +189,16 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
     fit_text, src_text = _accuracy_model("text", text_csv)
     fit_image, src_image = _accuracy_model("image", image_csv)
 
-    scenario = dataclasses.replace(
-        _scenario(cfg), gain_near_db=r.gain_near_db, gain_far_db=r.gain_far_db,
-        p_max_watts=r.p_max_watts, bandwidth_hz=r.bandwidth_hz)
     rate_query = RegionQuery(
-        scenario=scenario, near_profile=text_profile(r.text_k_symbols),
+        gain_near_db=r.gain_near_db, gain_far_db=r.gain_far_db,
+        bandwidth_hz=r.bandwidth_hz, p_max_watts=r.p_max_watts,
+        near_profile=text_profile(r.text_k_symbols),
         far_profile=image_profile(r.image_compression),
         xi_req_near=r.xi_req_near, xi_req_far=r.xi_req_far,
         grid_points=r.grid_points, sweep_points=r.sweep_points)
     power_query = dataclasses.replace(
         rate_query, xi_req_far=case.xi_req_far,
-        rate_req_near=case.rate_req_near, rate_req_far=case.rate_req_far,
-        sweep_points=r.power_sweep_points)
+        rate_req_near=case.rate_req_near, rate_req_far=case.rate_req_far)
     levels = np.linspace(r.power_level_lo, r.power_level_hi,
                          r.power_sweep_points)
 

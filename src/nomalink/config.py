@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .channel import KIND_AWGN, KIND_RAYLEIGH
 from .modem import check_power_split, check_train_settings
+from .regions import check_region_settings
 from .srate import GAMMA_DB_LIMIT
 
 SCHEMA_VERSION = 1
@@ -35,7 +36,7 @@ def _check_range(section, key, lo, hi):
 
 
 def _check_db(section, *keys):
-    """Gains and SNRs share the accuracy CSV's dB range: beyond it a value
+    """SNRs share the accuracy CSV's dB range: beyond it a value
     is a units or typing error, and far beyond it 10**(dB / 10) overflows
     or a grid step vanishes against the bound."""
     for key in keys:
@@ -62,17 +63,10 @@ class QuantSection:
 class LinkSection:
     rho_near: float = 0.3
     rho_far: float = 0.7
-    gain_near_db: float = 14.0
-    gain_far_db: float = 6.0
-    p_max_watts: float = 1e6
-    bandwidth_hz: float = 1e6
     superposition: str = "sqrt"
 
     def __post_init__(self):
         check_power_split(self.rho_near, self.rho_far, self.superposition)
-        if self.p_max_watts <= 0 or self.bandwidth_hz <= 0:
-            raise ValueError("power ceiling and bandwidth must be positive")
-        _check_db(self, "gain_near_db", "gain_far_db")
 
 
 @dataclass(frozen=True)
@@ -130,6 +124,9 @@ class RequirementCase:
     rate_req_near: float = 0.075
     rate_req_far: float = 5.0
 
+    def __post_init__(self):
+        check_region_settings(self)
+
 
 @dataclass(frozen=True)
 class RegionSection:
@@ -153,14 +150,16 @@ class RegionSection:
     )
 
     def __post_init__(self):
-        _check_db(self, "gain_near_db", "gain_far_db")
+        # gains, bandwidth, power ceiling, requirements and the two grids
+        # face the checks of regions.RegionQuery
+        check_region_settings(self)
         _check_range(self, "text_k_symbols", 1, 1_000_000)
         if not 0 < self.image_compression <= 1:
             raise ValueError("image_compression must lie in (0, 1]")
-        # lower bounds: the searches' own minimums (regions.RegionQuery)
-        _check_range(self, "grid_points", 8, 65_536)
-        _check_range(self, "sweep_points", 2, 1024)
         _check_range(self, "power_sweep_points", 2, 1024)
+        if not 0 < self.power_level_lo <= self.power_level_hi < 1:
+            raise ValueError("power levels must satisfy "
+                             "0 < power_level_lo <= power_level_hi < 1")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ as noise):
     gamma_far  = a_far**2 * g_far / (a_near**2 * g_far + 1)
 
 with g the linear channel gain; a**2 is rho under the sqrt convention
-(unit power composite) and rho**2 under the literal one.  The power
-ceiling of the scenario only enters this analytic layer.
+(unit power composite) and rho**2 under the literal one.  Power ceiling
+and bandwidth belong to the region analysis (regions.RegionQuery), not
+to the link.
 """
 
 import math
@@ -53,16 +54,12 @@ class LinkScenario:
     m_far: int = 2
     gain_near_db: float = 14.0
     gain_far_db: float = 6.0
-    p_max_watts: float = 1e6
-    bandwidth_hz: float = 1e6
     bound_s: float = 5.0
     bound_d: float = 1.0
     superposition: str = SUPERPOSE_SQRT
 
     def __post_init__(self):
         check_power_split(self.rho_near, self.rho_far, self.superposition)
-        if self.p_max_watts <= 0 or self.bandwidth_hz <= 0:
-            raise ValueError("power ceiling and bandwidth must be positive")
 
 
 @dataclass(frozen=True)

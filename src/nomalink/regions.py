@@ -14,7 +14,7 @@ one array over all rows.
 
 Conventions shared by every search:
 
-* gains are the scenario's channel gains in linear scale; under NOMA the
+* gains are the query's channel gains in linear scale; under NOMA the
   near user decodes after interference cancellation (SNR rho_n * g_n)
   while the far user treats the near signal as noise
   (SNR rho_f * g_f / (rho_n * g_f + 1)); under OMA each user gets a
@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .link import LinkScenario
-from .srate import (AccuracyModel, SourceProfile, gamma_required, image_profile,
-                    rate_prefactor, text_profile, xi_eval)
+from .srate import (GAMMA_DB_LIMIT, AccuracyModel, SourceProfile, gamma_required,
+                    image_profile, rate_prefactor, text_profile, xi_eval)
 
 _REFINE_ROUNDS = 10
 _REFINE_POINTS = 33
@@ -44,17 +43,46 @@ _FEAS_TOL = 1e-9
 _SWEEP_CEILING_MARGIN = 0.05
 
 
+# Ranges shared by RegionQuery and the config's region section.  Bandwidth,
+# power ceiling and rate requirements are bounded far beyond any real link;
+# inside all bounds every curve runs without overflow.
+_RANGES = {
+    "gain_near_db": (-GAMMA_DB_LIMIT, GAMMA_DB_LIMIT),
+    "gain_far_db": (-GAMMA_DB_LIMIT, GAMMA_DB_LIMIT),
+    "bandwidth_hz": (1e-6, 1e12),
+    "p_max_watts": (1e-12, 1e12),
+    "rate_req_near": (0.0, 1e12),
+    "rate_req_far": (0.0, 1e12),
+    "grid_points": (8, 65_536),
+    "sweep_points": (2, 1024),
+}
+
+
+def check_region_settings(settings):
+    """Raise ValueError naming the first out-of-range field of settings:
+    every field named in _RANGES that it has, and the accuracy
+    requirements xi_req_near / xi_req_far, which lie in (0, 1)."""
+    for key in ("xi_req_near", "xi_req_far"):
+        if hasattr(settings, key) and not 0 < getattr(settings, key) < 1:
+            raise ValueError(f"{key} must lie in (0, 1)")
+    for key, (lo, hi) in _RANGES.items():
+        if hasattr(settings, key) and not lo <= getattr(settings, key) <= hi:
+            raise ValueError(f"{key} must be in {lo:g}..{hi:g}")
+
+
 @dataclass(frozen=True)
 class RegionQuery:
-    """One region computation: scenario, requirements and grid sizes.
+    """One region computation: channel, requirements and grid sizes.
 
-    xi_req_near / xi_req_far are the accuracy requirements; the rate
-    requirements only bind the power regions.  req_sweep_max sets the
-    top of the requirement sweep for power regions (defaults to most of
-    the remaining headroom below the near accuracy ceiling).
+    Gains are in dB; under OMA the users split bandwidth_hz, and the power
+    curves are scaled to p_max_watts.  The rate requirements only bind
+    the power regions.
     """
 
-    scenario: LinkScenario = field(default_factory=LinkScenario)
+    gain_near_db: float = 20.0
+    gain_far_db: float = 16.0
+    bandwidth_hz: float = 12.0
+    p_max_watts: float = 1e6
     near_profile: SourceProfile = field(default_factory=text_profile)
     far_profile: SourceProfile = field(default_factory=image_profile)
     xi_req_near: float = 0.6
@@ -63,17 +91,9 @@ class RegionQuery:
     rate_req_far: float = 0.0
     grid_points: int = 2048
     sweep_points: int = 33
-    req_sweep_max: float | None = None
 
     def __post_init__(self):
-        for name in ("xi_req_near", "xi_req_far"):
-            v = getattr(self, name)
-            if not (0 < v < 1):
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.rate_req_near < 0 or self.rate_req_far < 0:
-            raise ValueError("rate requirements must be >= 0")
-        if self.grid_points < 8 or self.sweep_points < 2:
-            raise ValueError("grids too small")
+        check_region_settings(self)
 
 
 @dataclass(frozen=True)
@@ -102,9 +122,8 @@ class RegionCurve:
         return np.array([p.y for p in self.points])
 
 
-def _gains(scenario: LinkScenario) -> tuple[float, float]:
-    return (10.0 ** (scenario.gain_near_db / 10.0),
-            10.0 ** (scenario.gain_far_db / 10.0))
+def _gains(q: RegionQuery) -> tuple[float, float]:
+    return 10.0 ** (q.gain_near_db / 10.0), 10.0 ** (q.gain_far_db / 10.0)
 
 
 def _curve(scheme: str, xs, ys) -> RegionCurve:
@@ -186,8 +205,8 @@ def default_rate_grid(q: RegionQuery, near_model: AccuracyModel) -> np.ndarray:
     power needed to close the last sliver of accuracy diverges, so curve
     values there are dominated by grid resolution rather than the model.
     """
-    g_n, _ = _gains(q.scenario)
-    pref_n = rate_prefactor(q.near_profile, q.scenario.bandwidth_hz)
+    g_n, _ = _gains(q)
+    pref_n = rate_prefactor(q.near_profile, q.bandwidth_hz)
     cap = near_model.a2 - _SWEEP_CEILING_MARGIN * (near_model.a2 - near_model.a1)
     lo = pref_n * q.xi_req_near
     hi = pref_n * min(xi_eval(near_model, g_n), cap)
@@ -205,9 +224,9 @@ def noma_rate_region(q: RegionQuery, near_model: AccuracyModel,
     Closed form: the near rate pins the near power share, the far user
     gets the rest and its rate follows from its interference-limited SNR.
     """
-    g_n, g_f = _gains(q.scenario)
-    pref_n = rate_prefactor(q.near_profile, q.scenario.bandwidth_hz)
-    pref_f = rate_prefactor(q.far_profile, q.scenario.bandwidth_hz)
+    g_n, g_f = _gains(q)
+    pref_n = rate_prefactor(q.near_profile, q.bandwidth_hz)
+    pref_f = rate_prefactor(q.far_profile, q.bandwidth_hz)
     rate_n = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
     # an unreachable near rate needs rho_n = inf, which the share test drops
     rho_n = np.maximum(0.0, gamma_required(near_model, rate_n / pref_n) / g_n)
@@ -221,8 +240,8 @@ def _oma_rate_at(q: RegionQuery, near_model: AccuracyModel, far_model: AccuracyM
                  rate_n, w_n) -> np.ndarray:
     """Far rate for each near rate in rate_n and near bandwidth slice in
     w_n (broadcast against each other); NaN where the split is invalid."""
-    g_n, g_f = _gains(q.scenario)
-    w = q.scenario.bandwidth_hz
+    g_n, g_f = _gains(q)
+    w = q.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
     pref_f = rate_prefactor(q.far_profile, w)
     w_n = np.asarray(w_n, dtype=float)
@@ -256,34 +275,24 @@ def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
     once: a coarse grid, then zoom refinement around each best cell.
     """
     rate_n = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
-    w_grid = np.linspace(0.0, q.scenario.bandwidth_hz, q.grid_points, endpoint=False)
+    w_grid = np.linspace(0.0, q.bandwidth_hz, q.grid_points, endpoint=False)
     best = _oma_search(lambda r, w_n: _oma_rate_at(q, near_model, far_model, r, w_n),
                        rate_n, w_grid, maximize=True)
     return _curve("oma-rate", rate_n, best)
 
 
-def _req_levels(q: RegionQuery, near_model: AccuracyModel) -> np.ndarray:
-    hi = q.req_sweep_max
-    if hi is None:
-        hi = q.xi_req_near + 0.8 * (near_model.a2 - q.xi_req_near)
-    if hi < q.xi_req_near:
-        raise ValueError("req_sweep_max below the base requirement")
-    return np.linspace(q.xi_req_near, hi, q.sweep_points)
-
-
 def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
-                      far_model: AccuracyModel,
-                      req_levels: np.ndarray | None = None) -> RegionCurve:
+                      far_model: AccuracyModel, req_levels) -> RegionCurve:
     """Minimum total power share per near accuracy requirement level.
 
     Closed form: the total rho_n + max(0, need_f * (1/g_f + rho_n)) and
     every feasibility limit only grow with rho_n, so the minimum sits at
     the smallest near share that meets the near requirements.
     """
-    g_n, g_f = _gains(q.scenario)
-    pref_n = rate_prefactor(q.near_profile, q.scenario.bandwidth_hz)
-    pref_f = rate_prefactor(q.far_profile, q.scenario.bandwidth_hz)
-    levels = _req_levels(q, near_model) if req_levels is None else np.asarray(req_levels)
+    g_n, g_f = _gains(q)
+    pref_n = rate_prefactor(q.near_profile, q.bandwidth_hz)
+    pref_f = rate_prefactor(q.far_profile, q.bandwidth_hz)
+    levels = np.asarray(req_levels)
     need_n = np.maximum(gamma_required(near_model, levels),
                         gamma_required(near_model, q.rate_req_near / pref_n))
     need_f = max(gamma_required(far_model, q.xi_req_far),
@@ -292,7 +301,7 @@ def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
     # an unreachable far requirement (need_f = +inf) makes the total +inf
     total = rho_n + np.maximum(0.0, need_f * (1.0 / g_f + rho_n))
     ok = (rho_n <= 1.0) & (total <= 1.0 + _FEAS_TOL)
-    return _curve("noma-power", levels, np.where(ok, total, np.nan) * q.scenario.p_max_watts)
+    return _curve("noma-power", levels, np.where(ok, total, np.nan) * q.p_max_watts)
 
 
 def _oma_power_total(q: RegionQuery, near_model: AccuracyModel,
@@ -300,8 +309,8 @@ def _oma_power_total(q: RegionQuery, near_model: AccuracyModel,
     """Total power share for each near requirement level in level and near
     bandwidth slice in w_n (broadcast against each other); NaN where the
     split is invalid."""
-    g_n, g_f = _gains(q.scenario)
-    w = q.scenario.bandwidth_hz
+    g_n, g_f = _gains(q)
+    w = q.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
     pref_f = rate_prefactor(q.far_profile, w)
     w_n = np.asarray(w_n, dtype=float)
@@ -324,18 +333,17 @@ def _oma_power_total(q: RegionQuery, near_model: AccuracyModel,
 
 
 def oma_power_region(q: RegionQuery, near_model: AccuracyModel,
-                     far_model: AccuracyModel,
-                     req_levels: np.ndarray | None = None) -> RegionCurve:
+                     far_model: AccuracyModel, req_levels) -> RegionCurve:
     """Minimum total power share per near accuracy requirement level.
 
     Searches the near bandwidth slice for every level at once, from the
     smallest slice that can carry the near rate requirement; when that
     slice is the whole band, no slice on the grid is valid.
     """
-    levels = _req_levels(q, near_model) if req_levels is None else np.asarray(req_levels)
-    w = q.scenario.bandwidth_hz
+    levels = np.asarray(req_levels)
+    w = q.bandwidth_hz
     w_lo = q.rate_req_near * w / rate_prefactor(q.near_profile, w)  # slice at accuracy 1
     grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
     best = _oma_search(lambda lv, w_n: _oma_power_total(q, near_model, far_model, lv, w_n),
                        levels, grid, maximize=False)
-    return _curve("oma-power", levels, best * q.scenario.p_max_watts)
+    return _curve("oma-power", levels, best * q.p_max_watts)

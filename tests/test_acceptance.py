@@ -231,9 +231,8 @@ def test_criterion_08_logistic_fit_recovery():
 
 
 def _shipped_rate_query(grid_points=2048) -> RegionQuery:
-    sc = LinkScenario(gain_near_db=20, gain_far_db=16,
-                      bandwidth_hz=12.0, p_max_watts=1.0)
-    return RegionQuery(scenario=sc, near_profile=text_profile(128.0),
+    return RegionQuery(gain_near_db=20, gain_far_db=16, bandwidth_hz=12.0,
+                       p_max_watts=1.0, near_profile=text_profile(128.0),
                        far_profile=image_profile(0.33), xi_req_near=0.6,
                        xi_req_far=0.7, grid_points=grid_points, sweep_points=33)
 

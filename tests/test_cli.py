@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import resource
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from nomalink import cli, link, modem, qam, quant
 from nomalink.cli import main
+from nomalink.config import LinkSection
 from nomalink.srate import FIT_MAX_ITERS
 
 TINY = {
@@ -237,6 +239,57 @@ def test_regions_accuracy_rows_at_the_gamma_limits_load(tiny_cfg, tmp_path):
     tc.write_text("gamma_db,accuracy\n-100,0.1\n-10,0.2\n0,0.5\n5,0.7\n10,0.8\n100,0.95\n")
     assert main(["regions", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
                  "--text-csv", str(tc)]) == 0
+
+
+def _data_rows(tmp_path, name, command, overrides):
+    """The rows after the stamp line of command's CSV under TINY plus overrides."""
+    cfg = {**TINY, **{section: {**TINY.get(section, {}), **values}
+                      for section, values in overrides.items()}}
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert main([*command, "--config", str(p), "--out", str(out)]) == 0
+    csv = next(out.glob("*.csv"))
+    return csv.read_text().splitlines()[1:]
+
+
+# a setting that does not change what its command writes is dead: every
+# link key and the region analysis's channel keys must move the data rows
+KEY_CHANGES = [
+    (["sweep", "--detector", "sic"], {"link": {"rho_near": 0.2, "rho_far": 0.8}}),
+    (["sweep", "--detector", "sic"], {"link": {"superposition": "literal"}}),
+    (["regions"], {"region": {"gain_near_db": 22.0}}),
+    (["regions"], {"region": {"gain_far_db": 18.0}}),
+    (["regions"], {"region": {"bandwidth_hz": 13.0}}),
+    (["regions"], {"region": {"p_max_watts": 2e6}}),
+]
+
+
+def test_key_changes_cover_every_link_key():
+    changed = {key for _, doc in KEY_CHANGES for key in doc.get("link", {})}
+    assert changed == {f.name for f in dataclasses.fields(LinkSection)}
+
+
+@pytest.mark.parametrize("command, overrides", KEY_CHANGES)
+def test_every_link_and_region_channel_key_reaches_the_output(tmp_path, command,
+                                                             overrides):
+    base = _data_rows(tmp_path, "base", command, {})
+    assert _data_rows(tmp_path, "changed", command, overrides) != base
+
+
+@pytest.mark.parametrize("region", [
+    {"bandwidth_hz": bw, "p_max_watts": p_max} for bw in (1e-6, 1e12)
+    for p_max in (1e-12, 1e12)] + [
+    {"bandwidth_hz": bw, "text_k_symbols": 10**6, "image_compression": 1e-9}
+    for bw in (1e-6, 1e12)] + [
+    {"cases": [{"name": "high", "xi_req_far": 0.75, "rate_req_near": rate,
+                "rate_req_far": rate}]} for rate in (0.0, 1e12)])
+def test_regions_runs_at_the_region_bounds(tmp_path, capfd, region):
+    # pytest makes numpy's RuntimeWarnings errors, so an overflow fails here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"region": {**TINY["region"], **region}}))
+    assert main(["regions", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 3)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_macs_table_and_stdout(tiny_cfg, tmp_path, capsys):

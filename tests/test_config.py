@@ -38,6 +38,11 @@ def test_unknown_field_reports_dotted_path():
     with pytest.raises(ConfigError,
                        match=r"unknown config field: region.cases\[0\].nam"):
         config_from_dict({"region": {"cases": [{"nam": "x"}]}})
+    # power ceiling, bandwidth and gains of the region analysis live in
+    # region; sweep sets the link's gains per cell
+    for key in ("gain_near_db", "gain_far_db", "p_max_watts", "bandwidth_hz"):
+        with pytest.raises(ConfigError, match=f"unknown config field: link.{key}"):
+            config_from_dict({"link": {key: 1.0}})
 
 
 def test_type_errors_report_path():
@@ -57,8 +62,8 @@ def test_int_fields_are_strict():
         config_from_dict({"train": {"epochs": 10.0}})
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict({"seed": True})
-    cfg = config_from_dict({"link": {"gain_near_db": 14}})  # int -> float is fine
-    assert cfg.link.gain_near_db == 14.0
+    cfg = config_from_dict({"region": {"gain_near_db": 14}})  # int -> float is fine
+    assert cfg.region.gain_near_db == 14.0
 
 
 def test_hidden_and_cases_round_trip():
@@ -123,8 +128,6 @@ def test_load_config_paths(tmp_path):
     ({"rho_near": 0.5, "rho_far": 0.6}, "sum to 1"),
     ({"rho_near": 0.0, "rho_far": 1.0}, r"\(0, 1\)"),
     ({"superposition": "linear"}, "superposition"),
-    ({"bandwidth_hz": 0.0}, "positive"),
-    ({"p_max_watts": -1.0}, "positive"),
 ])
 def test_bad_link_settings_rejected_at_load(tmp_path, link, message):
     with pytest.raises(ConfigError, match=f"link: .*{message}"):
@@ -166,7 +169,7 @@ def test_equal_power_split_and_both_conventions_accepted():
     # dB values share the accuracy CSV's +-100 dB range; at 1e300 dB the
     # parent wrote a 0-row sweep.csv or ended regions in an OverflowError
     ({"sweep": {"snr_near_lo_db": 1e300, "snr_near_hi_db": 1e300}}, "snr_near_lo_db"),
-    ({"link": {"gain_near_db": 100.5}}, "gain_near_db"),
+    ({"region": {"gain_near_db": 100.5}}, "gain_near_db"),
     ({"region": {"gain_near_db": 1e300}}, "gain_near_db"),
     ({"region": {"gain_far_db": -101}}, "gain_far_db"),
     ({"train": {"snr_train_far_db": 150}}, "snr_train_far_db"),
@@ -195,6 +198,23 @@ def test_equal_power_split_and_both_conventions_accepted():
     ({"train": {"hidden": [257]}}, "hidden"),
     ({"train": {"hidden": [32, 2**40]}}, "hidden"),
     ({"train": {"hidden": [4] * 9}}, "hidden"),
+    # region power ceiling, bandwidth and requirements: at 5e-324 Hz regions
+    # ended in a ZeroDivisionError, at 1e300 Hz or a rate requirement of
+    # 1e308 it printed numpy overflow or invalid-value warnings
+    ({"region": {"bandwidth_hz": 0.0}}, "bandwidth_hz"),
+    ({"region": {"bandwidth_hz": 5e-324}}, "bandwidth_hz"),
+    ({"region": {"bandwidth_hz": 1e300}}, "bandwidth_hz"),
+    ({"region": {"p_max_watts": -1.0}}, "p_max_watts"),
+    ({"region": {"p_max_watts": 1e-13}}, "p_max_watts"),
+    ({"region": {"p_max_watts": 1.1e12}}, "p_max_watts"),
+    ({"region": {"xi_req_near": 0.0}}, "xi_req_near"),
+    ({"region": {"xi_req_far": 1.0}}, "xi_req_far"),
+    ({"region": {"cases": [{"rate_req_near": 1e308}]}}, "rate_req_near"),
+    ({"region": {"cases": [{"rate_req_far": -1.0}]}}, "rate_req_far"),
+    ({"region": {"cases": [{"xi_req_far": 1.5}]}}, "xi_req_far"),
+    ({"region": {"power_level_lo": 5.0, "power_level_hi": -3.0}}, "power_level_lo"),
+    ({"region": {"power_level_lo": 0.0}}, "power_level_lo"),
+    ({"region": {"power_level_hi": 1.0}}, "power_level_hi"),
 ])
 @pytest.mark.parametrize("command", [["train-modem"], ["sweep", "--detector", "sic"],
                                      ["macs"]])
@@ -211,7 +231,7 @@ def test_bad_values_exit_2_at_load_naming_the_key(tmp_path, capfd, doc, key, com
 @pytest.mark.parametrize("text", [
     '{"sweep": {"grid_step_db": NaN}}',
     '{"sweep": {"snr_near_hi_db": Infinity}}',
-    '{"link": {"gain_far_db": -Infinity}}',
+    '{"region": {"gain_far_db": -Infinity}}',
     '{"region": {"bandwidth_hz": 1e999}}',
     '{"train": {"learning_rate": ' + "9" * 400 + '}}',
 ])
@@ -243,9 +263,9 @@ def test_bad_sweep_flags_exit_2_naming_the_key(tmp_path, capfd, flags, key):
 
 
 def test_db_values_at_the_limits_load():
-    cfg = config_from_dict({"link": {"gain_near_db": 100.0, "gain_far_db": -100.0},
+    cfg = config_from_dict({"region": {"gain_near_db": 100.0, "gain_far_db": -100.0},
                             "sweep": {"snr_near_lo_db": -100, "snr_near_hi_db": 100}})
-    assert (cfg.link.gain_near_db, cfg.sweep.snr_near_hi_db) == (100.0, 100.0)
+    assert (cfg.region.gain_near_db, cfg.sweep.snr_near_hi_db) == (100.0, 100.0)
 
 
 def test_sizes_at_their_upper_bounds_load():

@@ -59,10 +59,10 @@ WRONG_TYPE = {
 
 BEYOND_DB = st.floats(100.0, 1e300, exclude_min=True) | st.floats(-1e300, -100.0,
                                                                   exclude_max=True)
+OUTSIDE_UNIT = st.floats(-1e300, 0.0) | st.floats(1.0, 1e300)
 # values each key's checks must refuse, the rest of the document default
 OUT_OF_RANGE = {
-    **{key: BEYOND_DB for key in ("link.gain_near_db", "link.gain_far_db",
-                                  "train.snr_train_near_db", "train.snr_train_far_db",
+    **{key: BEYOND_DB for key in ("train.snr_train_near_db", "train.snr_train_far_db",
                                   "region.gain_near_db", "region.gain_far_db")},
     "seed": st.integers(max_value=-1) | st.integers(min_value=2**64, max_value=2**70),
     "schema": st.integers(-5, 5).filter(lambda v: v != 1),
@@ -72,8 +72,6 @@ OUT_OF_RANGE = {
     "quant.bound_d": st.floats(-1e300, 0.0) | st.floats(5.0, 1e300),
     "link.rho_near": st.floats(-1e300, 0.0) | st.floats(0.31, 1e300),
     "link.rho_far": st.floats(-1e300, 0.69) | st.floats(1.0, 1e300),
-    "link.p_max_watts": st.floats(-1e300, 0.0),
-    "link.bandwidth_hz": st.floats(-1e300, 0.0),
     "link.superposition": st.text(max_size=8).filter(lambda v: v not in ("sqrt", "literal")),
     "train.epochs": st.integers(max_value=0) | st.integers(min_value=10**6 + 1),
     "train.batch_size": st.integers(max_value=0) | st.integers(min_value=65),
@@ -97,6 +95,19 @@ OUT_OF_RANGE = {
     "region.text_k_symbols": st.integers(max_value=0) | st.integers(min_value=10**6 + 1),
     "region.image_compression": st.floats(-1e300, 0.0) | st.floats(1.0, 1e300,
                                                                     exclude_min=True),
+    "region.bandwidth_hz": st.floats(-1e300, 1e-6, exclude_max=True)
+    | st.floats(1e12, 1e300, exclude_min=True),
+    "region.p_max_watts": st.floats(-1e300, 1e-12, exclude_max=True)
+    | st.floats(1e12, 1e300, exclude_min=True),
+    **{key: OUTSIDE_UNIT for key in ("region.xi_req_near", "region.xi_req_far")},
+    # the default levels are 0.6..0.84
+    "region.power_level_lo": st.floats(-1e300, 0.0) | st.floats(0.84, 1e300, exclude_min=True),
+    "region.power_level_hi": st.floats(-1e300, 0.6, exclude_max=True) | st.floats(1.0, 1e300),
+    "region.cases": st.one_of(
+        st.fixed_dictionaries({"xi_req_far": OUTSIDE_UNIT}),
+        *(st.fixed_dictionaries({key: st.floats(-1e300, -1e-300)
+                                 | st.floats(1e12, 1e300, exclude_min=True)})
+          for key in ("rate_req_near", "rate_req_far"))).map(lambda case: [case]),
 }
 
 

@@ -55,8 +55,6 @@ def test_scenario_validation():
         LinkScenario(rho_near=0.5, rho_far=0.6)
     with pytest.raises(ValueError):
         LinkScenario(rho_near=0.0, rho_far=1.0)
-    with pytest.raises(ValueError):
-        LinkScenario(bandwidth_hz=0.0)
 
 
 @pytest.mark.parametrize("kwargs, message", [

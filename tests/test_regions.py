@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nomalink.link import LinkScenario
+from nomalink.config import RegionSection, RequirementCase
 from nomalink.regions import (RegionCurve, RegionPoint, RegionQuery,
                               _linspace_rows, _oma_power_total, _oma_rate_at,
                               _oma_search,
@@ -24,13 +24,34 @@ IMAGE = TRUE_IMAGE_CURVE
 
 
 def shipped_query(**overrides) -> RegionQuery:
-    sc = LinkScenario(gain_near_db=20, gain_far_db=16,
-                      bandwidth_hz=12.0, p_max_watts=1.0)
-    base = dict(scenario=sc, near_profile=text_profile(128.0),
+    base = dict(gain_near_db=20, gain_far_db=16, bandwidth_hz=12.0,
+                p_max_watts=1.0, near_profile=text_profile(128.0),
                 far_profile=image_profile(0.33), xi_req_near=0.6,
                 xi_req_far=0.7, grid_points=256, sweep_points=9)
     base.update(overrides)
     return RegionQuery(**base)
+
+
+def test_query_defaults_are_the_config_defaults():
+    q, r = RegionQuery(), RegionSection()
+    for key in ("gain_near_db", "gain_far_db", "bandwidth_hz", "p_max_watts",
+                "xi_req_near", "xi_req_far", "grid_points", "sweep_points"):
+        assert getattr(q, key) == getattr(r, key), key
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("bandwidth_hz", 0.0), ("bandwidth_hz", 5e-324), ("bandwidth_hz", 1e300),
+    ("p_max_watts", -1.0), ("p_max_watts", 1.1e12), ("gain_near_db", 100.5),
+    ("gain_far_db", -1e300), ("xi_req_near", 0.0), ("xi_req_far", 1.0),
+    ("rate_req_near", -1e-9), ("rate_req_far", 1e308), ("grid_points", 7),
+    ("sweep_points", 1),
+])
+def test_query_rejects_out_of_range_settings_naming_them(key, bad):
+    # the config's region section or requirement case shares the check
+    section = RegionSection if hasattr(RegionSection, key) else RequirementCase
+    for cls in (RegionQuery, section):
+        with pytest.raises(ValueError, match=key):
+            cls(**{key: bad})
 
 
 def test_refine_approaches_cliff_from_inside():
@@ -135,7 +156,7 @@ def test_noma_power_matches_dense_oracle():
 def _scalar_noma_power(q, level):
     """The NOMA total power share at the smallest near share that meets the
     near requirements, one level at a time, from the oracle helpers."""
-    w = q.scenario.bandwidth_hz
+    w = q.bandwidth_hz
     tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
     tf = (IMAGE.a1, IMAGE.a2, IMAGE.c1, IMAGE.c2)
     need_n = max(oracles._gamma_needed(*tn, level),
@@ -161,7 +182,7 @@ def test_noma_power_is_the_total_at_the_smallest_near_share():
 
 def _scalar_oma_rate(q, rate_n, w_n):
     """The per-split OMA far rate, one slice at a time, from the oracle helpers."""
-    w = q.scenario.bandwidth_hz
+    w = q.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
     pref_f = rate_prefactor(q.far_profile, w)
     tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
@@ -185,7 +206,7 @@ def _scalar_oma_rate(q, rate_n, w_n):
 
 def _scalar_oma_power(q, level, w_n):
     """The per-split OMA total power share, one slice at a time."""
-    w = q.scenario.bandwidth_hz
+    w = q.bandwidth_hz
     pref_n = rate_prefactor(q.near_profile, w)
     pref_f = rate_prefactor(q.far_profile, w)
     tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
@@ -280,17 +301,17 @@ def _loop_search(fun, rows, grid, maximize):
 
 
 def _loop_oma_rate(q, rates):
-    w_grid = np.linspace(0.0, q.scenario.bandwidth_hz, q.grid_points, endpoint=False)
+    w_grid = np.linspace(0.0, q.bandwidth_hz, q.grid_points, endpoint=False)
     return _loop_search(lambda r, x: _oma_rate_at(q, TEXT, IMAGE, r, x), rates, w_grid, True)
 
 
 def _loop_oma_power(q, levels):
-    w = q.scenario.bandwidth_hz
+    w = q.bandwidth_hz
     w_lo = q.rate_req_near * w / rate_prefactor(q.near_profile, w)
     if w_lo >= w:
         return np.full(len(levels), math.nan)
     grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
-    return q.scenario.p_max_watts * _loop_search(
+    return q.p_max_watts * _loop_search(
         lambda lv, x: _oma_power_total(q, TEXT, IMAGE, lv, x), levels, grid, False)
 
 
@@ -312,9 +333,9 @@ def test_row_batched_oma_curves_equal_the_per_row_loop(gain_near, gain_gap, band
                                                         xi_near, xi_far, rate_near, rate_far,
                                                         grid_points, sweep):
     # xi_far reaches above the far ceiling 0.90, rate_near above a whole band
-    sc = LinkScenario(gain_near_db=gain_near, gain_far_db=gain_near - gain_gap,
-                      bandwidth_hz=bandwidth, p_max_watts=p_max)
-    q = shipped_query(scenario=sc, xi_req_near=xi_near, xi_req_far=xi_far,
+    q = shipped_query(gain_near_db=gain_near, gain_far_db=gain_near - gain_gap,
+                      bandwidth_hz=bandwidth, p_max_watts=p_max,
+                      xi_req_near=xi_near, xi_req_far=xi_far,
                       rate_req_near=rate_near, rate_req_far=rate_far,
                       grid_points=grid_points, sweep_points=sweep)
     rates = np.concatenate([[0.0], default_rate_grid(q, TEXT)])  # with a zero near rate
@@ -394,8 +415,8 @@ def test_unreachable_far_requirement_gives_empty_curves():
     q = shipped_query(xi_req_far=0.95)  # above the far accuracy ceiling 0.90
     assert not noma_rate_region(q, TEXT, IMAGE).feasible
     assert not oma_rate_region(q, TEXT, IMAGE).feasible
-    assert not noma_power_region(q, TEXT, IMAGE).feasible
-    assert not oma_power_region(q, TEXT, IMAGE).feasible
+    assert not noma_power_region(q, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
+    assert not oma_power_region(q, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
 
 
 def test_oma_power_infeasible_when_rate_exceeds_bandwidth():
