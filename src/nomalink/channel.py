@@ -10,7 +10,8 @@ Each transmit call draws fresh noise once, for the last axis of its
 input, and adds that one draw to every row before it.  link.run_link
 stacks the transmit signals of all detectors of a cell and calls it once
 per user, so every detector sees the same noise: one draw per user and
-block, shared by the detectors.
+block, shared by the detectors.  A sweep draws a cell's noise normals
+ahead, from the same stream, and hands them to transmit.
 """
 
 import math
@@ -84,16 +85,24 @@ def realize(spec: ChannelSpec, user: int = 0, block: int = 0) -> ChannelRealizat
     return ChannelRealization(complex(h[0]), complex(h_hat[0]), sigma2, noise)
 
 
-def transmit(x: np.ndarray, real: ChannelRealization) -> np.ndarray:
+def transmit(x: np.ndarray, real: ChannelRealization,
+             normals: np.ndarray | None = None) -> np.ndarray:
     """y = h x + n with n ~ CN(0, sigma2), fresh noise per call.
 
     n has the length of x's last axis and is shared by all of x's rows.
+    Its (re, im) pairs are the realization's next len(n) x 2 standard
+    normals, scaled.  normals, when given, holds exactly those, drawn
+    ahead (link.CellDraws); otherwise they are drawn here.
     """
     # complex128 up front: float32 or complex64 input still gets a complex128
     # result, and the in-place add below does not round the noise to it
     x = np.asarray(x, dtype=complex)
-    n = real._noise_rng.standard_normal((*x.shape[-1:], 2)).view(complex)[..., 0]
-    n *= np.sqrt(real.sigma2 / 2.0)
+    shape = (*x.shape[-1:], 2)
+    if normals is None:
+        normals = real._noise_rng.standard_normal(shape)
+    elif normals.shape != shape or normals.dtype != np.float64:
+        raise ValueError(f"noise normals must be float64 of shape {shape}")
+    n = normals.view(complex)[..., 0] * np.sqrt(real.sigma2 / 2.0)
     y = real.h * x
     y += n
     return y

@@ -21,7 +21,7 @@ from . import rng as _rng
 from .channel import ChannelSpec
 from .config import ConfigError, ExperimentConfig, check_seed, config_hash, load_config
 from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
-                   build_constellations, run_link, sample_features)
+                   build_constellations, open_cell, run_link, sample_features)
 from .modem import (TrainConfig, TrainingDivergedError, count_macs, load_model,
                     modem_macs, save_model, train_modem)
 from .qam import sic_macs_per_symbol
@@ -44,10 +44,14 @@ _MACS_LENGTHS = (1, 16, 64, 256, 1024)
 # Mlp.infer's 20,000 x 32 float64 hidden-layer buffer (4.9 MiB), on the
 # heap (4 MiB still churned); a trim threshold of 16 MiB keeps the heap
 # top a cell frees (10 MiB still churned, 12 MiB did not).  With both the
-# second of two sweeps in one process takes about 10 faults.
+# second of two sweeps in one process takes about 10 faults.  A sweep of
+# more symbols a cell raises both in proportion (_allocator_policy): at
+# 50,000 the buffer is 12.2 MiB, and under 8/16 MiB the second sweep took
+# 5,249 faults.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 8 << 20), (_M_TRIM_THRESHOLD, 16 << 20))
+_MMAP_THRESHOLD_MAX = 32 << 20  # glibc rejects more on 64-bit
 
 
 def _libc_mallopt():
@@ -61,14 +65,35 @@ def _libc_mallopt():
     return fn
 
 
-def _set_allocator_policy():
-    """Set the heap thresholds above.  Without mallopt, or where it
-    rejects a value (it returns 0), the allocator keeps its default: only
-    speed depends on this, no output."""
+def _set_allocator_policy(policy=_ALLOCATOR_POLICY):
+    """Set the heap thresholds of policy, (param, value) pairs.  Without
+    mallopt, or where it rejects a value (it returns 0), the allocator
+    keeps the value it had: only speed depends on this, no output."""
     mallopt = _libc_mallopt()
     if mallopt is not None:
-        for param, value in _ALLOCATOR_POLICY:
+        for param, value in policy:
             mallopt(param, value)
+
+
+def _allocator_policy(largest: int):
+    """The policy for a run whose largest array has this many bytes: an
+    mmap threshold of 1.5 times it, capped at glibc's 64-bit maximum of
+    32 MiB, and a trim threshold of twice that, neither below
+    _ALLOCATOR_POLICY.  Up to about 21,800 symbols a sweep cell, the
+    default 20,000 among them, that is _ALLOCATOR_POLICY itself."""
+    (mmap_param, mmap_floor), (trim_param, trim_floor) = _ALLOCATOR_POLICY
+    mmap = min(max(mmap_floor, largest * 3 // 2), _MMAP_THRESHOLD_MAX)
+    return (mmap_param, mmap), (trim_param, max(trim_floor, 2 * mmap))
+
+
+def _raise_allocator_policy(n: int, widths):
+    """Raise the policy for a sweep of n symbols a cell whose demodulators
+    have these layer widths, when its largest array outgrows main's: n
+    rows of the widest layer (Mlp.infer's buffer), and at least the
+    cell's (2, n, 2) noise normals, in float64."""
+    policy = _allocator_policy(n * 8 * max([4, *widths]))
+    if policy != _ALLOCATOR_POLICY:
+        _set_allocator_policy(policy)
 
 
 def _fmt(v) -> str:
@@ -115,14 +140,25 @@ def cmd_train_modem(cfg: ExperimentConfig, seed: int, out_dir: str) -> int:
 def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
               models_dir: str | None, grid_step_db: float | None,
               delta: float | None) -> int:
+    # imported here, not with the module: it would add about 6.6 ms to every
+    # command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     # the overrides face the config's own checks
     sweep = dataclasses.replace(
         cfg.sweep,
         grid_step_db=cfg.sweep.grid_step_db if grid_step_db is None else grid_step_db,
         estimation_error_delta=cfg.sweep.estimation_error_delta if delta is None else delta)
     detectors = {"both": (DETECTOR_NEURAL, DETECTOR_SIC)}.get(detector, (detector,))
+    neural = DETECTOR_NEURAL in detectors
+    n = sweep.n_symbols
+    # before the model files are read: at main's lower trim threshold the
+    # frees of reading them gave back the heap top a previous sweep in the
+    # process left, and a second sweep of 50,000 symbols faulted in 3,200
+    # pages again
+    _raise_allocator_policy(n, cfg.train.hidden if neural else ())
     models = None
-    if DETECTOR_NEURAL in detectors:
+    if neural:
         where = models_dir or out_dir
         near_path = os.path.join(where, "modem_near.json")
         far_path = os.path.join(where, "modem_far.json")
@@ -131,6 +167,8 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
                 f"neural detection needs trained models; not found in {where} "
                 "(run train-modem first or pass --models)")
         models = (load_model(near_path), load_model(far_path))
+        # models trained with wider layers than this config's
+        _raise_allocator_policy(n, [w for m in models for w in m.demod.widths[1:]])
 
     step, dlt = sweep.grid_step_db, sweep.estimation_error_delta
     near_grid = np.arange(sweep.snr_near_lo_db, sweep.snr_near_hi_db + step / 2.0, step)
@@ -140,23 +178,36 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
         m_near=cfg.quant.bits_near, m_far=cfg.quant.bits_far,
         bound_s=cfg.quant.bound_s, bound_d=cfg.quant.bound_d,
         superposition=cfg.link.superposition)
-    books = build_constellations(base)  # the cells differ only in their gains
-    n = sweep.n_symbols
+    books = build_constellations(base, models)  # the cells differ only in their gains
+    # block k is cell (i, j) = divmod(k, len(far_grid))
+    cells = [dataclasses.replace(base, gain_near_db=float(snr_n), gain_far_db=float(snr_f))
+             for snr_n in near_grid for snr_f in far_grid]
+    # two buffer sets, used in turn: a helper thread draws the next cell's
+    # normals into one while this thread detects the current cell from the
+    # other.  The streams and channel realizations are made here, since
+    # perfbench traces stream_rng and realize on one span stack; the helper
+    # only draws from them (CellDraws.fill).  Every cell's
+    # streams are its own, so the order of the draws cannot change a value.
+    buffers = [(np.empty((2, n, 2)), np.empty((2, n))) for _ in range(2)]
+
+    def opened(block):
+        return open_cell(cells[block], n, sweep.kind, dlt, seed, block, features=True,
+                         out=buffers[block % 2])
 
     rows = []
-    for i, snr_n in enumerate(near_grid):
-        for j, snr_f in enumerate(far_grid):
-            block = i * len(far_grid) + j
-            sc = dataclasses.replace(base, gain_near_db=float(snr_n),
-                                     gain_far_db=float(snr_f))
-            vec_n = sample_features(n, sc.bound_s, sc.bound_d, seed,
-                                    _rng.USER_NEAR, block)
-            vec_f = sample_features(n, sc.bound_s, sc.bound_d, seed,
-                                    _rng.USER_FAR, block)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(opened(0).fill)
+        for block, sc in enumerate(cells):
+            draws = ahead.result()  # re-raises what fill raised
+            if block + 1 < len(cells):
+                ahead = helper.submit(opened(block + 1).fill)
+            vec_n, vec_f = (sample_features(n, sc.bound_s, sc.bound_d, seed, user, block,
+                                            z=draws.source[user])
+                            for user in (_rng.USER_NEAR, _rng.USER_FAR))
             reports = run_link(sc, vec_n, vec_f, models=models, detectors=detectors,
                                kind=sweep.kind, delta=dlt, seed=seed, block=block,
-                               constellations=books)
-            rows.extend((rep.detector, sweep.kind, dlt, float(snr_n), float(snr_f),
+                               constellations=books, draws=draws)
+            rows.extend((rep.detector, sweep.kind, dlt, sc.gain_near_db, sc.gain_far_db,
                          rep.mse_near, rep.mse_far, rep.ser_near, rep.ser_far)
                         for rep in reports)
     _write_csv(os.path.join(out_dir, "sweep.csv"), cfg, seed,

@@ -17,7 +17,12 @@ parameters are updated only with the gradient of the near loss and the
 far network's only with the far loss.  The models hold parameters
 only: pair_forward's cache carries the demodulator activations to
 pair_backward, which returns every gradient for the loop to apply.
-Each epoch draws each user's channel coefficients and noise at once.
+Both demodulators have the same hidden widths, so training holds their
+hidden layers on a leading axis of 2 (stack_hidden) and runs one
+forward, backward and SGD step of that stack per batch, bit for bit
+what two runs of it would compute; each user's output layer and
+modulator stay its own.  Each epoch draws each user's channel
+coefficients and noise at once.
 
 Losses are squared Euclidean distances between true and estimated
 dequantized features.  The gradient step normalizes each squared-error
@@ -207,15 +212,15 @@ def count_macs(model: ModemModel) -> int:
 # ---------------------------------------------------------------------------
 # training
 
-def _live_norm(model: ModemModel, v: np.ndarray):
-    """Forward through modulator + live power normalizer, keeping the
-    intermediates needed for backprop."""
+def _live_norm(model: ModemModel, v: np.ndarray, norm: np.ndarray):
+    """Forward through modulator + live power normalizer into norm, a
+    (B, 2) array; returns the intermediates needed for backprop."""
     raw = v[:, None] * model.mod_w + model.mod_b            # (B, 2)
     cpts = model.quantizer.constellation_deq
     raw_c = cpts[:, None] * model.mod_w + model.mod_b        # (M, 2)
-    pbar = float((raw_c**2).sum(axis=1).mean())
-    norm = raw / math.sqrt(pbar)
-    return norm, (v, raw, raw_c, pbar, norm)
+    pbar = float((raw_c**2).sum(axis=1).sum() / len(cpts))  # the mean, as .mean() sums
+    np.divide(raw, math.sqrt(pbar), out=norm)
+    return v, raw, raw_c, pbar, norm
 
 
 def _live_norm_backward(model: ModemModel, g_norm: np.ndarray, cache):
@@ -247,35 +252,67 @@ class PairLosses:
     far_scaled: float
 
 
-def pair_forward(near: ModemModel, far: ModemModel, vn, vf, amp_n, amp_f,
-                 chan_n, chan_f):
+def stack_hidden(near: ModemModel, far: ModemModel) -> Mlp | None:
+    """Both demodulators' hidden layers as one Mlp on a leading axis of 2
+    (near, far), or None when they have none.
+
+    Their widths must be equal.  Each model's hidden W and b become views
+    of the stack, so one sgd_step on it trains both, and the models hold
+    the trained weights when training ends.
+    """
+    widths = near.demod.widths[:-1]
+    if far.demod.widths[:-1] != widths:
+        raise ValueError("near and far demodulators differ in their hidden widths")
+    if len(widths) == 1:
+        return None
+    hidden = Mlp(widths)
+    hidden.W = [np.stack(pair) for pair in zip(near.demod.W[:-1], far.demod.W[:-1])]
+    hidden.b = [np.stack(pair)[:, None] for pair in zip(near.demod.b[:-1], far.demod.b[:-1])]
+    for k, model in enumerate((near, far)):
+        model.demod.W[:-1] = [W[k] for W in hidden.W]
+        model.demod.b[:-1] = [b[k, 0] for b in hidden.b]
+    return hidden
+
+
+def pair_forward(hidden: Mlp | None, near: ModemModel, far: ModemModel, vn, vf,
+                 amp_n, amp_f, chan_n, chan_f):
     """Both users' losses for one batch with fixed channel draws.
 
-    chan_* is a (h, h_hat, noise_array) triple for that user's receiver.
-    Returns (PairLosses, cache); the cache holds what pair_backward needs,
-    the demodulators' activations among it.
+    hidden is stack_hidden(near, far).  chan_* is a (h, h_hat,
+    noise_array) triple for that user's receiver.  Returns (PairLosses,
+    cache); the cache holds what pair_backward needs, the demodulators'
+    activations among it.
     """
-    norm_n, cache_n = _live_norm(near, vn)
-    norm_f, cache_f = _live_norm(far, vf)
-    s_n = norm_n[:, 0] + 1j * norm_n[:, 1]
-    s_f = norm_f[:, 0] + 1j * norm_f[:, 1]
-    x = amp_n * s_n + amp_f * s_f
-
-    outs, acts, factors = [], [], []
-    for model, (h, h_hat, noise) in ((near, chan_n), (far, chan_f)):
-        eq = (h * x + noise) / h_hat
-        out, a = model.demod.forward(eq.view(np.float64).reshape(-1, 2))
-        outs.append(out)
-        acts.append(a)
-        factors.append(h / h_hat)
-    out_n, out_f = outs
-
     b = len(vn)
+    norms = np.empty((2, b, 2))  # both users' normalized (re, im) symbols
+    cache_n = _live_norm(near, vn, norms[0])
+    cache_f = _live_norm(far, vf, norms[1])
+    s = norms[..., 0] + 1j * norms[..., 1]
+    x = amp_n * s[0] + amp_f * s[1]
+
+    eq = np.empty((2, b), dtype=complex)  # both receivers' equalized samples
+    factors = []
+    for row, (h, h_hat, noise) in zip(eq, (chan_n, chan_f)):
+        np.divide(h * x + noise, h_hat, out=row)
+        factors.append(h / h_hat)
+    # (re, im) pairs as a view; the hidden layers of both users in one pass,
+    # then each user's own output layer on the last hidden activations
+    inp = eq.view(np.float64).reshape(2, b, 2)
+    if hidden is None:
+        top, acts = inp, None
+    else:
+        top, acts = hidden.forward(inp)
+        np.fmax(top, 0.0, out=top)  # the ReLU after the last hidden layer
+    out_n = top[0] @ near.demod.W[-1] + near.demod.b[-1]
+    out_f = top[1] @ far.demod.W[-1] + far.demod.b[-1]
+
     tgt_n = np.empty((b, 2))
     tgt_n[:, 0] = vn
     tgt_n[:, 1] = vf
-    sq_n = ((out_n - tgt_n) ** 2).sum(axis=0) / b          # per-target terms
-    sq_f = float(((out_f[:, 0] - vf) ** 2).sum() / b)
+    err_n = out_n - tgt_n
+    err_f = out_f[:, 0] - vf
+    sq_n = (err_n ** 2).sum(axis=0) / b          # per-target terms
+    sq_f = float((err_f ** 2).sum() / b)
     var_n = near.quantizer.variance
     var_f = far.quantizer.variance
     losses = PairLosses(
@@ -284,33 +321,44 @@ def pair_forward(near: ModemModel, far: ModemModel, vn, vf, amp_n, amp_f,
         near_scaled=float(sq_n[0] / var_n + sq_n[1] / var_f),
         far_scaled=sq_f / var_f,
     )
-    cache = (cache_n, cache_f, out_n, out_f, tgt_n, acts, factors, amp_n, amp_f, b,
+    cache = (cache_n, cache_f, err_n, err_f, top, acts, factors, amp_n, amp_f, b,
              var_n, var_f)
     return losses, cache
 
 
-def pair_backward(near: ModemModel, far: ModemModel, vf, cache):
-    """Per-user gradients of each user's own scaled loss.
+def pair_backward(hidden: Mlp | None, near: ModemModel, far: ModemModel, cache):
+    """Each user's gradients of its own scaled loss.
 
-    Returns ((gw_n, gb_n, demod_n), (gw_f, gb_f, demod_f)): the modulator
-    weight and bias gradients, then the demodulator's (gW, gb) lists.
+    Returns (g_hidden, (gw_n, gb_n, out_n), (gw_f, gb_f, out_f)):
+    the stacked hidden layers' (gW, gb) lists (None without hidden
+    layers), then per user the modulator weight and bias gradients and
+    the (gW, gb) of its demodulator's output layer.
     """
-    cache_n, cache_f, out_n, out_f, tgt_n, acts, factors, amp_n, amp_f, b, var_n, var_f = cache
+    (cache_n, cache_f, err_n, err_f, top, acts, factors, amp_n, amp_f, b,
+     var_n, var_f) = cache
 
-    g_out_n = 2.0 * (out_n - tgt_n) / b
-    g_out_n[:, 0] /= var_n
-    g_out_n[:, 1] /= var_f
-    g_out_f = np.zeros_like(out_f)
-    g_out_f[:, 0] = 2.0 * (out_f[:, 0] - vf) / (b * var_f)
+    g_out_n = 2.0 * err_n / b
+    g_out_n /= (var_n, var_f)
+    g_out_f = 2.0 * err_f[:, None] / (b * var_f)
 
-    grads = []
-    for model, g_out, a, factor, amp, mod_cache in zip(
-            (near, far), (g_out_n, g_out_f), acts, factors, (amp_n, amp_f), (cache_n, cache_f)):
-        g_demod, g_in = model.demod.backward(a, g_out)
-        g_eq = g_in[:, 0] + 1j * g_in[:, 1]
-        g_s = amp * (np.conj(factor) * g_eq)
+    g_top = np.empty_like(top)
+    g_outs = []
+    for model, g_out, t, g_t in zip((near, far), (g_out_n, g_out_f), top, g_top):
+        g_outs.append((t.T @ g_out, g_out.sum(axis=0)))
+        np.matmul(g_out, model.demod.W[-1].T, out=g_t)
+    if hidden is None:
+        g_hidden, g_in = None, g_top
+    else:
+        g_top *= top > 0
+        g_hidden, g_in = hidden.backward(acts, g_top)
+    g_eq = g_in[..., 0] + 1j * g_in[..., 1]
+
+    grads = [g_hidden]
+    for model, g, factor, amp, mod_cache, g_out in zip(
+            (near, far), g_eq, factors, (amp_n, amp_f), (cache_n, cache_f), g_outs):
+        g_s = amp * (factor.conjugate() * g)
         gw, gb = _live_norm_backward(model, g_s.view(np.float64).reshape(-1, 2), mod_cache)
-        grads.append((gw, gb, g_demod))
+        grads.append((gw, gb, g_out))
     return tuple(grads)
 
 
@@ -351,6 +399,7 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
     rng_f = _rng.stream_rng(cfg.seed, _rng.USER_FAR, _rng.WEIGHT_INIT)
     near = _init_model(ROLE_NEAR, 2, cfg.hidden, q_near, rng_n)
     far = _init_model(ROLE_FAR, 1, cfg.hidden, q_far, rng_f)
+    hidden = stack_hidden(near, far)
 
     data_rng = _rng.stream_rng(cfg.seed, 0, _rng.TRAIN_DATA)
     vn_all = data_rng.choice(q_near.constellation_deq, size=cfg.dataset_size)
@@ -367,7 +416,9 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
     trace = np.zeros((cfg.epochs, 2))
 
     for epoch in range(cfg.epochs):
-        perm = data_rng.permutation(cfg.dataset_size)
+        perm = data_rng.permutation(cfg.dataset_size)[:batches * cfg.batch_size]
+        vn_ep = vn_all[perm].reshape(batches, cfg.batch_size)
+        vf_ep = vf_all[perm].reshape(batches, cfg.batch_size)
         # equal to per-batch draws bit for bit: a Philox stream yields the same
         # sequence however it is split.  A batch's fading and error pairs
         # both come from the user's one training stream, in that order.
@@ -377,24 +428,25 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
                 channel, lambda p: fade_rng[u].standard_normal((batches, len(p), 2)), batches)
             noise = noise_rng[u].standard_normal((batches, cfg.batch_size, 2)).view(complex)[..., 0]
             noise *= math.sqrt(sigma2[u] / 2.0)
-            draws.append((h, h_hat, noise))
-        ep_loss = np.zeros(2)
-        for bi in range(batches):
-            sel = perm[bi * cfg.batch_size:(bi + 1) * cfg.batch_size]
-            vn, vf = vn_all[sel], vf_all[sel]
             # Python complex scalars: numpy's h / h_hat rounds differently
-            chans = [(complex(h[bi]), complex(h_hat[bi]), noise[bi])
-                     for h, h_hat, noise in draws]
-            losses, cache = pair_forward(near, far, vn, vf, amp_n, amp_f, *chans)
+            draws.append((h.tolist(), h_hat.tolist(), noise))
+        loss_n = loss_f = 0.0
+        for bi, (vn, vf) in enumerate(zip(vn_ep, vf_ep)):
+            chans = [(h[bi], h_hat[bi], noise[bi]) for h, h_hat, noise in draws]
+            losses, cache = pair_forward(hidden, near, far, vn, vf, amp_n, amp_f, *chans)
             if not (math.isfinite(losses.near) and math.isfinite(losses.far)):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            for model, (gw, gb, g_demod) in zip((near, far),
-                                                pair_backward(near, far, vf, cache)):
+            g_hidden, *g_users = pair_backward(hidden, near, far, cache)
+            if hidden is not None:
+                hidden.sgd_step(g_hidden, lr)
+            for model, (gw, gb, (gW, gb_out)) in zip((near, far), g_users):
                 model.mod_w -= lr * gw
                 model.mod_b -= lr * gb
-                model.demod.sgd_step(g_demod, lr)
-            ep_loss += (losses.near, losses.far)
-        trace[epoch] = ep_loss / batches
+                model.demod.W[-1] -= lr * gW
+                model.demod.b[-1] -= lr * gb_out
+            loss_n += losses.near
+            loss_f += losses.far
+        trace[epoch] = (loss_n / batches, loss_f / batches)
 
     near.mean_power = mean_symbol_power(near)
     far.mean_power = mean_symbol_power(far)

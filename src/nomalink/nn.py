@@ -6,6 +6,14 @@ and nothing else: the forward pass returns the layer inputs it saw, the
 backward pass takes them back and returns fresh gradients, and the SGD
 step applies gradients handed to it, so no call leaves state behind.
 
+forward, backward and sgd_step also run K networks of equal widths at
+once, stacked on a leading axis: W[i] of shape (K, n_in, n_out), b[i] of
+shape (K, 1, n_out) and inputs of shape (K, rows, n_in).  np.matmul then
+runs one product per slice, which with numpy 2.4.6 and OpenBLAS 0.3.31
+equals the 2-D product bit for bit, and every other step is elementwise
+or a sum over the rows of one slice, so each slice of a stacked call
+equals the call on that network alone.
+
 Inference (`Mlp.infer`) is a separate pass that keeps no activations: it
 runs the hidden layers over row blocks of INFER_BLOCK_ROWS rows and the
 output layer once over the whole batch.  It allocates its working memory
@@ -62,13 +70,16 @@ class Mlp:
 
     def forward(self, x: np.ndarray):
         """(output, acts): acts[i] is the input of layer i, which backward
-        needs.  ReLU sends NaN to 0."""
+        needs.  ReLU is np.fmax against 0, in place, which sends NaN to 0."""
         acts = [x]
         for W, b in zip(self.W[:-1], self.b[:-1]):
-            z = x @ W + b
-            x = np.where(z > 0, z, 0.0)
+            x = x @ W
+            x += b
+            np.fmax(x, 0.0, out=x)
             acts.append(x)
-        return x @ self.W[-1] + self.b[-1], acts
+        out = x @ self.W[-1]
+        out += self.b[-1]
+        return out, acts
 
     def backward(self, acts, gout: np.ndarray):
         """((gW, gb), g_in): per-layer gradients of the loss whose gradient
@@ -79,9 +90,9 @@ class Mlp:
         for i in reversed(range(n)):
             if i < n - 1:
                 gout = gout * (acts[i + 1] > 0)
-            gW[i] = acts[i].T @ gout
-            gb[i] = gout.sum(axis=0)
-            gout = gout @ self.W[i].T
+            gW[i] = acts[i].swapaxes(-1, -2) @ gout
+            gb[i] = gout.sum(axis=-2, keepdims=gout.ndim > 2)
+            gout = gout @ self.W[i].swapaxes(-1, -2)
         return (gW, gb), gout
 
     def sgd_step(self, grads, lr: float):
@@ -102,8 +113,8 @@ class Mlp:
         add rounds exactly as the broadcast one in forward.  A trailing
         partial block joins the one before it, so no block is shorter than
         INFER_BLOCK_ROWS unless it is the whole batch (numpy sends a 1-row
-        product down another path).  ReLU is np.fmax, which sends NaN to 0
-        like forward.
+        product down another path).  ReLU is np.fmax against 0, which
+        sends NaN to 0, as in forward.
         """
         if len(self.W) == 1:
             out = x @ self.W[0]
@@ -121,12 +132,15 @@ class Mlp:
         h_all = np.empty((n, self.widths[-2]))
         tiles = [np.tile(b, (rows, 1)) for b in self.b[:-1]]
         bufs = [np.empty((rows, w)) for w in self.widths[1:-2]]
+        # ReLU against a zeros block: fmax of two arrays runs faster than
+        # against the scalar 0.0, with the same result
+        zeros = np.zeros(rows * max(self.widths[1:-1]))
         for lo, hi in blocks:
             h = x[lo:hi]
             for W, tile, buf in zip(self.W[:-1], tiles, [*bufs, h_all[lo:hi]]):
                 h = np.matmul(h, W, out=buf[:hi - lo])
                 h += tile[:hi - lo]
-                np.fmax(h, 0.0, out=h)
+                np.fmax(h, zeros[:h.size].reshape(h.shape), out=h)
         out = h_all @ self.W[-1]
         out += self.b[-1]
         return out

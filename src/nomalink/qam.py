@@ -215,14 +215,17 @@ def _slice(x: np.ndarray, lev: np.ndarray, step: float, far: float):
         return np.zeros(x.shape, dtype=np.intp), ~((x >= lev[0] - far) & (x <= lev[0] + far))
     # clamped first, so NaN and huge values neither warn nor overflow; a
     # clamped row lies farther than far
-    t = np.fmin(np.fmax(x, lev[0] - far - step), lev[-1] + far + step)
+    t = np.fmax(x, lev[0] - far - step)
+    np.fmin(t, lev[-1] + far + step, out=t)
     t -= lev[0]
     t /= step
-    k = np.clip(np.rint(t), 0, len(lev) - 1)
+    k = np.rint(t)
+    np.clip(k, 0, len(lev) - 1, out=k)
     t -= k
     r = np.abs(t, out=t)
     r -= 0.5  # signed distance, in steps, from the nearest level's midpoint
-    doubt = (np.abs(r) < _SLICE_MARGIN) | (r > far / step - 0.5)
+    doubt = np.abs(r) < _SLICE_MARGIN
+    doubt |= r > far / step - 0.5
     return k.astype(np.intp), doubt
 
 
@@ -273,10 +276,13 @@ def detect_far(y, qmap_far: QamMap, rho_near: float, rho_far: float,
     """First SIC stage: far indices, treating the near signal as noise.
 
     This is all the far receiver needs; sic_detect continues from it.
+    y is rescaled by multiplying with 1 / a_far: numpy's complex / real
+    division multiplies by the same reciprocal, so the values are those
+    of y / a_far (up to the sign of a zero part, which slicing ignores).
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     _, a_f = amplitudes(rho_near, rho_far, convention)
-    return nearest_point(y / a_f, qmap_far.grid)
+    return nearest_point(y * (1.0 / a_f), qmap_far.grid)
 
 
 def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap,
@@ -285,13 +291,15 @@ def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap,
 
     y is the equalized receive signal a_n s_n + a_f s_f plus noise, with
     the amplitudes of the superposition convention (sqrt(rho) by default).
-    Returns (near_indices, far_indices).
+    The far signal is removed by gathering from the far map's points
+    scaled once by a_f.  Returns (near_indices, far_indices).
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     a_n, a_f = amplitudes(rho_near, rho_far, convention)
     idx_far = detect_far(y, qmap_far, rho_near, rho_far, convention)
-    residual = y - a_f * qmap_far.points[idx_far]
-    idx_near = nearest_point(residual / a_n, qmap_near.grid)
+    residual = y - (a_f * qmap_far.points)[idx_far]
+    residual *= 1.0 / a_n
+    idx_near = nearest_point(residual, qmap_near.grid)
     return idx_near, idx_far
 
 

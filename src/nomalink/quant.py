@@ -28,6 +28,19 @@ class QuantRangeError(ValueError):
     """Input value outside the quantizer's analog range."""
 
 
+def _outside_range(vals: np.ndarray, bound_s: float, bound_d: float) -> bool:
+    """np.any(np.abs(vals - bound_d) > bound_s + EPS_RANGE), decided from
+    the extremes in two passes instead of four: rounding vals - bound_d
+    is monotonic in vals, so the extreme values give the extreme
+    differences.  fmax/fmin skip NaN, which the elementwise test never
+    flags either."""
+    if vals.size == 0:
+        return False
+    lim = bound_s + EPS_RANGE
+    return bool(np.fmax.reduce(vals, axis=None) - bound_d > lim
+                or bound_d - np.fmin.reduce(vals, axis=None) > lim)
+
+
 def round_half_away(x):
     """Round to nearest integer, ties away from zero (numpy rounds ties to even)."""
     x = np.asarray(x)
@@ -52,7 +65,7 @@ class FeatureVector:
             raise ValueError("FeatureVector must hold at least one value")
         if not (0 < self.bound_d < self.bound_s):
             raise ValueError("bounds must satisfy 0 < d < s")
-        if np.any(np.abs(vals - self.bound_d) > self.bound_s + EPS_RANGE):
+        if _outside_range(vals, self.bound_s, self.bound_d):
             raise ValueError("feature value outside [-s + d, s + d]")
 
     def __len__(self):
@@ -126,7 +139,7 @@ def quantize(v, q: QuantizerParams) -> np.ndarray:
     more than EPS_RANGE.
     """
     vals = _as_values(v)
-    if np.any(np.abs(vals - q.bound_d) > q.bound_s + EPS_RANGE):
+    if _outside_range(vals, q.bound_s, q.bound_d):
         bad = vals[np.abs(vals - q.bound_d) > q.bound_s + EPS_RANGE]
         raise QuantRangeError(f"value {bad.flat[0]!r} outside [-s + d, s + d]")
     raw = round_half_away(vals * q.scale_fs) - q.zero_pz

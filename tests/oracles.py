@@ -3,7 +3,9 @@
 Everything here is deliberately written from first principles (integer
 and Fraction arithmetic, plain python loops) and shares no code with
 the production modules beyond domain dataclasses, so agreement between
-the two is evidence rather than tautology.
+the two is evidence rather than tautology.  The one exception is
+inline_sweep_rows at the end, a reference path for the sweep's loop
+alone (see there).
 """
 
 import math
@@ -264,3 +266,168 @@ def dense_oma_power(model_n, model_f, g_n, g_f, w, pref_n, pref_f, xi_req_far,
                 best = tot
         out.append(best)
     return np.array(out)
+
+
+# ---- reference paths: serial training and sweep ------------------------------
+
+# key layout and purpose codes of the package's Philox streams
+_WEIGHT_INIT, _TRAIN_DATA, _TRAIN_NOISE, _TRAIN_FADING = 4, 5, 7, 8
+
+
+def _philox(seed: int, user: int, purpose: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=(seed << 64) + (user << 40)
+                                                + (purpose << 32)))
+
+
+def _init_user(seed: int, user: int, widths):
+    """Modulator weight and bias, then each dense layer's W and b, all
+    uniform, drawn in that order from the user's weight stream."""
+    g = _philox(seed, user, _WEIGHT_INIT)
+    params = {"mod_w": g.uniform(-1.0, 1.0, size=2), "mod_b": g.uniform(-1.0, 1.0, size=2),
+              "W": [], "b": []}
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        bound = 1.0 / np.sqrt(n_in)
+        params["W"].append(g.uniform(-bound, bound, size=(n_in, n_out)))
+        params["b"].append(g.uniform(-bound, bound, size=n_out))
+    return params
+
+
+def _channel_draws(g, kind: str, delta: float, batches: int):
+    """Per batch, the (h, h_hat) Python complex pair: the fading's (re, im)
+    normals on Rayleigh, then the CSI error's when delta > 0, from one
+    stream."""
+    count = (kind == "rayleigh") + (delta > 0)
+    z = g.standard_normal((batches, count, 2)) if count else None
+    pairs = []
+    for k in range(batches):
+        h = complex(*(z[k, 0] / math.sqrt(2.0))) if kind == "rayleigh" else 1 + 0j
+        h_hat = h + complex(*(delta * z[k, -1] / math.sqrt(2.0))) if delta > 0 else h
+        pairs.append((h, h_hat))
+    return pairs
+
+
+def per_user_training(cfg, q_near, q_far, kind: str = "awgn", delta: float = 0.0):
+    """The alternating SGD of modem.train_modem with each user's network
+    run on its own, by 2-D products.
+
+    Per batch: both users' modulators under their live power normalizer,
+    one superimposed transmission, then per user its channel, a forward
+    pass of its demodulator, the backward pass of its own scaled loss and
+    an SGD step of every weight it owns.  cfg is a modem.TrainConfig.
+    Returns ((near, far), trace): each user's dict of mod_w, mod_b and
+    the W and b lists, and the per-epoch mean (near, far) losses.
+    """
+    users = [_init_user(cfg.seed, u, [2, *cfg.hidden, out]) for u, out in ((0, 2), (1, 1))]
+    data = _philox(cfg.seed, 0, _TRAIN_DATA)
+    v_all = [data.choice(q.constellation_deq, size=cfg.dataset_size) for q in (q_near, q_far)]
+    noise_g = [_philox(cfg.seed, u, _TRAIN_NOISE) for u in (0, 1)]
+    fade_g = [_philox(cfg.seed, u, _TRAIN_FADING) for u in (0, 1)]
+    sigma2 = [10.0 ** (-cfg.snr_train_near_db / 10.0), 10.0 ** (-cfg.snr_train_far_db / 10.0)]
+    amps = ((math.sqrt(cfg.rho_near), math.sqrt(cfg.rho_far)) if cfg.superposition == "sqrt"
+            else (cfg.rho_near, cfg.rho_far))
+    var = (q_near.variance, q_far.variance)
+    size, batches = cfg.batch_size, cfg.dataset_size // cfg.batch_size
+    lr = cfg.learning_rate
+    trace = np.zeros((cfg.epochs, 2))
+    for epoch in range(cfg.epochs):
+        perm = data.permutation(cfg.dataset_size)
+        chans, noises = [], []
+        for u in (0, 1):
+            chans.append(_channel_draws(fade_g[u], kind, delta, batches))
+            noise = noise_g[u].standard_normal((batches, size, 2)).view(complex)[..., 0]
+            noise *= math.sqrt(sigma2[u] / 2.0)
+            noises.append(noise)
+        ep_loss = np.zeros(2)
+        for bi in range(batches):
+            sel = perm[bi * size:(bi + 1) * size]
+            v = [v_all[0][sel], v_all[1][sel]]
+            mods, s = [], []
+            for p, q, vu in zip(users, (q_near, q_far), v):
+                raw = vu[:, None] * p["mod_w"] + p["mod_b"]
+                raw_c = q.constellation_deq[:, None] * p["mod_w"] + p["mod_b"]
+                pbar = float((raw_c ** 2).sum(axis=1).mean())
+                norm = raw / math.sqrt(pbar)
+                mods.append((raw_c, pbar, norm))
+                s.append(norm[:, 0] + 1j * norm[:, 1])
+            x = amps[0] * s[0] + amps[1] * s[1]
+            # near targets both features, far only its own
+            targets = [np.stack(v, axis=1), v[1][:, None]]
+            losses = []
+            for u, p in enumerate(users):
+                h, h_hat = chans[u][bi]
+                eq = (h * x + noises[u][bi]) / h_hat
+                acts = [eq.view(np.float64).reshape(-1, 2)]
+                for W, b in zip(p["W"][:-1], p["b"][:-1]):
+                    z = acts[-1] @ W + b
+                    acts.append(np.where(z > 0, z, 0.0))
+                out = acts[-1] @ p["W"][-1] + p["b"][-1]
+                err = out - targets[u]
+                losses.append(float(((err ** 2).sum(axis=0) / size).sum()))
+                # each term scaled by the variance of its feature's constellation
+                if u == 0:
+                    g = 2.0 * err / size
+                    g /= np.array(var)
+                else:
+                    g = 2.0 * err / (size * var[1])
+                gW, gb = [], []
+                for i in reversed(range(len(p["W"]))):
+                    if i < len(p["W"]) - 1:
+                        g = g * (acts[i + 1] > 0)
+                    gW.insert(0, acts[i].T @ g)
+                    gb.insert(0, g.sum(axis=0))
+                    g = g @ p["W"][i].T
+                # back through the channel and the superposition to this
+                # user's own normalized symbols, then its normalizer
+                g_s = amps[u] * (np.conj(h / h_hat) * (g[:, 0] + 1j * g[:, 1]))
+                g_norm = g_s.view(np.float64).reshape(-1, 2)
+                raw_c, pbar, norm = mods[u]
+                cpts = (q_near, q_far)[u].constellation_deq
+                g_raw = g_norm / math.sqrt(pbar)
+                g_pbar = -float((g_norm * norm).sum()) / (2.0 * pbar)
+                dp_dw = (2.0 / len(cpts)) * (raw_c * cpts[:, None]).sum(axis=0)
+                dp_db = (2.0 / len(cpts)) * raw_c.sum(axis=0)
+                p["mod_w"] -= lr * ((g_raw * v[u][:, None]).sum(axis=0) + g_pbar * dp_dw)
+                p["mod_b"] -= lr * (g_raw.sum(axis=0) + g_pbar * dp_db)
+                for W, b, gW_i, gb_i in zip(p["W"], p["b"], gW, gb):
+                    W -= lr * gW_i
+                    b -= lr * gb_i
+            ep_loss += losses
+        trace[epoch] = ep_loss / batches
+    return tuple(users), trace
+
+
+def inline_sweep_rows(cfg, seed: int, detectors, models=None):
+    """The data rows of sweep.csv for cfg, by the serial loop: cell after
+    cell, each cell's sample_features and run_link drawing their own
+    normals inline, with no constellations or draws handed in.
+
+    This calls the package's per-cell functions on purpose: it is the
+    reference for the sweep's loop (draws made ahead on a helper thread,
+    buffers reused, constellations built once), not for the cell.
+    """
+    import dataclasses
+
+    from nomalink.link import LinkScenario, run_link, sample_features
+
+    sw = cfg.sweep
+    step = sw.grid_step_db
+    base = LinkScenario(rho_near=cfg.link.rho_near, rho_far=cfg.link.rho_far,
+                        m_near=cfg.quant.bits_near, m_far=cfg.quant.bits_far,
+                        bound_s=cfg.quant.bound_s, bound_d=cfg.quant.bound_d,
+                        superposition=cfg.link.superposition)
+    near_grid = np.arange(sw.snr_near_lo_db, sw.snr_near_hi_db + step / 2.0, step)
+    far_grid = np.arange(sw.snr_far_lo_db, sw.snr_far_hi_db + step / 2.0, step)
+    rows = []
+    for i, snr_n in enumerate(near_grid):
+        for j, snr_f in enumerate(far_grid):
+            block = i * len(far_grid) + j
+            sc = dataclasses.replace(base, gain_near_db=float(snr_n), gain_far_db=float(snr_f))
+            vecs = [sample_features(sw.n_symbols, sc.bound_s, sc.bound_d, seed, user, block)
+                    for user in (0, 1)]
+            for rep in run_link(sc, *vecs, models=models, detectors=tuple(detectors),
+                                kind=sw.kind, delta=sw.estimation_error_delta, seed=seed,
+                                block=block):
+                rows.append((rep.detector, sw.kind, sw.estimation_error_delta, float(snr_n),
+                             float(snr_f), rep.mse_near, rep.mse_far, rep.ser_near,
+                             rep.ser_far))
+    return rows

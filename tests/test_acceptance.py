@@ -102,7 +102,7 @@ def test_criterion_04_noiseless_detection_exactness():
 
 
 def test_criterion_05_gradients_match_finite_differences():
-    from nomalink.modem import _init_model, pair_backward, pair_forward
+    from nomalink.modem import _init_model, pair_backward, pair_forward, stack_hidden
     t0 = time.monotonic()
     q = fit_quantizer(2, 5.0, 1.0)
     shapes = [(4,), (4, 3), (6, 5), (5,), (3, 3)]
@@ -112,6 +112,7 @@ def test_criterion_05_gradients_match_finite_differences():
         hidden = shapes[cfg_i % len(shapes)]
         near = _init_model("near", 2, hidden, q, stream_rng(cfg_i, 0, 4))
         far = _init_model("far", 1, hidden, q, stream_rng(cfg_i, 1, 4))
+        stack = stack_hidden(near, far)
         b = int(g.integers(2, 7))
         vn = q.constellation_deq[g.integers(0, 4, size=b)]
         vf = q.constellation_deq[g.integers(0, 4, size=b)]
@@ -125,19 +126,23 @@ def test_criterion_05_gradients_match_finite_differences():
             chans.append((h, h_hat, noise))
 
         def near_loss():
-            return pair_forward(near, far, vn, vf, amp_n, amp_f, *chans)[0].near_scaled
+            return pair_forward(stack, near, far, vn, vf, amp_n, amp_f, *chans)[0].near_scaled
 
         def far_loss():
-            return pair_forward(near, far, vn, vf, amp_n, amp_f, *chans)[0].far_scaled
+            return pair_forward(stack, near, far, vn, vf, amp_n, amp_f, *chans)[0].far_scaled
 
-        _, cache = pair_forward(near, far, vn, vf, amp_n, amp_f, *chans)
-        (gw_n, gb_n, (gW_n, gb_n_demod)), (gw_f, gb_f, (gW_f, gb_f_demod)) = \
-            pair_backward(near, far, vf, cache)
+        _, cache = pair_forward(stack, near, far, vn, vf, amp_n, amp_f, *chans)
+        (gW_h, gb_h), (gw_n, gb_n, g_out_n), (gw_f, gb_f, g_out_f) = \
+            pair_backward(stack, near, far, cache)
 
         checks = [(gw_n, near.mod_w, near_loss), (gb_n, near.mod_b, near_loss),
                   (gw_f, far.mod_w, far_loss), (gb_f, far.mod_b, far_loss)]
-        for model, gW, gb, loss in ((near, gW_n, gb_n_demod, near_loss),
-                                    (far, gW_f, gb_f_demod, far_loss)):
+        for k, (model, (gW_out, gb_out), loss) in enumerate(
+                ((near, g_out_n, near_loss), (far, g_out_f, far_loss))):
+            # slice k of each stacked hidden layer's gradient, then the
+            # user's own output layer: every weight and bias of its network
+            gW = [W[k] for W in gW_h] + [gW_out]
+            gb = [b[k, 0] for b in gb_h] + [gb_out]
             assert len(gW) == len(gb) == len(model.demod.W) == len(hidden) + 1
             for i in range(len(gW)):
                 checks += [(gW[i], model.demod.W[i], loss), (gb[i], model.demod.b[i], loss)]

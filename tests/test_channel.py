@@ -104,6 +104,26 @@ def test_transmit_equals_h_x_plus_n_for_every_input_dtype(dtype):
     assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
 
 
+def test_transmit_given_its_normals_equals_its_own_draw():
+    # a sweep draws a cell's noise normals ahead, into a reused buffer
+    spec = ChannelSpec(KIND_RAYLEIGH, 3.0, estimation_error_delta=0.1, seed=9)
+    x = np.stack([np.exp(1j * np.arange(700)), np.linspace(-1, 1, 700) + 0.5j])
+    normals = np.empty((700, 2))
+    realize(spec, USER_FAR, 3)._noise_rng.standard_normal(out=normals)
+    kept = normals.copy()
+    y = transmit(x, realize(spec, USER_FAR, 3), normals)
+    want = transmit(x, realize(spec, USER_FAR, 3))
+    assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(normals, kept)  # left as drawn
+
+
+@pytest.mark.parametrize("normals", [np.zeros((699, 2)), np.zeros((700, 3)), np.zeros(1400),
+                                     np.zeros((700, 2), dtype=np.float32)])
+def test_transmit_rejects_normals_of_another_shape_or_type(normals):
+    with pytest.raises(ValueError, match="noise normals"):
+        transmit(np.ones(700), realize(ChannelSpec(), USER_NEAR, 0), normals)
+
+
 def test_rows_of_one_transmit_share_its_noise_draw():
     # a cell's detectors stack their transmit signals: each row must get
     # exactly what a call of its own on a fresh realization gives

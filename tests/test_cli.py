@@ -1,8 +1,14 @@
 import collections
 import dataclasses
+import functools
+import importlib.util
 import json
+import os
 import resource
+import subprocess
+import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -10,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nomalink
+import oracles
 from nomalink import cli, link, modem, qam, quant
 from nomalink.cli import main
-from nomalink.config import LinkSection
+from nomalink.config import LinkSection, load_config
 from nomalink.srate import FIT_MAX_ITERS
 
 TINY = {
@@ -382,16 +390,20 @@ def _sweep_twice(cfg, models, tmp_path, capsys):
     return faults, csvs, printed.out, printed.err
 
 
-@pytest.fixture()
-def fault_case(tmp_path):
-    """A tiny trained pair and a 3 x 3 sweep of 20,000 symbols a cell: each
-    cell's inference buffer (20,000 x 32 float64, 4.9 MiB) is above glibc's
-    default mmap threshold."""
+def _fault_case(tmp_path, n_symbols):
+    """A tiny trained pair and a 3 x 3 sweep of n_symbols a cell."""
     cfg = tmp_path / "faults.json"
-    cfg.write_text(json.dumps(dict(TINY, sweep=dict(TINY["sweep"], n_symbols=20000))))
+    cfg.write_text(json.dumps(dict(TINY, sweep=dict(TINY["sweep"], n_symbols=n_symbols))))
     models = tmp_path / "m"
     assert main(["train-modem", "--config", str(cfg), "--out", str(models)]) == 0
     return str(cfg), models
+
+
+@pytest.fixture()
+def fault_case(tmp_path):
+    """20,000 symbols a cell: each cell's inference buffer (20,000 x 32
+    float64, 4.9 MiB) is above glibc's default mmap threshold."""
+    return _fault_case(tmp_path, 20000)
 
 
 @pytest.mark.skipif(cli._libc_mallopt() is None, reason="the C library has no mallopt")
@@ -402,6 +414,34 @@ def test_repeated_sweep_does_not_fault_its_heap_back_in(fault_case, tmp_path, ca
     faults, csvs, _, _ = _sweep_twice(*fault_case, tmp_path, capsys)
     assert faults < 1000
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.skipif(cli._libc_mallopt() is None, reason="the C library has no mallopt")
+def test_repeated_sweep_of_50000_symbols_does_not_fault_its_heap_back_in(tmp_path, capsys):
+    # a 12.2 MiB inference buffer: under the 8 MiB mmap threshold of main's
+    # policy each cell mapped it again (5,249 faults in the second sweep);
+    # the sweep raises both thresholds to cover it
+    faults, csvs, _, _ = _sweep_twice(*_fault_case(tmp_path, 50000), tmp_path, capsys)
+    assert faults < 1000
+    assert csvs[0] == csvs[1]
+
+
+def test_sweep_allocator_policy_covers_the_largest_cell_array(monkeypatch):
+    floor = cli._ALLOCATOR_POLICY
+    mmap, trim = (param for param, _ in floor)
+    assert cli._allocator_policy(50000 * 256) == ((mmap, 19_200_000), (trim, 38_400_000))
+    # glibc's 64-bit limit caps the mmap threshold, not the trim threshold
+    assert cli._allocator_policy(200000 * 256) == ((mmap, 32 << 20), (trim, 64 << 20))
+    calls = []
+    monkeypatch.setattr(cli, "_set_allocator_policy", calls.append)
+    # the default 20,000 symbols keep main's policy, with or without
+    # demodulators; the noise normals alone take 4 float64 a symbol
+    for n, widths in ((20000, [32, 32, 32, 2]), (20000, ()), (100000, ()), (40000, [16, 1])):
+        cli._raise_allocator_policy(n, widths)
+    assert calls == []
+    cli._raise_allocator_policy(50000, [32, 32, 32, 2])
+    cli._raise_allocator_policy(300000, ())
+    assert calls == [cli._allocator_policy(50000 * 32 * 8), cli._allocator_policy(300000 * 32)]
 
 
 @pytest.mark.parametrize("has_mallopt", [False, True], ids=["no-mallopt", "mallopt-rejects"])
@@ -419,3 +459,133 @@ def test_sweep_without_the_allocator_policy_is_unchanged(fault_case, tmp_path, c
     got = _sweep_twice(*fault_case, tmp_path, capsys)
     assert got[1:] == expected[1:]  # sweep.csv bytes, stdout and stderr
     assert calls == (2 * list(cli._ALLOCATOR_POLICY) if has_mallopt else [])
+
+
+# name -> (detector, config overrides); the neural cases train a tiny pair
+# under the same quant and link sections first
+_SWEEP_CASES = {
+    "both": ("both", {}),
+    "both-rayleigh": ("both", {"sweep": {"kind": "rayleigh", "estimation_error_delta": 0.1}}),
+    "both-literal": ("both", {"link": {"superposition": "literal"}}),
+    "sic-m1": ("sic", {"quant": {"bits_near": 1, "bits_far": 1}}),
+    "sic-m6-rayleigh": ("sic", {"quant": {"bits_near": 6, "bits_far": 6},
+                                "sweep": {"kind": "rayleigh", "estimation_error_delta": 0.1}}),
+    "sic-m16": ("sic", {"quant": {"bits_near": 16, "bits_far": 16}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_helper_sweep_equals_the_inline_draw_sweep(tmp_path, monkeypatch, case):
+    # every value of every row, exactly: the CSV written with repr
+    detector, over = _SWEEP_CASES[case]
+    doc = {**TINY, **over, "sweep": {**TINY["sweep"], "n_symbols": 2000, **over.get("sweep", {})}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--detector", detector]
+    models = None
+    if detector == "both":
+        assert main(["train-modem", "--config", str(path), "--out", str(tmp_path / "m")]) == 0
+        argv += ["--models", str(tmp_path / "m")]
+        models = tuple(modem.load_model(tmp_path / "m" / f"modem_{r}.json")
+                       for r in ("near", "far"))
+    monkeypatch.setattr(cli, "_fmt", repr)
+    assert main(argv) == 0
+    got = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[2:]
+    detectors = ("neural", "sic") if detector == "both" else (detector,)
+    want = oracles.inline_sweep_rows(load_config(str(path)), 0, detectors, models)
+    assert len(got) == len(want) == 9 * len(detectors)
+    assert got == [",".join(repr(v) for v in row) for row in want]
+
+
+def test_helper_sweep_under_rapid_thread_switching_equals_the_inline_draw_sweep(
+        tmp_path, monkeypatch):
+    # 64 short cells with the interpreter switching threads every
+    # microsecond: a cell read from a buffer the helper is refilling, or
+    # drawn out of turn, would change its row
+    doc = {**TINY, "sweep": {"grid_step_db": 4.0, "n_symbols": 500}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "_fmt", repr)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--detector", "sic"]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    got = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[2:]
+    want = oracles.inline_sweep_rows(load_config(str(path)), 0, ("sic",))
+    assert len(got) == 64
+    assert got == [",".join(repr(v) for v in row) for row in want]
+
+
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_run_on_the_main_thread(tiny_cfg, tmp_path, monkeypatch):
+    # the benchmark's tracer keeps one span stack: every function it wraps
+    # must stay on the main thread, while the helper draws each cell but
+    # the first
+    tracing = _perfbench_tracing()
+    on_main = collections.defaultdict(set)
+
+    def record(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            on_main[name].add(threading.current_thread() is threading.main_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class ThreadRecorder(tracing.Tracer):
+        def span(self, name, fn, quantity=None):
+            return record(name, fn)
+
+        def counter(self, name, fn):
+            return record(name, fn)
+
+    monkeypatch.setattr(link.CellDraws, "fill", record("fill", link.CellDraws.fill))
+    recorder = ThreadRecorder()
+    recorder.install(nomalink)
+    try:
+        models = str(tmp_path / "m")
+        assert main(["train-modem", "--config", tiny_cfg, "--out", models]) == 0
+        assert main(["sweep", "--config", tiny_cfg, "--out", str(tmp_path / "s"),
+                     "--detector", "both", "--models", models]) == 0
+    finally:
+        recorder.uninstall()
+    fills = on_main.pop("fill")
+    assert fills == {False}
+    assert {"rng.stream_rng", "channel.realize", "channel.transmit", "link.run_link",
+            "link.sample_features", "nn.Mlp.sgd_step", "qam.sic_detect"} <= set(on_main)
+    assert all(threads == {True} for threads in on_main.values()), dict(on_main)
+
+
+def test_a_failed_draw_on_the_helper_thread_fails_the_sweep(tiny_cfg, tmp_path, monkeypatch,
+                                                            capsys):
+    fill = link.CellDraws.fill
+
+    def failing_fill(draws):
+        if draws.cell[3] == 2:  # the third cell's block
+            raise ValueError("no normals for this cell")
+        return fill(draws)
+
+    monkeypatch.setattr(link.CellDraws, "fill", failing_fill)
+    capsys.readouterr()
+    assert main(["sweep", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                 "--detector", "sic"]) == 2
+    assert capsys.readouterr().err == "error: no normals for this cell\n"
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    # cmd_sweep imports it when it runs: at import it would cost every
+    # command about 6.6 ms of start-up
+    src = str(Path(nomalink.__file__).resolve().parents[1])
+    code = "import sys, nomalink.cli; sys.exit('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
+from nomalink import rng
+from nomalink.channel import ChannelSpec, realize
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
-                           build_constellations, effective_snrs_db, run_link,
+                           build_constellations, effective_snrs_db, open_cell, run_link,
                            sample_features, superpose)
 from nomalink.modem import SUPERPOSE_LITERAL, SUPERPOSE_SQRT, amplitudes, tx_symbols
-from nomalink.quant import FeatureVector
+from nomalink.quant import FeatureVector, dequantize, fit_quantizer
+from nomalink.rng import stream_rng
 
 
 def test_effective_snrs_frozen_values():
@@ -147,8 +150,55 @@ def test_given_constellations_report_what_built_ones_do(table1_models):
     vf = sample_features(2000, 5.0, 1.0, seed=3, user=1)
     both = (DETECTOR_NEURAL, DETECTOR_SIC)
     assert run_link(sc, vn, vf, models=(near_m, far_m), detectors=both, seed=3,
-                    constellations=build_constellations(sc)) == \
+                    constellations=build_constellations(sc, (near_m, far_m))) == \
         run_link(sc, vn, vf, models=(near_m, far_m), detectors=both, seed=3)
+
+
+@pytest.mark.parametrize("other", [dict(rho_near=0.4, rho_far=0.6),
+                                   dict(superposition=SUPERPOSE_LITERAL)])
+def test_alphabets_of_another_power_split_rejected(table1_models, other):
+    near_m, far_m, _ = table1_models
+    sc = LinkScenario()
+    vn = sample_features(10, 5.0, 1.0, seed=0, user=0)
+    for models, det in (((near_m, far_m), DETECTOR_NEURAL), (None, DETECTOR_SIC)):
+        books = build_constellations(dataclasses.replace(sc, **other), models)
+        with pytest.raises(ValueError, match="another power split"):
+            run_link(sc, vn, vn, models=models, detectors=(det,), constellations=books)
+
+
+def test_alphabets_of_another_model_pair_rejected(table1_models, equal_power_models):
+    near_m, far_m, _ = table1_models
+    sc = LinkScenario()
+    vn = sample_features(10, 5.0, 1.0, seed=0, user=0)
+    for built_for in (None, equal_power_models[:2], (near_m, equal_power_models[1]),
+                      (far_m, near_m)):
+        books = build_constellations(sc, built_for)
+        with pytest.raises(ValueError, match="another model pair"):
+            run_link(sc, vn, vn, models=(near_m, far_m),
+                     detectors=(DETECTOR_SIC, DETECTOR_NEURAL), constellations=books)
+    # SIC alone needs no neural alphabet, and any pair's books serve it
+    books = build_constellations(sc, equal_power_models[:2])
+    assert run_link(sc, vn, vn, detectors=(DETECTOR_SIC,), constellations=books) == \
+        run_link(sc, vn, vn, detectors=(DETECTOR_SIC,))
+
+
+@pytest.mark.parametrize("superposition", [SUPERPOSE_SQRT, SUPERPOSE_LITERAL])
+def test_alphabets_equal_per_symbol_modulation(table1_models, superposition):
+    # entry i is a * tx_symbols(constellation[i]) or a * the QAM point, and
+    # gathering and adding them gives superpose's sum bit for bit
+    near_m, far_m, _ = table1_models
+    sc = LinkScenario(superposition=superposition)
+    books = build_constellations(sc, (near_m, far_m))
+    amps = amplitudes(sc.rho_near, sc.rho_far, superposition)
+    assert books.amps == amps
+    idx = stream_rng(21).integers(0, 4, size=(2, 500))
+    v = books.q_near.constellation_deq[idx]
+    for (t_n, t_f), s_n, s_f in (
+            (books.tx_neural, tx_symbols(v[0], near_m), tx_symbols(v[1], far_m)),
+            (books.tx_sic, books.qam_near.points[idx[0]], books.qam_far.points[idx[1]])):
+        got = t_n[idx[0]] + t_f[idx[1]]
+        want = superpose(s_n, s_f, *amps)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("other", [dict(m_near=3), dict(m_far=1), dict(bound_s=6.0),
@@ -218,3 +268,74 @@ def test_rayleigh_kind_accepted():
     rep, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), kind="rayleigh", seed=6)
     assert 0.0 <= rep.ser_far <= 1.0
     assert np.isfinite(rep.mse_far)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind, delta", [("awgn", 0.0), ("rayleigh", 0.1)])
+def test_cell_draws_are_the_streams_own_draws(kind, delta):
+    # fill writes what each stream's standard_normal(shape) returns, into
+    # the buffers handed in, which a sweep reuses from cell to cell
+    sc = LinkScenario(gain_near_db=9.0, gain_far_db=-3.0)
+    out = (np.full((2, 400, 2), np.nan), np.full((2, 400), np.nan))
+    for block in (4, 5):
+        draws = open_cell(sc, 400, kind, delta, seed=3, block=block, features=True,
+                          out=out).fill()
+        assert draws.noise is out[0] and draws.source is out[1]
+        for user, gain in ((rng.USER_NEAR, 9.0), (rng.USER_FAR, -3.0)):
+            noise = stream_rng(3, user, rng.NOISE, block).standard_normal((400, 2))
+            source = stream_rng(3, user, rng.SOURCE, block).standard_normal(400)
+            assert np.array_equal(_bits(draws.noise[user]), _bits(noise))
+            assert np.array_equal(_bits(draws.source[user]), _bits(source))
+            real = realize(ChannelSpec(kind, gain, delta, seed=3), user, block)
+            assert (draws.channels[user].h, draws.channels[user].h_hat) == (real.h, real.h_hat)
+    # without features there are no source normals to draw
+    assert open_cell(sc, 400, kind, delta, seed=3, block=4).source is None
+
+
+@pytest.mark.parametrize("superposition", [SUPERPOSE_SQRT, SUPERPOSE_LITERAL])
+def test_run_given_its_draws_reports_what_it_draws_itself(table1_models, superposition):
+    near_m, far_m, _ = table1_models
+    sc = LinkScenario(gain_near_db=12, gain_far_db=4, superposition=superposition)
+    draws = open_cell(sc, 3000, "rayleigh", 0.1, seed=7, block=2, features=True).fill()
+    vecs = [sample_features(3000, 5.0, 1.0, seed=7, user=u, block=2) for u in (0, 1)]
+    given = [sample_features(3000, 5.0, 1.0, seed=7, user=u, block=2, z=draws.source[u])
+             for u in (0, 1)]
+    assert all(np.array_equal(_bits(a.values), _bits(b.values)) for a, b in zip(vecs, given))
+    both = (DETECTOR_NEURAL, DETECTOR_SIC)
+    kwargs = dict(models=(near_m, far_m), detectors=both, kind="rayleigh", delta=0.1, seed=7,
+                  block=2)
+    assert run_link(sc, *given, draws=draws, **kwargs) == run_link(sc, *vecs, **kwargs)
+
+
+@pytest.mark.parametrize("other", [dict(block=3), dict(seed=8), dict(kind="awgn"),
+                                   dict(delta=0.2), dict(gain_near_db=13.0), dict(n=2999)])
+def test_draws_of_another_cell_rejected(other):
+    sc = LinkScenario(gain_near_db=12, gain_far_db=4)
+    cell = dict(kind="rayleigh", delta=0.1, seed=7, block=2, n=3000)
+    opened = {**cell, **other}
+    draws = open_cell(dataclasses.replace(sc, gain_near_db=opened.pop("gain_near_db", 12)),
+                      opened.pop("n"), **opened).fill()
+    vn = sample_features(3000, 5.0, 1.0, seed=7, user=0, block=2)
+    del cell["n"]
+    with pytest.raises(ValueError, match="another cell"):
+        run_link(sc, vn, vn, detectors=(DETECTOR_SIC,), draws=draws, **cell)
+
+
+def test_draw_buffers_of_another_size_rejected():
+    sc = LinkScenario()
+    with pytest.raises(ValueError, match="draw buffers"):
+        open_cell(sc, 10, features=True, out=(np.empty((2, 10, 2)), np.empty((2, 9))))
+    with pytest.raises(ValueError, match="draw buffers"):
+        open_cell(sc, 10, out=(np.empty((2, 11, 2)), None))
+    with pytest.raises(ValueError, match="source normals"):
+        sample_features(10, 5.0, 1.0, seed=0, z=np.zeros(9))
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 16])
+def test_dequantized_values_gathered_from_the_constellation_equal_dequantize(m):
+    q = fit_quantizer(m, 5.0, 1.0)
+    idx = stream_rng(22, m).integers(0, 2**m, size=5000)
+    assert np.array_equal(_bits(q.constellation_deq[idx]), _bits(dequantize(idx, q)))

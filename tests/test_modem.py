@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
+from nomalink.channel import ChannelSpec
 from nomalink.modem import (ROLE_FAR, ROLE_NEAR, SUPERPOSE_LITERAL,
                             SUPERPOSE_SQRT, ModemModel, TrainConfig,
                             TrainingDivergedError,
                             amplitudes, count_macs, demodulate, load_model,
                             mean_symbol_power, modulate, pair_backward,
-                            pair_forward, save_model,
+                            pair_forward, save_model, stack_hidden,
                             train_modem, tx_symbols, _init_model)
 from nomalink.quant import fit_quantizer
 from nomalink.rng import stream_rng
@@ -25,6 +26,11 @@ def _random_pair(q, seed=0):
     near = _init_model(ROLE_NEAR, 2, (6, 5), q, stream_rng(seed, 0, 4))
     far = _init_model(ROLE_FAR, 1, (6, 5), q, stream_rng(seed, 1, 4))
     return near, far
+
+
+def _stacked_pair(q, seed=0):
+    near, far = _random_pair(q, seed)
+    return stack_hidden(near, far), near, far
 
 
 def test_amplitudes_conventions():
@@ -63,14 +69,14 @@ def test_tx_requires_frozen_power(q22):
 
 def test_pair_forward_loss_decomposition(q22):
     # raw losses equal hand-computed squared errors; scaled divide by variance
-    near, far = _random_pair(q22, seed=1)
+    hidden, near, far = _stacked_pair(q22, seed=1)
     rng = stream_rng(9)
     vn = q22.constellation_deq[rng.integers(0, 4, size=8)]
     vf = q22.constellation_deq[rng.integers(0, 4, size=8)]
     noise_n = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 0.05
     noise_f = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 0.05
     amp_n, amp_f = amplitudes(0.3, 0.7)
-    losses, _ = pair_forward(near, far, vn, vf, amp_n, amp_f,
+    losses, _ = pair_forward(hidden, near, far, vn, vf, amp_n, amp_f,
                              (1.0, 1.0, noise_n), (1.0, 1.0, noise_f))
 
     def norm_tx(model, v):
@@ -90,7 +96,7 @@ def test_pair_forward_loss_decomposition(q22):
 
 
 def test_pair_backward_matches_finite_differences(q22):
-    near, far = _random_pair(q22, seed=2)
+    hidden, near, far = _stacked_pair(q22, seed=2)
     rng = stream_rng(11)
     vn = q22.constellation_deq[rng.integers(0, 4, size=5)]
     vf = q22.constellation_deq[rng.integers(0, 4, size=5)]
@@ -100,15 +106,17 @@ def test_pair_backward_matches_finite_differences(q22):
     amp_n, amp_f = amplitudes(0.3, 0.7)
 
     def near_loss():
-        losses, _ = pair_forward(near, far, vn, vf, amp_n, amp_f, chan_n, chan_f)
+        losses, _ = pair_forward(hidden, near, far, vn, vf, amp_n, amp_f, chan_n, chan_f)
         return losses.near_scaled
 
     def far_loss():
-        losses, _ = pair_forward(near, far, vn, vf, amp_n, amp_f, chan_n, chan_f)
+        losses, _ = pair_forward(hidden, near, far, vn, vf, amp_n, amp_f, chan_n, chan_f)
         return losses.far_scaled
 
-    _, cache = pair_forward(near, far, vn, vf, amp_n, amp_f, chan_n, chan_f)
-    (gw_n, gb_n, (gW_n, _)), (gw_f, gb_f, (gW_f, _)) = pair_backward(near, far, vf, cache)
+    _, cache = pair_forward(hidden, near, far, vn, vf, amp_n, amp_f, chan_n, chan_f)
+    (gW, _), (gw_n, gb_n, _), (gw_f, gb_f, (gW_f_out, _)) = \
+        pair_backward(hidden, near, far, cache)
+    gW_n = [W[0] for W in gW]  # the near slices of the stacked hidden layers
 
     assert np.allclose(gw_n, oracles.fd_gradient(near_loss, near.mod_w), rtol=1e-5, atol=1e-8)
     assert np.allclose(gb_n, oracles.fd_gradient(near_loss, near.mod_b), rtol=1e-5, atol=1e-8)
@@ -116,7 +124,7 @@ def test_pair_backward_matches_finite_differences(q22):
     assert np.allclose(gb_f, oracles.fd_gradient(far_loss, far.mod_b), rtol=1e-5, atol=1e-8)
     assert np.allclose(gW_n[0], oracles.fd_gradient(near_loss, near.demod.W[0]),
                        rtol=1e-5, atol=1e-8)
-    assert np.allclose(gW_f[-1], oracles.fd_gradient(far_loss, far.demod.W[-1]),
+    assert np.allclose(gW_f_out, oracles.fd_gradient(far_loss, far.demod.W[-1]),
                        rtol=1e-5, atol=1e-8)
 
 
@@ -140,6 +148,39 @@ def test_training_is_deterministic(q22):
     assert np.array_equal(t1, t2)
     assert np.array_equal(n1.mod_w, n2.mod_w)
     assert np.array_equal(f1.demod.W[0], f2.demod.W[0])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+# name -> (TrainConfig overrides, bits near/far, channel kind, delta)
+_SERIAL_CASES = {
+    "awgn-sqrt": ({}, (2, 2), "awgn", 0.0),
+    "rayleigh-literal": ({"superposition": SUPERPOSE_LITERAL, "learning_rate": 0.02},
+                         (2, 2), "rayleigh", 0.1),
+    "bits-3-1": ({}, (3, 1), "awgn", 0.0),
+    "hidden-16-4": ({"hidden": (16, 4)}, (2, 2), "awgn", 0.0),
+    "hidden-none": ({"hidden": ()}, (2, 2), "awgn", 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SERIAL_CASES))
+def test_stacked_training_equals_the_per_user_steps_bit_for_bit(case):
+    # train_modem runs both users' hidden layers as one stack; the oracle
+    # steps each user's network on its own with 2-D products
+    over, (m_n, m_f), kind, delta = _SERIAL_CASES[case]
+    cfg = TrainConfig(epochs=12, seed=5, **over)
+    q_n, q_f = fit_quantizer(m_n, 5.0, 1.0), fit_quantizer(m_f, 5.0, 1.0)
+    near, far, trace = train_modem(cfg, q_n, q_f,
+                                   ChannelSpec(kind=kind, estimation_error_delta=delta))
+    (ref_n, ref_f), ref_trace = oracles.per_user_training(cfg, q_n, q_f, kind, delta)
+    assert np.array_equal(_bits(trace), _bits(ref_trace))
+    for model, ref in ((near, ref_n), (far, ref_f)):
+        got = [model.mod_w, model.mod_b, *model.demod.W, *model.demod.b]
+        want = [ref["mod_w"], ref["mod_b"], *ref["W"], *ref["b"]]
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, want))
 
 
 def test_save_load_round_trip(tmp_path, q22):
@@ -328,3 +369,31 @@ def test_train_config_validation():
         TrainConfig(batch_size=100, dataset_size=10)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+def test_stack_hidden_makes_each_model_a_view_of_the_stack(q22):
+    near, far = _random_pair(q22, seed=3)
+    before = [[a.copy() for a in (*m.demod.W, *m.demod.b)] for m in (near, far)]
+    hidden = stack_hidden(near, far)
+    assert hidden.widths == [2, 6, 5] and len(hidden.W) == 2
+    assert [W.shape for W in hidden.W] == [(2, 2, 6), (2, 6, 5)]
+    assert [b.shape for b in hidden.b] == [(2, 1, 6), (2, 1, 5)]
+    for k, (model, values) in enumerate(zip((near, far), before)):
+        # the values are unchanged, the hidden arrays are slices of the stack
+        assert all(np.array_equal(a, v) for a, v in
+                   zip((*model.demod.W, *model.demod.b), values))
+        for W, Ws in zip(model.demod.W[:-1], hidden.W):
+            assert np.shares_memory(W, Ws) and W.flags.c_contiguous
+    hidden.W[0][1] += 1.0  # an update of the stack is the far model's
+    assert np.array_equal(far.demod.W[0], before[1][0] + 1.0)
+    assert np.array_equal(near.demod.W[0], before[0][0])
+
+
+def test_stack_hidden_needs_equal_hidden_widths(q22):
+    near = _init_model(ROLE_NEAR, 2, (6, 5), q22, stream_rng(0, 0, 4))
+    far = _init_model(ROLE_FAR, 1, (6, 4), q22, stream_rng(0, 1, 4))
+    with pytest.raises(ValueError, match="hidden widths"):
+        stack_hidden(near, far)
+    near = _init_model(ROLE_NEAR, 2, (), q22, stream_rng(0, 0, 4))
+    far = _init_model(ROLE_FAR, 1, (), q22, stream_rng(0, 1, 4))
+    assert stack_hidden(near, far) is None

@@ -203,3 +203,39 @@ def test_infer_returns_fresh_arrays(widths):
     assert _same_bits(a, b)
     a[:] = np.nan
     assert np.array_equal(b, mlp.infer(x)) and np.array_equal(x, x0)
+
+
+def _stack(nets):
+    """One Mlp whose slice k on a leading axis is nets[k]."""
+    stacked = Mlp(nets[0].widths)
+    stacked.W = [np.stack(ws) for ws in zip(*(net.W for net in nets))]
+    stacked.b = [np.stack(bs)[:, None] for bs in zip(*(net.b for net in nets))]
+    return stacked
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("widths", [[2, 32, 32, 32], [2, 32, 32, 32, 2], [2, 16, 4],
+                                    [3, 5, 1], [2, 7]])
+@pytest.mark.parametrize("rows", [1, 4, 9])
+def test_stacked_calls_equal_per_slice_calls_bit_for_bit(k, widths, rows):
+    # K networks on a leading axis: forward, backward and sgd_step of the
+    # stack equal the calls on each network alone, bit for bit
+    nets = [Mlp(widths, stream_rng(30, j)) for j in range(k)]
+    stacked = _stack(nets)
+    x = stream_rng(31).standard_normal((k, rows, widths[0]))
+    gout = stream_rng(32).standard_normal((k, rows, widths[-1]))
+
+    out, acts = stacked.forward(x)
+    (gW, gb), g_in = stacked.backward(acts, gout)
+    assert [g.shape for g in gb] == [b.shape for b in stacked.b]
+    stacked.sgd_step((gW, gb), 0.1)
+    for j, net in enumerate(nets):
+        out_j, acts_j = net.forward(x[j])
+        (gW_j, gb_j), g_in_j = net.backward(acts_j, gout[j])
+        net.sgd_step((gW_j, gb_j), 0.1)
+        pairs = [(out[j], out_j), (g_in[j], g_in_j),
+                 *zip((a[j] for a in acts), acts_j),
+                 *zip((g[j] for g in gW), gW_j), *zip((g[j, 0] for g in gb), gb_j),
+                 *zip((W[j] for W in stacked.W), net.W),
+                 *zip((b[j, 0] for b in stacked.b), net.b)]
+        assert all(_same_bits(a, b) for a, b in pairs)

@@ -364,6 +364,35 @@ def test_sic_memory_is_linear_at_16_bits():
     assert got_n.shape == got_f.shape == (4096,)
 
 
+@pytest.mark.parametrize("a", [0.3 ** 0.5, 0.7 ** 0.5, 0.3, 0.7, 1 / 3, 0.123456789])
+def test_complex_division_by_a_real_is_the_product_with_its_reciprocal(a):
+    # SIC rescales by multiplying with 1 / a; numpy's complex / real
+    # division multiplies by the same reciprocal, so every bit agrees,
+    # at every magnitude (for real operands the two differ in the last bit)
+    g = stream_rng(40)
+    y = (g.standard_normal(20000) + 1j * g.standard_normal(20000)) \
+        * 10.0 ** g.uniform(-300, 300, 20000)
+    assert np.array_equal((y * (1.0 / a)).view(np.uint64), (y / a).view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 16])
+@pytest.mark.parametrize("convention", ["sqrt", "literal"])
+def test_sic_equals_the_per_symbol_residual_formula(m, convention):
+    # the residual y - a_f * point[far index], over a_n, per symbol: what
+    # sic_detect gathers from the far points scaled once
+    q = make_qam(m)
+    a_n, a_f = qam.amplitudes(0.3, 0.7, convention)
+    g = stream_rng(41, m)
+    idx = g.integers(0, 2**m, size=(2, 4000))
+    y = a_n * q.points[idx[0]] + a_f * q.points[idx[1]] \
+        + 0.05 * (g.standard_normal(4000) + 1j * g.standard_normal(4000))
+    far = nearest_point(y / a_f, q.grid)
+    near = nearest_point((y - a_f * q.points[far]) / a_n, q.grid)
+    got_n, got_f = sic_detect(y, q, q, 0.3, 0.7, convention)
+    assert np.array_equal(got_f, far) and np.array_equal(got_n, near)
+    assert np.array_equal(detect_far(y, q, 0.3, 0.7, convention), far)
+
+
 def test_sic_literal_agrees_with_loop_reference():
     rng = stream_rng(6)
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)

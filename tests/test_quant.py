@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nomalink import quant
 from nomalink.quant import (EPS_RANGE, FeatureVector, QuantRangeError,
                             dequantize, fit_quantizer, quantize, round_half_away)
 
@@ -124,3 +125,29 @@ def test_variance_is_squared_constellation_std():
     for m in (1, 2, 6, 16):
         q = fit_quantizer(m, 5.0, 1.0)
         assert q.variance == float(np.std(q.constellation_deq)) ** 2
+
+
+_edge_values = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 6.0, -4.0,
+                                6.0 + EPS_RANGE, -4.0 - EPS_RANGE, np.nextafter(6.0 + 1e-9, 7.0),
+                                np.nextafter(-4.0 - 1e-9, -5.0), 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True) | _edge_values,
+                       max_size=12),
+       bounds=st.sampled_from([(5.0, 1.0), (0.5, 0.25), (3.0, 2.9)]))
+def test_range_check_from_the_extremes_equals_the_elementwise_one(values, bounds):
+    # quantize and FeatureVector decide from the largest and smallest value;
+    # NaN is skipped, as the elementwise comparison never flags it
+    s, d = bounds
+    vals = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = bool(np.any(np.abs(vals - d) > s + EPS_RANGE))
+    assert quant._outside_range(vals, s, d) == want
+    if len(vals) and not want:
+        FeatureVector(vals, s, d)
+    elif len(vals):
+        with pytest.raises(ValueError, match="outside"):
+            FeatureVector(vals, s, d)
+        with pytest.raises(QuantRangeError):
+            quantize(vals, fit_quantizer(2, s, d))
