@@ -18,14 +18,12 @@ import sys
 import numpy as np
 
 from . import rng as _rng
-from .channel import ChannelSpec
 from .config import ConfigError, ExperimentConfig, check_seed, config_hash, load_config
 from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
                    build_constellations, open_cell, run_link, sample_features)
-from .modem import (TrainConfig, TrainingDivergedError, count_macs, load_model,
-                    modem_macs, save_model, train_modem)
+from .modem import (TrainingDivergedError, count_macs, load_model, modem_macs,
+                    save_model, train_modem)
 from .qam import sic_macs_per_symbol
-from .quant import fit_quantizer
 from .regions import (RegionQuery, default_rate_grid, noma_power_region,
                       noma_rate_region, oma_power_region, oma_rate_region)
 from .srate import (fit_logistic, image_profile, load_accuracy_csv,
@@ -111,20 +109,7 @@ def _write_csv(path: str, cfg: ExperimentConfig, seed: int, header: str, rows):
 
 
 def cmd_train_modem(cfg: ExperimentConfig, seed: int, out_dir: str) -> int:
-    tc = TrainConfig(
-        epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-        learning_rate=cfg.train.learning_rate,
-        dataset_size=cfg.train.dataset_size,
-        snr_train_near_db=cfg.train.snr_train_near_db,
-        snr_train_far_db=cfg.train.snr_train_far_db,
-        rho_near=cfg.link.rho_near, rho_far=cfg.link.rho_far,
-        hidden=cfg.train.hidden, superposition=cfg.link.superposition,
-        seed=seed)
-    q_near = fit_quantizer(cfg.quant.bits_near, cfg.quant.bound_s, cfg.quant.bound_d)
-    q_far = fit_quantizer(cfg.quant.bits_far, cfg.quant.bound_s, cfg.quant.bound_d)
-    channel = ChannelSpec(kind=cfg.sweep.kind,
-                          estimation_error_delta=cfg.sweep.estimation_error_delta, seed=seed)
-    near, far, trace = train_modem(tc, q_near, q_far, channel)
+    near, far, trace = train_modem(cfg, seed)
     save_model(near, os.path.join(out_dir, "modem_near.json"))
     save_model(far, os.path.join(out_dir, "modem_far.json"))
     rows = [(e + 1, float(trace[e, 0]), float(trace[e, 1]))

@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .channel import KIND_AWGN, KIND_RAYLEIGH
-from .modem import check_power_split, check_train_settings
+from .modem import check_power_split
 from .regions import check_region_settings
 from .srate import GAMMA_DB_LIMIT
 
@@ -80,8 +80,17 @@ class TrainSection:
     hidden: tuple = (32, 32, 32)
 
     def __post_init__(self):
-        check_train_settings(self.epochs, self.batch_size, self.learning_rate,
-                             self.dataset_size, self.hidden)
+        _check_range(self, "epochs", 1, 1_000_000)
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be a positive finite number")
+        if self.dataset_size > 100_000:
+            raise ValueError("dataset_size must be at most 100000")
+        if not 1 <= self.batch_size <= self.dataset_size:
+            raise ValueError("batch_size must be in 1..dataset_size")
+        if len(self.hidden) > 8:
+            raise ValueError("hidden must list at most 8 widths")
+        if not all(1 <= w <= 256 for w in self.hidden):
+            raise ValueError("hidden widths must be in 1..256")
         _check_db(self, "snr_train_near_db", "snr_train_far_db")
 
 

@@ -22,7 +22,9 @@ hidden layers on a leading axis of 2 (stack_hidden) and runs one
 forward, backward and SGD step of that stack per batch, bit for bit
 what two runs of it would compute; each user's output layer and
 modulator stay its own.  Each epoch draws each user's channel
-coefficients and noise at once.
+coefficients and noise at once.  train_modem reads every setting from
+the experiment config (config.ExperimentConfig), which checks them when
+it is built.
 
 Losses are squared Euclidean distances between true and estimated
 dequantized features.  The gradient step normalizes each squared-error
@@ -36,7 +38,8 @@ dequantized units.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +47,9 @@ from . import rng as _rng
 from .channel import ChannelSpec, coefficients
 from .nn import Mlp, dense_macs
 from .quant import QuantizerParams, fit_quantizer
+
+if TYPE_CHECKING:  # config imports this module for check_power_split
+    from .config import ExperimentConfig
 
 ROLE_NEAR = "near"
 ROLE_FAR = "far"
@@ -80,56 +86,6 @@ class ModemModel:
     quantizer: QuantizerParams
     mean_power: float | None = None
     input_clip_radius: float | None = None
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyper-parameters of the alternating SGD loop."""
-
-    epochs: int = 2000
-    batch_size: int = 4
-    learning_rate: float = 0.1
-    dataset_size: int = 64
-    snr_train_near_db: float = 14.0
-    snr_train_far_db: float = 6.0
-    rho_near: float = 0.3
-    rho_far: float = 0.7
-    hidden: tuple = (32, 32, 32)
-    superposition: str = SUPERPOSE_SQRT
-    seed: int = 0
-
-    def __post_init__(self):
-        check_power_split(self.rho_near, self.rho_far, self.superposition)
-        check_train_settings(self.epochs, self.batch_size, self.learning_rate,
-                             self.dataset_size, self.hidden)
-
-
-# upper bounds on the training sizes, far above any run this package makes:
-# beyond them a value is a typo that would run out of time or memory
-MAX_EPOCHS = 1_000_000
-MAX_DATASET_SIZE = 100_000
-MAX_HIDDEN_LAYERS = 8
-MAX_HIDDEN_WIDTH = 256
-
-
-def check_train_settings(epochs: int, batch_size: int, learning_rate: float,
-                         dataset_size: int, hidden):
-    """Raise ValueError, naming the setting, unless the loop can run:
-    1..MAX_EPOCHS epochs, a positive finite learning rate, a batch that
-    fits a dataset of at most MAX_DATASET_SIZE and at most
-    MAX_HIDDEN_LAYERS hidden layers, each 1..MAX_HIDDEN_WIDTH units wide."""
-    if not 1 <= epochs <= MAX_EPOCHS:
-        raise ValueError(f"epochs must be in 1..{MAX_EPOCHS}")
-    if not (0 < learning_rate < math.inf):
-        raise ValueError("learning_rate must be a positive finite number")
-    if dataset_size > MAX_DATASET_SIZE:
-        raise ValueError(f"dataset_size must be at most {MAX_DATASET_SIZE}")
-    if not (1 <= batch_size <= dataset_size):
-        raise ValueError("batch_size must be in 1..dataset_size")
-    if len(hidden) > MAX_HIDDEN_LAYERS:
-        raise ValueError(f"hidden must list at most {MAX_HIDDEN_LAYERS} widths")
-    if not all(1 <= w <= MAX_HIDDEN_WIDTH for w in hidden):
-        raise ValueError(f"hidden widths must be in 1..{MAX_HIDDEN_WIDTH}")
 
 
 def check_power_split(rho_near: float, rho_far: float, convention: str):
@@ -382,43 +338,49 @@ def composite_peak(near: ModemModel, far: ModemModel, amp_n: float, amp_f: float
 # a diverging run overflows before its loss turns non-finite; the loss check
 # in the loop reports it as TrainingDivergedError instead of numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParams,
-                channel: ChannelSpec = ChannelSpec()):
+def train_modem(cfg: "ExperimentConfig", seed: int):
     """Alternating SGD over the superimposed link.
 
-    Only channel.kind and channel.estimation_error_delta are taken from
-    the channel argument; the per-user training SNRs come from cfg and
-    all randomness is keyed by cfg.seed.  One epoch is one shuffled pass
-    over a fixed dataset of dataset_size uniform constellation draws in
-    mini-batches of batch_size (trailing remainder dropped).
+    Everything comes from cfg: both quantizers from cfg.quant, the
+    amplitudes from cfg.link, the channel kind and CSI error from
+    cfg.sweep and the loop's settings, the per-user training SNRs among
+    them, from cfg.train; all randomness is keyed by seed.  One epoch is
+    one shuffled pass over a fixed dataset of dataset_size uniform
+    constellation draws in mini-batches of batch_size (trailing
+    remainder dropped).
 
     Returns (near_model, far_model, trace) where trace[t] holds the
     epoch-mean (near, far) losses.
     """
-    rng_n = _rng.stream_rng(cfg.seed, _rng.USER_NEAR, _rng.WEIGHT_INIT)
-    rng_f = _rng.stream_rng(cfg.seed, _rng.USER_FAR, _rng.WEIGHT_INIT)
-    near = _init_model(ROLE_NEAR, 2, cfg.hidden, q_near, rng_n)
-    far = _init_model(ROLE_FAR, 1, cfg.hidden, q_far, rng_f)
+    tc, qc = cfg.train, cfg.quant
+    q_near = fit_quantizer(qc.bits_near, qc.bound_s, qc.bound_d)
+    q_far = fit_quantizer(qc.bits_far, qc.bound_s, qc.bound_d)
+    channel = ChannelSpec(kind=cfg.sweep.kind,
+                          estimation_error_delta=cfg.sweep.estimation_error_delta)
+    rng_n = _rng.stream_rng(seed, _rng.USER_NEAR, _rng.WEIGHT_INIT)
+    rng_f = _rng.stream_rng(seed, _rng.USER_FAR, _rng.WEIGHT_INIT)
+    near = _init_model(ROLE_NEAR, 2, tc.hidden, q_near, rng_n)
+    far = _init_model(ROLE_FAR, 1, tc.hidden, q_far, rng_f)
     hidden = stack_hidden(near, far)
 
-    data_rng = _rng.stream_rng(cfg.seed, 0, _rng.TRAIN_DATA)
-    vn_all = data_rng.choice(q_near.constellation_deq, size=cfg.dataset_size)
-    vf_all = data_rng.choice(q_far.constellation_deq, size=cfg.dataset_size)
+    data_rng = _rng.stream_rng(seed, 0, _rng.TRAIN_DATA)
+    vn_all = data_rng.choice(q_near.constellation_deq, size=tc.dataset_size)
+    vf_all = data_rng.choice(q_far.constellation_deq, size=tc.dataset_size)
 
-    noise_rng = [_rng.stream_rng(cfg.seed, u, _rng.TRAIN_NOISE) for u in (0, 1)]
-    fade_rng = [_rng.stream_rng(cfg.seed, u, _rng.TRAIN_FADING) for u in (0, 1)]
-    sigma2 = [10.0 ** (-cfg.snr_train_near_db / 10.0),
-              10.0 ** (-cfg.snr_train_far_db / 10.0)]
+    noise_rng = [_rng.stream_rng(seed, u, _rng.TRAIN_NOISE) for u in (0, 1)]
+    fade_rng = [_rng.stream_rng(seed, u, _rng.TRAIN_FADING) for u in (0, 1)]
+    sigma2 = [10.0 ** (-tc.snr_train_near_db / 10.0),
+              10.0 ** (-tc.snr_train_far_db / 10.0)]
 
-    amp_n, amp_f = amplitudes(cfg.rho_near, cfg.rho_far, cfg.superposition)
-    batches = cfg.dataset_size // cfg.batch_size
-    lr = cfg.learning_rate
-    trace = np.zeros((cfg.epochs, 2))
+    amp_n, amp_f = amplitudes(cfg.link.rho_near, cfg.link.rho_far, cfg.link.superposition)
+    batches = tc.dataset_size // tc.batch_size
+    lr = tc.learning_rate
+    trace = np.zeros((tc.epochs, 2))
 
-    for epoch in range(cfg.epochs):
-        perm = data_rng.permutation(cfg.dataset_size)[:batches * cfg.batch_size]
-        vn_ep = vn_all[perm].reshape(batches, cfg.batch_size)
-        vf_ep = vf_all[perm].reshape(batches, cfg.batch_size)
+    for epoch in range(tc.epochs):
+        perm = data_rng.permutation(tc.dataset_size)[:batches * tc.batch_size]
+        vn_ep = vn_all[perm].reshape(batches, tc.batch_size)
+        vf_ep = vf_all[perm].reshape(batches, tc.batch_size)
         # equal to per-batch draws bit for bit: a Philox stream yields the same
         # sequence however it is split.  A batch's fading and error pairs
         # both come from the user's one training stream, in that order.
@@ -426,7 +388,7 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
         for u in (0, 1):
             h, h_hat = coefficients(
                 channel, lambda p: fade_rng[u].standard_normal((batches, len(p), 2)), batches)
-            noise = noise_rng[u].standard_normal((batches, cfg.batch_size, 2)).view(complex)[..., 0]
+            noise = noise_rng[u].standard_normal((batches, tc.batch_size, 2)).view(complex)[..., 0]
             noise *= math.sqrt(sigma2[u] / 2.0)
             # Python complex scalars: numpy's h / h_hat rounds differently
             draws.append((h.tolist(), h_hat.tolist(), noise))
@@ -460,48 +422,28 @@ def train_modem(cfg: TrainConfig, q_near: QuantizerParams, q_far: QuantizerParam
 # ---------------------------------------------------------------------------
 # model files
 
-def _emit_json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("cannot serialize non-finite float")
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_emit_json(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def save_model(model: ModemModel, path):
     """Write the model to a JSON file; loading restores it bit exactly."""
     if model.mean_power is None:
         raise ValueError("refusing to save a model without frozen mean power")
+    # json.dumps rejects numpy integers; it writes every float (numpy's
+    # float64 included) as its shortest round-trip repr, -0.0 as -0.0
     doc = {
         "format": _MODEL_FORMAT,
         "role": model.role,
-        "widths": model.demod.widths,
-        "weights": [list(W.ravel(order="C")) for W in model.demod.W],
-        "biases": [list(b) for b in model.demod.b],
-        "modulator_weights": list(model.mod_w),
-        "modulator_biases": list(model.mod_b),
+        "widths": [int(w) for w in model.demod.widths],
+        "weights": [W.ravel(order="C").tolist() for W in model.demod.W],
+        "biases": [b.tolist() for b in model.demod.b],
+        "modulator_weights": model.mod_w.tolist(),
+        "modulator_biases": model.mod_b.tolist(),
         "mean_power": model.mean_power,
         "input_clip_radius": model.input_clip_radius,
-        "quantizer": {"m": model.quantizer.bits_m,
+        "quantizer": {"m": int(model.quantizer.bits_m),
                       "s": model.quantizer.bound_s,
                       "d": model.quantizer.bound_d},
     }
     with open(path, "w", newline="\n") as fh:
-        fh.write(_emit_json(doc))
+        fh.write(json.dumps(doc, allow_nan=False))  # non-finite values raise ValueError
         fh.write("\n")
 
 

@@ -8,10 +8,11 @@ by a generalized logistic
 with floor a1, ceiling a2 and slope c1 > 0.  The semantic rate of a
 source is the accuracy times a units prefactor:
 
-    text  : (W * info_per_item / (k_symbols * length_per_item)) * xi
-    image : (W * info_per_item / (compression * length_per_item)) * xi
+    text  : (W / k_symbols) * xi
+    image : (W / compression) * xi
 
-where W is the occupied bandwidth.  Accuracy samples can be ingested
+where W is the occupied bandwidth, so rates come out in units of
+semantic content per item.  Accuracy samples can be ingested
 from two-column CSVs (gamma_db, accuracy) and fitted by least squares
 with deterministic Levenberg-Marquardt on all four parameters, started
 from a logit-linearized slope pair and the levels projected onto it.
@@ -47,31 +48,21 @@ DEGENERATE_SPAN = 1e-9
 GAMMA_DB_LIMIT = 100.0
 
 
-class AccuracyRangeError(ValueError):
-    """Requested accuracy outside the open range (a1, a2) of the model."""
-
-
 @dataclass(frozen=True)
 class SourceProfile:
     """Units of one semantic source.
 
     kind 'text' divides by k_symbols (average symbols per word); kind
-    'image' divides by compression (compression ratio).  info_per_item
-    and length_per_item default to 1 so rates come out in units of
-    semantic content per item.
+    'image' divides by compression (compression ratio).
     """
 
     kind: str
-    info_per_item: float = 1.0
-    length_per_item: float = 1.0
     k_symbols: float | None = None
     compression: float | None = None
 
     def __post_init__(self):
         if self.kind not in (KIND_TEXT, KIND_IMAGE):
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.info_per_item <= 0 or self.length_per_item <= 0:
-            raise ValueError("per-item info and length must be positive")
         if self.kind == KIND_TEXT:
             if self.k_symbols is None or self.compression is not None:
                 raise ValueError("text profile needs k_symbols and no compression")
@@ -88,14 +79,12 @@ class SourceProfile:
         return self.k_symbols if self.kind == KIND_TEXT else self.compression
 
 
-def text_profile(k_symbols: float = 128.0, info_per_item: float = 1.0,
-                 length_per_item: float = 1.0) -> SourceProfile:
-    return SourceProfile(KIND_TEXT, info_per_item, length_per_item, k_symbols=k_symbols)
+def text_profile(k_symbols: float = 128.0) -> SourceProfile:
+    return SourceProfile(KIND_TEXT, k_symbols=k_symbols)
 
 
-def image_profile(compression: float = 0.33, info_per_item: float = 1.0,
-                  length_per_item: float = 1.0) -> SourceProfile:
-    return SourceProfile(KIND_IMAGE, info_per_item, length_per_item, compression=compression)
+def image_profile(compression: float = 0.33) -> SourceProfile:
+    return SourceProfile(KIND_IMAGE, compression=compression)
 
 
 @dataclass(frozen=True)
@@ -120,20 +109,10 @@ def xi_eval(model: AccuracyModel, gamma) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def xi_inverse(model: AccuracyModel, target: float) -> float:
-    """Linear SNR at which the model reaches the target accuracy.
-
-    Only defined on the open range (a1, a2); raises AccuracyRangeError
-    outside it.
-    """
-    if not (model.a1 < target < model.a2):
-        raise AccuracyRangeError(
-            f"target {target} outside accuracy range ({model.a1}, {model.a2})")
-    return gamma_required(model, target)
-
-
 def gamma_required(model: AccuracyModel, target) -> np.ndarray | float:
-    """xi_inverse extended to the whole line for feasibility arithmetic.
+    """Linear SNR at which the model reaches the target accuracy, the
+    inverse of xi_eval on the open range (a1, a2), extended to the whole
+    line for feasibility arithmetic.
 
     Targets at or below the floor need no SNR (-inf), targets at or
     above the ceiling are unreachable (+inf).  Scalar or array targets;
@@ -149,7 +128,7 @@ def gamma_required(model: AccuracyModel, target) -> np.ndarray | float:
 
 
 def rate_prefactor(profile: SourceProfile, bandwidth_w: float) -> float:
-    return bandwidth_w * profile.info_per_item / (profile.denominator * profile.length_per_item)
+    return bandwidth_w / profile.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,16 @@
 import pytest
 
-from nomalink.modem import TrainConfig, train_modem
-from nomalink.quant import fit_quantizer
+from nomalink.config import ExperimentConfig, LinkSection
+from nomalink.modem import train_modem
 
 
 @pytest.fixture(scope="session")
-def default_quantizer():
-    return fit_quantizer(2, 5.0, 1.0)
-
-
-@pytest.fixture(scope="session")
-def table1_models(default_quantizer):
+def table1_models():
     """Modem pair trained at the default operating point, seed 0."""
-    q = default_quantizer
-    near, far, trace = train_modem(TrainConfig(seed=0), q, q)
-    return near, far, trace
+    return train_modem(ExperimentConfig(), 0)
 
 
 @pytest.fixture(scope="session")
-def equal_power_models(default_quantizer):
+def equal_power_models():
     """Modem pair trained at equal power shares, seed 0."""
-    q = default_quantizer
-    cfg = TrainConfig(rho_near=0.5, rho_far=0.5, seed=0)
-    near, far, trace = train_modem(cfg, q, q)
-    return near, far, trace
+    return train_modem(ExperimentConfig(link=LinkSection(0.5, 0.5)), 0)

@@ -306,31 +306,36 @@ def _channel_draws(g, kind: str, delta: float, batches: int):
     return pairs
 
 
-def per_user_training(cfg, q_near, q_far, kind: str = "awgn", delta: float = 0.0):
+def per_user_training(cfg, seed: int, q_near, q_far):
     """The alternating SGD of modem.train_modem with each user's network
     run on its own, by 2-D products.
 
     Per batch: both users' modulators under their live power normalizer,
     one superimposed transmission, then per user its channel, a forward
     pass of its demodulator, the backward pass of its own scaled loss and
-    an SGD step of every weight it owns.  cfg is a modem.TrainConfig.
+    an SGD step of every weight it owns.  cfg is a
+    config.ExperimentConfig: the loop's settings come from cfg.train,
+    the power split from cfg.link and the channel kind and CSI error
+    from cfg.sweep; q_near and q_far are the quantizers of cfg.quant.
     Returns ((near, far), trace): each user's dict of mod_w, mod_b and
     the W and b lists, and the per-epoch mean (near, far) losses.
     """
-    users = [_init_user(cfg.seed, u, [2, *cfg.hidden, out]) for u, out in ((0, 2), (1, 1))]
-    data = _philox(cfg.seed, 0, _TRAIN_DATA)
-    v_all = [data.choice(q.constellation_deq, size=cfg.dataset_size) for q in (q_near, q_far)]
-    noise_g = [_philox(cfg.seed, u, _TRAIN_NOISE) for u in (0, 1)]
-    fade_g = [_philox(cfg.seed, u, _TRAIN_FADING) for u in (0, 1)]
-    sigma2 = [10.0 ** (-cfg.snr_train_near_db / 10.0), 10.0 ** (-cfg.snr_train_far_db / 10.0)]
-    amps = ((math.sqrt(cfg.rho_near), math.sqrt(cfg.rho_far)) if cfg.superposition == "sqrt"
-            else (cfg.rho_near, cfg.rho_far))
+    tc, link = cfg.train, cfg.link
+    kind, delta = cfg.sweep.kind, cfg.sweep.estimation_error_delta
+    users = [_init_user(seed, u, [2, *tc.hidden, out]) for u, out in ((0, 2), (1, 1))]
+    data = _philox(seed, 0, _TRAIN_DATA)
+    v_all = [data.choice(q.constellation_deq, size=tc.dataset_size) for q in (q_near, q_far)]
+    noise_g = [_philox(seed, u, _TRAIN_NOISE) for u in (0, 1)]
+    fade_g = [_philox(seed, u, _TRAIN_FADING) for u in (0, 1)]
+    sigma2 = [10.0 ** (-tc.snr_train_near_db / 10.0), 10.0 ** (-tc.snr_train_far_db / 10.0)]
+    amps = ((math.sqrt(link.rho_near), math.sqrt(link.rho_far)) if link.superposition == "sqrt"
+            else (link.rho_near, link.rho_far))
     var = (q_near.variance, q_far.variance)
-    size, batches = cfg.batch_size, cfg.dataset_size // cfg.batch_size
-    lr = cfg.learning_rate
-    trace = np.zeros((cfg.epochs, 2))
-    for epoch in range(cfg.epochs):
-        perm = data.permutation(cfg.dataset_size)
+    size, batches = tc.batch_size, tc.dataset_size // tc.batch_size
+    lr = tc.learning_rate
+    trace = np.zeros((tc.epochs, 2))
+    for epoch in range(tc.epochs):
+        perm = data.permutation(tc.dataset_size)
         chans, noises = [], []
         for u in (0, 1):
             chans.append(_channel_draws(fade_g[u], kind, delta, batches))

@@ -15,10 +15,11 @@ import pytest
 
 import oracles
 from nomalink.cli import main
+from nomalink.config import ExperimentConfig
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
                            effective_snrs_db, run_link, sample_features)
-from nomalink.modem import (TrainConfig, amplitudes, composite_peak,
-                            count_macs, demodulate, train_modem, tx_symbols)
+from nomalink.modem import (amplitudes, composite_peak, count_macs, demodulate,
+                            train_modem, tx_symbols)
 from nomalink.qam import make_qam, sic_detect, sic_macs_per_symbol
 from nomalink.quant import FeatureVector, dequantize, fit_quantizer, quantize
 from nomalink.regions import (RegionQuery, default_rate_grid,
@@ -73,7 +74,7 @@ def test_criterion_04_noiseless_detection_exactness():
     # trains its own pair so the stated budget covers training as well
     t0 = time.monotonic()
     q = fit_quantizer(2, 5.0, 1.0)
-    near_m, far_m, _ = train_modem(TrainConfig(seed=0), q, q)
+    near_m, far_m, _ = train_modem(ExperimentConfig(), 0)
 
     pairs = oracles.enumerate_index_pairs(2, 2)
     reps = oracles.representative_features(2, 5.0, 1.0)

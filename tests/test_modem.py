@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from nomalink.channel import ChannelSpec
+from nomalink.config import ExperimentConfig, LinkSection, TrainSection, config_from_dict
 from nomalink.modem import (ROLE_FAR, ROLE_NEAR, SUPERPOSE_LITERAL,
-                            SUPERPOSE_SQRT, ModemModel, TrainConfig,
-                            TrainingDivergedError,
+                            SUPERPOSE_SQRT, ModemModel, TrainingDivergedError,
                             amplitudes, count_macs, demodulate, load_model,
                             mean_symbol_power, modulate, pair_backward,
                             pair_forward, save_model, stack_hidden,
@@ -26,6 +25,12 @@ def _random_pair(q, seed=0):
     near = _init_model(ROLE_NEAR, 2, (6, 5), q, stream_rng(seed, 0, 4))
     far = _init_model(ROLE_FAR, 1, (6, 5), q, stream_rng(seed, 1, 4))
     return near, far
+
+
+def _train_cfg(**train):
+    """The default experiment config with these training settings: both
+    quantizers are q22."""
+    return ExperimentConfig(train=TrainSection(**train))
 
 
 def _stacked_pair(q, seed=0):
@@ -129,8 +134,7 @@ def test_pair_backward_matches_finite_differences(q22):
 
 
 def test_training_reduces_loss_and_freezes_power(q22):
-    cfg = TrainConfig(epochs=120, dataset_size=16, seed=1)
-    near, far, trace = train_modem(cfg, q22, q22)
+    near, far, trace = train_modem(_train_cfg(epochs=120, dataset_size=16), 1)
     assert trace.shape == (120, 2)
     # epoch-mean raw losses drop by an order of magnitude from the start
     assert trace[-1, 0] < 0.1 * trace[0, 0]
@@ -141,10 +145,10 @@ def test_training_reduces_loss_and_freezes_power(q22):
     assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_training_is_deterministic(q22):
-    cfg = TrainConfig(epochs=20, dataset_size=8, seed=3)
-    n1, f1, t1 = train_modem(cfg, q22, q22)
-    n2, f2, t2 = train_modem(cfg, q22, q22)
+def test_training_is_deterministic():
+    cfg = _train_cfg(epochs=20, dataset_size=8)
+    n1, f1, t1 = train_modem(cfg, 3)
+    n2, f2, t2 = train_modem(cfg, 3)
     assert np.array_equal(t1, t2)
     assert np.array_equal(n1.mod_w, n2.mod_w)
     assert np.array_equal(f1.demod.W[0], f2.demod.W[0])
@@ -154,14 +158,15 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-# name -> (TrainConfig overrides, bits near/far, channel kind, delta)
+# name -> config document; every case trains 12 epochs
 _SERIAL_CASES = {
-    "awgn-sqrt": ({}, (2, 2), "awgn", 0.0),
-    "rayleigh-literal": ({"superposition": SUPERPOSE_LITERAL, "learning_rate": 0.02},
-                         (2, 2), "rayleigh", 0.1),
-    "bits-3-1": ({}, (3, 1), "awgn", 0.0),
-    "hidden-16-4": ({"hidden": (16, 4)}, (2, 2), "awgn", 0.0),
-    "hidden-none": ({"hidden": ()}, (2, 2), "awgn", 0.0),
+    "awgn-sqrt": {},
+    "rayleigh-literal": {"link": {"superposition": SUPERPOSE_LITERAL},
+                         "train": {"learning_rate": 0.02},
+                         "sweep": {"kind": "rayleigh", "estimation_error_delta": 0.1}},
+    "bits-3-1": {"quant": {"bits_near": 3, "bits_far": 1}},
+    "hidden-16-4": {"train": {"hidden": [16, 4]}},
+    "hidden-none": {"train": {"hidden": []}},
 }
 
 
@@ -169,12 +174,12 @@ _SERIAL_CASES = {
 def test_stacked_training_equals_the_per_user_steps_bit_for_bit(case):
     # train_modem runs both users' hidden layers as one stack; the oracle
     # steps each user's network on its own with 2-D products
-    over, (m_n, m_f), kind, delta = _SERIAL_CASES[case]
-    cfg = TrainConfig(epochs=12, seed=5, **over)
-    q_n, q_f = fit_quantizer(m_n, 5.0, 1.0), fit_quantizer(m_f, 5.0, 1.0)
-    near, far, trace = train_modem(cfg, q_n, q_f,
-                                   ChannelSpec(kind=kind, estimation_error_delta=delta))
-    (ref_n, ref_f), ref_trace = oracles.per_user_training(cfg, q_n, q_f, kind, delta)
+    doc = dict(_SERIAL_CASES[case])
+    doc["train"] = {"epochs": 12, **doc.get("train", {})}
+    cfg = config_from_dict(doc)
+    near, far, trace = train_modem(cfg, 5)
+    q_n, q_f = near.quantizer, far.quantizer
+    (ref_n, ref_f), ref_trace = oracles.per_user_training(cfg, 5, q_n, q_f)
     assert np.array_equal(_bits(trace), _bits(ref_trace))
     for model, ref in ((near, ref_n), (far, ref_f)):
         got = [model.mod_w, model.mod_b, *model.demod.W, *model.demod.b]
@@ -183,9 +188,8 @@ def test_stacked_training_equals_the_per_user_steps_bit_for_bit(case):
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, want))
 
 
-def test_save_load_round_trip(tmp_path, q22):
-    cfg = TrainConfig(epochs=15, dataset_size=8, seed=4)
-    near, _, _ = train_modem(cfg, q22, q22)
+def test_save_load_round_trip(tmp_path):
+    near, _, _ = train_modem(_train_cfg(epochs=15, dataset_size=8), 4)
     path = tmp_path / "near.json"
     save_model(near, path)
     back = load_model(path)
@@ -200,6 +204,19 @@ def test_save_load_round_trip(tmp_path, q22):
     path2 = tmp_path / "again.json"
     save_model(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_load_keeps_the_sign_of_negative_zero(tmp_path, q22):
+    # np.array_equal(-0.0, 0.0) holds, so the weights are compared as bits
+    near, _ = _random_pair(q22)
+    near.mean_power = 1.0
+    groups = (near.mod_w, near.mod_b, *near.demod.W, *near.demod.b)
+    for a in groups:
+        a.flat[0] = -0.0
+    save_model(near, tmp_path / "near.json")
+    back = load_model(tmp_path / "near.json")
+    for a, b in zip(groups, (back.mod_w, back.mod_b, *back.demod.W, *back.demod.b)):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def test_save_refuses_unfrozen_model(tmp_path, q22):
@@ -352,23 +369,23 @@ def test_demodulate_peak_memory_is_bounded(q22):
     assert peak < 10e6
 
 
-def test_train_divergence_raises_without_numpy_warnings(q22):
+def test_train_divergence_raises_without_numpy_warnings():
     # RuntimeWarnings are errors in this suite, so an overflow would surface
     # here as a warning instead of the named error
-    cfg = TrainConfig(epochs=3, dataset_size=8, learning_rate=1e6)
+    cfg = _train_cfg(epochs=3, dataset_size=8, learning_rate=1e6)
     with pytest.raises(TrainingDivergedError, match="epoch"):
-        train_modem(cfg, q22, q22)
+        train_modem(cfg, 0)
 
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(rho_near=0.6, rho_far=0.4)  # near above far
+        LinkSection(rho_near=0.6, rho_far=0.4)  # near above far
     with pytest.raises(ValueError):
-        TrainConfig(rho_near=0.5, rho_far=0.6)  # does not sum to 1
+        LinkSection(rho_near=0.5, rho_far=0.6)  # does not sum to 1
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=100, dataset_size=10)
+        TrainSection(batch_size=100, dataset_size=10)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+        TrainSection(learning_rate=0.0)
 
 
 def test_stack_hidden_makes_each_model_a_view_of_the_stack(q22):

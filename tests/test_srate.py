@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomalink import srate
-from nomalink.srate import (AccuracyModel, AccuracyRangeError, FIT_MAX_ITERS,
+from nomalink.srate import (AccuracyModel, FIT_MAX_ITERS,
                             FIT_STALL_ITERS, FitResult, SourceProfile, TRUE_IMAGE_CURVE,
                             TRUE_TEXT_CURVE,
                             fit_logistic, gamma_required, image_profile,
                             load_accuracy_csv, rate_prefactor,
                             synthetic_accuracy_samples, text_profile,
-                            write_accuracy_csv, xi_eval, xi_inverse)
+                            write_accuracy_csv, xi_eval)
 
 
 def test_xi_eval_limits():
@@ -24,39 +24,32 @@ def test_xi_eval_limits():
     assert mid == pytest.approx(0.5, abs=1e-12)
 
 
-def test_xi_inverse_closed_form():
+def test_gamma_required_closed_form():
     # at accuracy 3/4 of the way up, the logit is ln 3
     m = AccuracyModel(0.0, 1.0, 2.0, -1.0)
     target = 0.75
-    gamma = xi_inverse(m, target)
+    gamma = gamma_required(m, target)
     assert gamma == pytest.approx((math.log(3.0) + 1.0) / 2.0, rel=1e-12)
     assert xi_eval(m, gamma) == pytest.approx(target, abs=1e-12)
 
 
 @settings(max_examples=100)
 @given(frac=st.floats(min_value=0.01, max_value=0.99))
-def test_xi_inverse_round_trip(frac):
+def test_gamma_required_round_trip(frac):
     m = TRUE_TEXT_CURVE
     target = m.a1 + frac * (m.a2 - m.a1)
-    assert xi_eval(m, xi_inverse(m, target)) == pytest.approx(target, abs=1e-9)
+    assert xi_eval(m, gamma_required(m, target)) == pytest.approx(target, abs=1e-9)
 
 
-def test_xi_inverse_just_below_ceiling_is_finite():
+def test_gamma_required_just_below_ceiling_is_finite():
     # here (target - a1) / (a2 - a1) rounds to exactly 1
     m = AccuracyModel(np.float64(0.06), np.float64(0.75), 2.0, -1.0)
     target = math.nextafter(m.a2, m.a1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gamma = xi_inverse(m, target)
+        gamma = gamma_required(m, target)
     assert math.isfinite(gamma)
-    assert gamma > xi_inverse(m, 0.7)
-
-
-def test_xi_inverse_range_errors():
-    m = AccuracyModel(0.1, 0.9, 0.5, -1.5)
-    for bad in (0.1, 0.9, 0.05, 0.95):
-        with pytest.raises(AccuracyRangeError):
-            xi_inverse(m, bad)
+    assert gamma > gamma_required(m, 0.7)
 
 
 def test_gamma_required_guards():
