@@ -6,12 +6,14 @@ noise power sigma2 = 10**(-snr_db / 10) defined against a unit-power
 transmit signal.  Noise is drawn from the realization's own sub-stream,
 so a (spec, user, block) triple always reproduces the same link.
 
-Each transmit call draws fresh noise once, for the last axis of its
-input, and adds that one draw to every row before it.  link.run_link
-stacks the transmit signals of all detectors of a cell and calls it once
-per user, so every detector sees the same noise: one draw per user and
-block, shared by the detectors.  A sweep draws a cell's noise normals
-ahead, from the same stream, and hands them to transmit.
+Each transmit call adds one noise draw, for the last axis of its input,
+to every row before it: the normals it is handed, or fresh ones from
+the realization's stream.  link.run_link stacks the transmit signals of
+all detectors of a cell and calls it once per user, so every detector
+sees the same noise: one draw per user and block, shared by the
+detectors.  A sweep draws each cell's noise normals ahead, from the
+realization's stream (link.open_cell), and run_link hands them to
+transmit.
 """
 
 import math

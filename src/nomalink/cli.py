@@ -17,12 +17,10 @@ import sys
 
 import numpy as np
 
-from . import rng as _rng
 from .config import ConfigError, ExperimentConfig, check_seed, config_hash, load_config
-from .link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
-                   build_constellations, open_cell, run_link, sample_features)
-from .modem import (TrainingDivergedError, count_macs, load_model, modem_macs,
-                    save_model, train_modem)
+from .link import DETECTOR_NEURAL, DETECTOR_SIC, build_constellations, open_cell, run_link
+from .modem import (ROLE_FAR, ROLE_NEAR, TrainingDivergedError, count_macs, load_model,
+                    modem_macs, save_model, train_modem)
 from .qam import sic_macs_per_symbol
 from .regions import (RegionQuery, default_rate_grid, noma_power_region,
                       noma_rate_region, oma_power_region, oma_rate_region)
@@ -122,6 +120,21 @@ def cmd_train_modem(cfg: ExperimentConfig, seed: int, out_dir: str) -> int:
     return 0
 
 
+def _load_models(where: str) -> tuple:
+    """The (near, far) model pair train-modem wrote to directory where.
+    ValueError names a file whose role is not the one its name gives."""
+    paths = [os.path.join(where, f"modem_{role}.json") for role in (ROLE_NEAR, ROLE_FAR)]
+    if not all(os.path.exists(p) for p in paths):
+        raise ConfigError(f"no trained models found in {where} "
+                          "(run train-modem first or pass --models)")
+    models = tuple(load_model(p) for p in paths)
+    for model, role, path in zip(models, (ROLE_NEAR, ROLE_FAR), paths):
+        if model.role != role:
+            raise ValueError(f"{path}: holds the {model.role} user's model, "
+                             f"not the {role} user's")
+    return models
+
+
 def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
               models_dir: str | None, grid_step_db: float | None,
               delta: float | None) -> int:
@@ -144,29 +157,16 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
     _raise_allocator_policy(n, cfg.train.hidden if neural else ())
     models = None
     if neural:
-        where = models_dir or out_dir
-        near_path = os.path.join(where, "modem_near.json")
-        far_path = os.path.join(where, "modem_far.json")
-        if not (os.path.exists(near_path) and os.path.exists(far_path)):
-            raise ConfigError(
-                f"neural detection needs trained models; not found in {where} "
-                "(run train-modem first or pass --models)")
-        models = (load_model(near_path), load_model(far_path))
+        models = _load_models(models_dir or out_dir)
         # models trained with wider layers than this config's
         _raise_allocator_policy(n, [w for m in models for w in m.demod.widths[1:]])
 
     step, dlt = sweep.grid_step_db, sweep.estimation_error_delta
     near_grid = np.arange(sweep.snr_near_lo_db, sweep.snr_near_hi_db + step / 2.0, step)
     far_grid = np.arange(sweep.snr_far_lo_db, sweep.snr_far_hi_db + step / 2.0, step)
-    base = LinkScenario(
-        rho_near=cfg.link.rho_near, rho_far=cfg.link.rho_far,
-        m_near=cfg.quant.bits_near, m_far=cfg.quant.bits_far,
-        bound_s=cfg.quant.bound_s, bound_d=cfg.quant.bound_d,
-        superposition=cfg.link.superposition)
-    books = build_constellations(base, models)  # the cells differ only in their gains
+    books = build_constellations(cfg, models)  # the cells differ only in their gains
     # block k is cell (i, j) = divmod(k, len(far_grid))
-    cells = [dataclasses.replace(base, gain_near_db=float(snr_n), gain_far_db=float(snr_f))
-             for snr_n in near_grid for snr_f in far_grid]
+    cells = [(float(snr_n), float(snr_f)) for snr_n in near_grid for snr_f in far_grid]
     # two buffer sets, used in turn: a helper thread draws the next cell's
     # normals into one while this thread detects the current cell from the
     # other.  The streams and channel realizations are made here, since
@@ -176,25 +176,18 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
     buffers = [(np.empty((2, n, 2)), np.empty((2, n))) for _ in range(2)]
 
     def opened(block):
-        return open_cell(cells[block], n, sweep.kind, dlt, seed, block, features=True,
-                         out=buffers[block % 2])
+        return open_cell(cells[block], n, sweep.kind, dlt, seed, block, out=buffers[block % 2])
 
     rows = []
     with ThreadPoolExecutor(max_workers=1) as helper:
         ahead = helper.submit(opened(0).fill)
-        for block, sc in enumerate(cells):
+        for block, gains in enumerate(cells):
             draws = ahead.result()  # re-raises what fill raised
             if block + 1 < len(cells):
                 ahead = helper.submit(opened(block + 1).fill)
-            vec_n, vec_f = (sample_features(n, sc.bound_s, sc.bound_d, seed, user, block,
-                                            z=draws.source[user])
-                            for user in (_rng.USER_NEAR, _rng.USER_FAR))
-            reports = run_link(sc, vec_n, vec_f, models=models, detectors=detectors,
-                               kind=sweep.kind, delta=dlt, seed=seed, block=block,
-                               constellations=books, draws=draws)
-            rows.extend((rep.detector, sweep.kind, dlt, sc.gain_near_db, sc.gain_far_db,
+            rows.extend((rep.detector, sweep.kind, dlt, *gains,
                          rep.mse_near, rep.mse_far, rep.ser_near, rep.ser_far)
-                        for rep in reports)
+                        for rep in run_link(books, draws, detectors))
     _write_csv(os.path.join(out_dir, "sweep.csv"), cfg, seed,
                "detector,kind,delta,snr_near_db,snr_far_db,"
                "mse_near,mse_far,ser_near,ser_far", rows)
@@ -238,10 +231,10 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
     levels = np.linspace(r.power_level_lo, r.power_level_hi,
                          r.power_sweep_points)
 
-    x_grid = default_rate_grid(rate_query, fit_text.model)
+    rate_grid = default_rate_grid(rate_query, fit_text.model)
     curves = [
-        noma_rate_region(rate_query, fit_text.model, fit_image.model, x_grid),
-        oma_rate_region(rate_query, fit_text.model, fit_image.model, x_grid),
+        noma_rate_region(rate_query, fit_text.model, fit_image.model, rate_grid),
+        oma_rate_region(rate_query, fit_text.model, fit_image.model, rate_grid),
         noma_power_region(power_query, fit_text.model, fit_image.model, levels),
         oma_power_region(power_query, fit_text.model, fit_image.model, levels),
     ]
@@ -282,9 +275,7 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
 def cmd_macs(cfg: ExperimentConfig, seed: int, out_dir: str,
              models_dir: str | None) -> int:
     if models_dir:
-        near = load_model(os.path.join(models_dir, "modem_near.json"))
-        far = load_model(os.path.join(models_dir, "modem_far.json"))
-        macs_near, macs_far = count_macs(near), count_macs(far)
+        macs_near, macs_far = (count_macs(m) for m in _load_models(models_dir))
     else:
         # the architecture alone fixes the count
         macs_near, macs_far = (modem_macs([2, *cfg.train.hidden, out_dim])

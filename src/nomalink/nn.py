@@ -144,7 +144,3 @@ class Mlp:
         out = h_all @ self.W[-1]
         out += self.b[-1]
         return out
-
-    @property
-    def macs(self) -> int:
-        return dense_macs(self.widths)

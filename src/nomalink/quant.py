@@ -68,9 +68,6 @@ class FeatureVector:
         if _outside_range(vals, self.bound_s, self.bound_d):
             raise ValueError("feature value outside [-s + d, s + d]")
 
-    def __len__(self):
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class QuantizerParams:
@@ -90,11 +87,6 @@ class QuantizerParams:
     @property
     def levels(self) -> int:
         return 2**self.bits_m
-
-    @property
-    def step(self) -> float:
-        """Spacing between adjacent dequantized points."""
-        return 1.0 / self.scale_fs
 
 
 def fit_quantizer(bits_m: int, bound_s: float, bound_d: float) -> QuantizerParams:

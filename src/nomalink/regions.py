@@ -118,9 +118,6 @@ class RegionCurve:
     def dropped(self) -> int:
         return sum(not p.feasible for p in self.points)
 
-    def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points])
-
 
 def _gains(q: RegionQuery) -> tuple[float, float]:
     return 10.0 ** (q.gain_near_db / 10.0), 10.0 ** (q.gain_far_db / 10.0)
@@ -217,9 +214,9 @@ def default_rate_grid(q: RegionQuery, near_model: AccuracyModel) -> np.ndarray:
 
 
 def noma_rate_region(q: RegionQuery, near_model: AccuracyModel,
-                     far_model: AccuracyModel,
-                     gamma_grid: np.ndarray | None = None) -> RegionCurve:
-    """Largest far rate per near rate under superposition.
+                     far_model: AccuracyModel, rate_grid) -> RegionCurve:
+    """Largest far rate per near rate of rate_grid (default_rate_grid)
+    under superposition.
 
     Closed form: the near rate pins the near power share, the far user
     gets the rest and its rate follows from its interference-limited SNR.
@@ -227,7 +224,7 @@ def noma_rate_region(q: RegionQuery, near_model: AccuracyModel,
     g_n, g_f = _gains(q)
     pref_n = rate_prefactor(q.near_profile, q.bandwidth_hz)
     pref_f = rate_prefactor(q.far_profile, q.bandwidth_hz)
-    rate_n = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
+    rate_n = np.asarray(rate_grid)
     # an unreachable near rate needs rho_n = inf, which the share test drops
     rho_n = np.maximum(0.0, gamma_required(near_model, rate_n / pref_n) / g_n)
     rho_c = np.minimum(rho_n, 1.0)
@@ -267,14 +264,14 @@ def _oma_rate_at(q: RegionQuery, near_model: AccuracyModel, far_model: AccuracyM
 
 
 def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
-                    far_model: AccuracyModel,
-                    gamma_grid: np.ndarray | None = None) -> RegionCurve:
-    """Largest far rate per near rate under orthogonal slicing.
+                    far_model: AccuracyModel, rate_grid) -> RegionCurve:
+    """Largest far rate per near rate of rate_grid (default_rate_grid)
+    under orthogonal slicing.
 
     Searches the near user's bandwidth slice for every rate point at
     once: a coarse grid, then zoom refinement around each best cell.
     """
-    rate_n = default_rate_grid(q, near_model) if gamma_grid is None else np.asarray(gamma_grid)
+    rate_n = np.asarray(rate_grid)
     w_grid = np.linspace(0.0, q.bandwidth_hz, q.grid_points, endpoint=False)
     best = _oma_search(lambda r, w_n: _oma_rate_at(q, near_model, far_model, r, w_n),
                        rate_n, w_grid, maximize=True)

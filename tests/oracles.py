@@ -403,35 +403,26 @@ def per_user_training(cfg, seed: int, q_near, q_far):
 
 def inline_sweep_rows(cfg, seed: int, detectors, models=None):
     """The data rows of sweep.csv for cfg, by the serial loop: cell after
-    cell, each cell's sample_features and run_link drawing their own
-    normals inline, with no constellations or draws handed in.
+    cell, each cell's draws opened and filled inline on this thread into
+    buffers of its own, and its constellations built for it alone.
 
     This calls the package's per-cell functions on purpose: it is the
     reference for the sweep's loop (draws made ahead on a helper thread,
     buffers reused, constellations built once), not for the cell.
     """
-    import dataclasses
-
-    from nomalink.link import LinkScenario, run_link, sample_features
+    from nomalink.link import build_constellations, open_cell, run_link
 
     sw = cfg.sweep
     step = sw.grid_step_db
-    base = LinkScenario(rho_near=cfg.link.rho_near, rho_far=cfg.link.rho_far,
-                        m_near=cfg.quant.bits_near, m_far=cfg.quant.bits_far,
-                        bound_s=cfg.quant.bound_s, bound_d=cfg.quant.bound_d,
-                        superposition=cfg.link.superposition)
     near_grid = np.arange(sw.snr_near_lo_db, sw.snr_near_hi_db + step / 2.0, step)
     far_grid = np.arange(sw.snr_far_lo_db, sw.snr_far_hi_db + step / 2.0, step)
     rows = []
     for i, snr_n in enumerate(near_grid):
         for j, snr_f in enumerate(far_grid):
             block = i * len(far_grid) + j
-            sc = dataclasses.replace(base, gain_near_db=float(snr_n), gain_far_db=float(snr_f))
-            vecs = [sample_features(sw.n_symbols, sc.bound_s, sc.bound_d, seed, user, block)
-                    for user in (0, 1)]
-            for rep in run_link(sc, *vecs, models=models, detectors=tuple(detectors),
-                                kind=sw.kind, delta=sw.estimation_error_delta, seed=seed,
-                                block=block):
+            draws = open_cell((float(snr_n), float(snr_f)), sw.n_symbols, sw.kind,
+                              sw.estimation_error_delta, seed, block).fill()
+            for rep in run_link(build_constellations(cfg, models), draws, tuple(detectors)):
                 rows.append((rep.detector, sw.kind, sw.estimation_error_delta, float(snr_n),
                              float(snr_f), rep.mse_near, rep.mse_far, rep.ser_near,
                              rep.ser_far))

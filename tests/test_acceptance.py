@@ -15,9 +15,9 @@ import pytest
 
 import oracles
 from nomalink.cli import main
-from nomalink.config import ExperimentConfig
-from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, LinkScenario,
-                           effective_snrs_db, run_link, sample_features)
+from nomalink.config import ExperimentConfig, LinkSection
+from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, build_constellations,
+                           effective_snrs_db, open_cell, run_link)
 from nomalink.modem import (amplitudes, composite_peak, count_macs, demodulate,
                             train_modem, tx_symbols)
 from nomalink.qam import make_qam, sic_detect, sic_macs_per_symbol
@@ -54,15 +54,14 @@ def test_criterion_02_round_trip_error_bound():
     x = g.uniform(q.bound_d - q.bound_s, q.bound_d + q.bound_s, size=1_000_000)
     vec = FeatureVector(x, q.bound_s, q.bound_d)
     err = np.abs(dequantize(quantize(vec, q), q) - x)
-    violations = int(np.sum(err > q.step))
+    violations = int(np.sum(err > 1 / q.scale_fs))
     assert violations == 0
     assert time.monotonic() - t0 < 5.0
 
 
 def test_criterion_03_closed_form_effective_snrs():
     t0 = time.monotonic()
-    sc = LinkScenario(rho_near=0.3, rho_far=0.7, gain_near_db=20, gain_far_db=16)
-    snr_n, snr_f = effective_snrs_db(sc)
+    snr_n, snr_f = effective_snrs_db(LinkSection(0.3, 0.7), 20, 16)
     assert abs(snr_n - 14.77) <= 0.01
     assert abs(snr_f - 3.33) <= 0.01
     assert snr_n == pytest.approx(oracles.EXPECTED_SNR_NEAR_DB, abs=1e-12)
@@ -159,14 +158,12 @@ def test_criterion_06_low_snr_advantage_and_cliff(table1_models):
     t0 = time.monotonic()
     near_m, far_m, _ = table1_models
     n = 100_000
+    books = build_constellations(ExperimentConfig(), (near_m, far_m))
 
     # far-user feature MSE: trained pair vs SIC baseline on [-8, 0] dB
     for k, snr_f in enumerate(np.arange(-8.0, 0.0 + 1.0, 2.0)):
-        sc = LinkScenario(gain_near_db=snr_f + 8.0, gain_far_db=snr_f)
-        vn = sample_features(n, 5.0, 1.0, seed=0, user=0, block=k)
-        vf = sample_features(n, 5.0, 1.0, seed=0, user=1, block=k)
-        neural, sic = run_link(sc, vn, vf, models=(near_m, far_m),
-                               detectors=(DETECTOR_NEURAL, DETECTOR_SIC), seed=0, block=k)
+        draws = open_cell((snr_f + 8.0, snr_f), n, seed=0, block=k).fill()
+        neural, sic = run_link(books, draws, (DETECTOR_NEURAL, DETECTOR_SIC))
         assert neural.mse_far <= sic.mse_far, (
             f"far SNR {snr_f} dB: neural MSE {neural.mse_far:.4f} "
             f"> SIC MSE {sic.mse_far:.4f}")
@@ -175,10 +172,8 @@ def test_criterion_06_low_snr_advantage_and_cliff(table1_models):
     axis = np.arange(-8.0, 20.0 + 1.0, 2.0)
     ser_near, ser_far = [], []
     for k, snr_f in enumerate(axis):
-        sc = LinkScenario(gain_near_db=snr_f + 8.0, gain_far_db=snr_f)
-        vn = sample_features(n, 5.0, 1.0, seed=0, user=0, block=100 + k)
-        vf = sample_features(n, 5.0, 1.0, seed=0, user=1, block=100 + k)
-        rep, = run_link(sc, vn, vf, detectors=(DETECTOR_SIC,), seed=0, block=100 + k)
+        draws = open_cell((snr_f + 8.0, snr_f), n, seed=0, block=100 + k).fill()
+        rep, = run_link(books, draws, (DETECTOR_SIC,))
         ser_near.append(rep.ser_near)
         ser_far.append(rep.ser_far)
 
@@ -258,7 +253,8 @@ def test_criterion_09_rate_region_containment():
                                      100.0, 10**1.6, 12.0, pref_n, pref_f,
                                      0.6, 0.7, grid, 8 * q.grid_points)
 
-    for got, ref in ((noma.ys(), ref_noma), (oma.ys(), ref_oma)):
+    for got, ref in ((np.array([p.y for p in noma.points]), ref_noma),
+                     (np.array([p.y for p in oma.points]), ref_oma)):
         mask = ~np.isnan(ref)
         assert mask.any()
         assert not np.isnan(got[mask]).any()
@@ -293,7 +289,7 @@ def test_criterion_10_power_region_ordering():
         f"NOMA {noma.points[0].y:.6f} > OMA {oma.points[0].y:.6f} at base")
 
     for curve in (noma, oma):  # monotone along the requirement sweep
-        ys = curve.ys()
+        ys = np.array([p.y for p in curve.points])
         ok = ~np.isnan(ys)
         assert np.all(np.diff(ys[ok]) >= -1e-9), curve.scheme
 

@@ -2,8 +2,11 @@ import collections
 import dataclasses
 import functools
 import importlib.util
+import inspect
+import itertools
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -362,6 +365,26 @@ def test_model_file_without_quantizer_exits_2(tiny_cfg, tmp_path, capfd, command
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["sweep", "--detector", "neural"], ["macs"]])
+def test_model_files_of_swapped_roles_exit_2(tiny_cfg, tmp_path, capfd, command):
+    # each file names its user; a near model under the far name would
+    # detect the wrong user's signal
+    models = tmp_path / "m"
+    assert main(["train-modem", "--config", tiny_cfg, "--out", str(models)]) == 0
+    near, far = models / "modem_near.json", models / "modem_far.json"
+    near_doc = near.read_text()
+    near.write_text(far.read_text())
+    far.write_text(near_doc)
+    capfd.readouterr()
+    assert main([*command, "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                 "--models", str(models)]) == 2
+    err = capfd.readouterr().err
+    assert "modem_near.json" in err and "far user's model" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+    assert not (tmp_path / "o" / "macs.csv").exists()
+
+
 def test_diverging_training_exits_2_naming_the_stage(tmp_path, capfd):
     cfg = dict(TINY, train=dict(TINY["train"], learning_rate=1e6))
     p = tmp_path / "cfg.json"
@@ -568,9 +591,10 @@ def test_traced_functions_run_on_the_main_thread(tiny_cfg, tmp_path, monkeypatch
 def test_a_failed_draw_on_the_helper_thread_fails_the_sweep(tiny_cfg, tmp_path, monkeypatch,
                                                             capsys):
     fill = link.CellDraws.fill
+    calls = itertools.count()
 
     def failing_fill(draws):
-        if draws.cell[3] == 2:  # the third cell's block
+        if next(calls) == 2:  # the third cell's draws
             raise ValueError("no normals for this cell")
         return fill(draws)
 
@@ -589,3 +613,88 @@ def test_importing_the_cli_leaves_concurrent_futures_unloaded():
     code = "import sys, nomalink.cli; sys.exit('concurrent.futures' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0
+
+
+# public functions and methods no command enters, each with what keeps it
+_UNREACHED_BY_COMMANDS = {
+    "quant.dequantize": "perfbench/tracing.py wraps it by name",
+    "qam.qam_modulate": "perfbench/tracing.py wraps it by name",
+    "qam.QamMap.size": "qam_modulate reads it",
+    "qam.PointGrid.__len__": "perfbench/tracing.py sizes nearest_point's grid with len()",
+    "srate.write_accuracy_csv": "perfbench/workloads.py writes the regions CSVs with it",
+}
+
+
+def _public_code(package):
+    """Qualified name -> code object of every function and method (public,
+    dunder or property) written in the package's source files."""
+    found = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name == "__main__":  # runs the command line when imported
+            continue
+        mod = importlib.import_module(f"{package.__name__}.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = {name: obj}
+            elif inspect.isclass(obj):
+                members = {f"{name}.{attr}": getattr(member, "fget", member)
+                           for attr, member in vars(obj).items()
+                           if not attr.startswith("_") or attr.endswith("__")}
+            else:
+                continue
+            for qual, fn in members.items():
+                # dataclass-made methods are compiled from "<string>"
+                code = getattr(fn, "__code__", None)
+                if code is not None and code.co_filename == mod.__file__:
+                    found[f"{info.name}.{qual}"] = code
+    return found
+
+
+def test_every_public_function_is_reached_by_a_command(tmp_path):
+    from nomalink.srate import synthetic_accuracy_samples, write_accuracy_csv
+
+    # the default requirement cases are built at import; this one is read
+    case = {"name": "med", "xi_req_far": 0.68, "rate_req_near": 0.069, "rate_req_far": 4.13}
+    rayleigh = {**TINY, "link": {"superposition": "literal"},
+                "sweep": {**TINY["sweep"], "kind": "rayleigh", "estimation_error_delta": 0.1},
+                "region": {**TINY["region"], "cases": [case]}}
+    configs = {}
+    for name, doc in (("tiny", TINY), ("rayleigh", rayleigh)):
+        configs[name] = str(tmp_path / f"{name}.json")
+        Path(configs[name]).write_text(json.dumps(doc))
+    csvs = []
+    for kind in ("text", "image"):
+        csvs.append(str(tmp_path / f"{kind}.csv"))
+        write_accuracy_csv(csvs[-1], synthetic_accuracy_samples(kind))
+    runs = []
+    for name, cfg in configs.items():
+        out = str(tmp_path / name)
+        runs += [["train-modem", "--config", cfg, "--out", out],
+                 ["sweep", "--config", cfg, "--out", out, "--detector", "both"],
+                 ["sweep", "--config", cfg, "--out", out, "--detector", "sic"],
+                 ["macs", "--config", cfg, "--out", out, "--models", out],
+                 ["macs", "--config", cfg, "--out", out]]
+    runs += [["regions", "--config", configs["tiny"], "--out", str(tmp_path / "r")],
+             ["regions", "--config", configs["rayleigh"], "--out", str(tmp_path / "r"),
+              "--case", "med", "--text-csv", csvs[0], "--image-csv", csvs[1]]]
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    threading.setprofile(profile)  # the sweep's helper thread
+    sys.setprofile(profile)
+    try:
+        for argv in runs:
+            assert main(argv) == 0, argv
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    public = _public_code(nomalink)
+    assert set(_UNREACHED_BY_COMMANDS) <= set(public)
+    unreached = {name for name, code in public.items() if code not in entered}
+    assert unreached == set(_UNREACHED_BY_COMMANDS)

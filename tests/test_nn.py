@@ -82,8 +82,8 @@ def test_sgd_step_moves_against_gradient():
 
 def test_macs_counts_weights_only():
     mlp = Mlp([2, 32, 32, 32, 2])
-    assert mlp.macs == 2 * 32 + 32 * 32 + 32 * 32 + 32 * 2
-    assert Mlp([7, 3]).macs == dense_macs([7, 3]) == 21
+    assert dense_macs(mlp.widths) == 2 * 32 + 32 * 32 + 32 * 32 + 32 * 2
+    assert dense_macs(Mlp([7, 3]).widths) == 21
 
 
 def test_zero_init_without_rng():

@@ -20,7 +20,7 @@ def test_default_quantizer_frozen_values():
     assert q.zero_pz == oracles.EXPECTED_ZERO_PZ
     assert np.allclose(q.constellation_deq,
                        oracles.EXPECTED_CONSTELLATION_M2_S5_D1, atol=1e-12)
-    assert q.step == pytest.approx(10.0 / 3.0, abs=1e-12)
+    assert 1 / q.scale_fs == pytest.approx(10.0 / 3.0, abs=1e-12)
 
 
 def test_matches_exact_arithmetic_oracle():
@@ -55,7 +55,7 @@ def test_round_trip_error_bounded(m, s, frac, u):
     q = fit_quantizer(m, s, d)
     x = d + s * u  # in-range by construction
     err = abs(float(dequantize(quantize(np.array([x]), q), q)[0]) - x)
-    assert err <= q.step + 1e-9
+    assert err <= 1 / q.scale_fs + 1e-9
 
 
 @given(m=st.integers(1, 8), s=st.floats(0.1, 50.0), frac=st.floats(0.05, 0.95))
@@ -109,7 +109,7 @@ def test_feature_vector_validation():
     with pytest.raises(ValueError):
         FeatureVector(np.array([0.0]), 5.0, 6.0)  # d >= s
     fv = FeatureVector(np.array([0.0, 6.0, -4.0]), 5.0, 1.0)
-    assert len(fv) == 3
+    assert fv.values.size == 3
 
 
 def test_bits_validation():

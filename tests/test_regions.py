@@ -23,6 +23,10 @@ TEXT = TRUE_TEXT_CURVE
 IMAGE = TRUE_IMAGE_CURVE
 
 
+def _ys(curve) -> np.ndarray:
+    return np.array([p.y for p in curve.points])
+
+
 def shipped_query(**overrides) -> RegionQuery:
     base = dict(gain_near_db=20, gain_far_db=16, bandwidth_hz=12.0,
                 p_max_watts=1.0, near_profile=text_profile(128.0),
@@ -93,7 +97,7 @@ def test_noma_rate_point_matches_hand_computation():
     pref_n = rate_prefactor(q.near_profile, 12.0)
     pref_f = rate_prefactor(q.far_profile, 12.0)
     rate_n = pref_n * 0.8
-    curve = noma_rate_region(q, TEXT, IMAGE, gamma_grid=np.array([rate_n]))
+    curve = noma_rate_region(q, TEXT, IMAGE, np.array([rate_n]))
     rho_n = gamma_required(TEXT, 0.8) / 100.0
     gamma_f = (1 - rho_n) * 10**1.6 / (rho_n * 10**1.6 + 1)
     want = pref_f * xi_eval(IMAGE, gamma_f)
@@ -104,24 +108,24 @@ def test_noma_rate_point_matches_hand_computation():
 def test_noma_rate_matches_dense_oracle():
     q = shipped_query()
     grid = default_rate_grid(q, TEXT)
-    curve = noma_rate_region(q, TEXT, IMAGE)
+    curve = noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
     ref = oracles.dense_noma_rate(TEXT, IMAGE, 100.0, 10**1.6,
                                   rate_prefactor(q.near_profile, 12.0),
                                   rate_prefactor(q.far_profile, 12.0),
                                   0.7, grid)
-    got = curve.ys()
+    got = _ys(curve)
     assert np.allclose(got[~np.isnan(ref)], ref[~np.isnan(ref)], rtol=1e-12)
 
 
 def test_oma_rate_close_to_dense_oracle():
     q = shipped_query(grid_points=1024)
     grid = default_rate_grid(q, TEXT)
-    curve = oma_rate_region(q, TEXT, IMAGE)
+    curve = oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
     ref = oracles.dense_oma_rate(TEXT, IMAGE, 100.0, 10**1.6, 12.0,
                                  rate_prefactor(q.near_profile, 12.0),
                                  rate_prefactor(q.far_profile, 12.0),
                                  0.6, 0.7, grid, 8192)
-    got = curve.ys()
+    got = _ys(curve)
     mask = ~np.isnan(ref)
     assert np.all(np.abs(got[mask] - ref[mask]) <= 0.005 * np.abs(ref[mask]))
     # exhaustive-plus-refinement can only improve on the coarse oracle grid
@@ -130,8 +134,8 @@ def test_oma_rate_close_to_dense_oracle():
 
 def test_noma_rate_region_contains_oma():
     q = shipped_query()
-    noma = noma_rate_region(q, TEXT, IMAGE)
-    oma = oma_rate_region(q, TEXT, IMAGE)
+    noma = noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
+    oma = oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
     for pn, po in zip(noma.points, oma.points):
         assert pn.x == po.x
         if po.feasible:
@@ -147,7 +151,7 @@ def test_noma_power_matches_dense_oracle():
                                    rate_prefactor(q.near_profile, 12.0),
                                    rate_prefactor(q.far_profile, 12.0),
                                    0.7, 0.0, 0.0, levels, 4096)
-    got = curve.ys()
+    got = _ys(curve)
     mask = ~np.isnan(ref)
     assert np.all(np.abs(got[mask] - ref[mask]) <= 0.005 * np.abs(ref[mask]))
     assert np.all(got[mask] <= ref[mask] + 1e-9)
@@ -177,7 +181,7 @@ def test_noma_power_is_the_total_at_the_smallest_near_share():
         curve = noma_power_region(q, TEXT, IMAGE, req_levels=levels)
         want = np.array([_scalar_noma_power(q, level) for level in levels])
         assert [p.feasible for p in curve.points] == list(~np.isnan(want))
-        np.testing.assert_allclose(curve.ys(), want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(_ys(curve), want, rtol=1e-13, atol=0)
 
 
 def _scalar_oma_rate(q, rate_n, w_n):
@@ -316,7 +320,7 @@ def _loop_oma_power(q, levels):
 
 
 def _same_curve(curve, want):
-    got = curve.ys()
+    got = _ys(curve)
     assert [p.feasible for p in curve.points] == list(~np.isnan(want))
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(_bits(got[~np.isnan(got)]), _bits(want[~np.isnan(want)]))
@@ -360,10 +364,10 @@ def test_rows_without_a_valid_grid_point_stay_infeasible():
 def test_oma_rate_search_memory_is_bounded():
     # the coarse grid is evaluated a few rows at a time, not all 33 x 2048 at once
     q = shipped_query(grid_points=2048, sweep_points=33)
-    oma_rate_region(q, TEXT, IMAGE)  # warm up imports and caches
+    oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))  # warm up imports and caches
     tracemalloc.start()
     try:
-        curve = oma_rate_region(q, TEXT, IMAGE)
+        curve = oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,7 +383,7 @@ def test_oma_power_close_to_dense_oracle():
                                   rate_prefactor(q.near_profile, 12.0),
                                   rate_prefactor(q.far_profile, 12.0),
                                   0.75, 0.075, 5.0, levels, 4096)
-    got = curve.ys()
+    got = _ys(curve)
     mask = ~np.isnan(ref)
     assert mask.any()
     assert np.all(np.abs(got[mask] - ref[mask]) <= 0.005 * np.abs(ref[mask]))
@@ -389,7 +393,7 @@ def test_power_curves_monotone_in_level():
     q = shipped_query(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75)
     levels = np.linspace(0.6, 0.84, 7)
     for region in (noma_power_region, oma_power_region):
-        ys = region(q, TEXT, IMAGE, req_levels=levels).ys()
+        ys = _ys(region(q, TEXT, IMAGE, req_levels=levels))
         ok = ~np.isnan(ys)
         assert np.all(np.diff(ys[ok]) >= -1e-9)
 
@@ -413,8 +417,8 @@ def test_raising_any_requirement_never_lowers_power(bump):
 
 def test_unreachable_far_requirement_gives_empty_curves():
     q = shipped_query(xi_req_far=0.95)  # above the far accuracy ceiling 0.90
-    assert not noma_rate_region(q, TEXT, IMAGE).feasible
-    assert not oma_rate_region(q, TEXT, IMAGE).feasible
+    assert not noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT)).feasible
+    assert not oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT)).feasible
     assert not noma_power_region(q, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
     assert not oma_power_region(q, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
 
@@ -428,7 +432,7 @@ def test_oma_power_infeasible_when_rate_exceeds_bandwidth():
 
 def test_infeasible_points_carry_nan_y():
     q = shipped_query(xi_req_far=0.95)
-    for p in noma_rate_region(q, TEXT, IMAGE).points:
+    for p in noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT)).points:
         assert not p.feasible and math.isnan(p.y)
 
 
@@ -437,7 +441,7 @@ def test_curve_accessors():
                                   RegionPoint(1.0, math.nan, False)))
     assert c.feasible
     assert c.dropped == 1
-    assert c.ys()[0] == 1.0 and math.isnan(c.ys()[1])
+    assert _ys(c)[0] == 1.0 and math.isnan(_ys(c)[1])
 
 
 def test_query_validation():
