@@ -7,11 +7,10 @@ transmit signal.  Noise is drawn from the realization's own sub-stream,
 so a (spec, user, block) triple always reproduces the same link.
 
 Each transmit call adds one noise draw, for the last axis of its input,
-to every row before it: the normals it is handed, or fresh ones from
-the realization's stream.  link.run_link stacks the transmit signals of
-all detectors of a cell and calls it once per user, so every detector
-sees the same noise: one draw per user and block, shared by the
-detectors.  A sweep draws each cell's noise normals ahead, from the
+to every row before it, from the normals it is handed.  link.run_link
+stacks the transmit signals of all detectors of a cell and calls it
+once per user, so every detector sees the same noise: one draw per user
+and block, shared by the detectors.  A sweep draws each cell's noise normals ahead, from the
 realization's stream (link.open_cell), and run_link hands them to
 transmit.
 """
@@ -87,22 +86,18 @@ def realize(spec: ChannelSpec, user: int = 0, block: int = 0) -> ChannelRealizat
     return ChannelRealization(complex(h[0]), complex(h_hat[0]), sigma2, noise)
 
 
-def transmit(x: np.ndarray, real: ChannelRealization,
-             normals: np.ndarray | None = None) -> np.ndarray:
-    """y = h x + n with n ~ CN(0, sigma2), fresh noise per call.
+def transmit(x: np.ndarray, real: ChannelRealization, normals: np.ndarray) -> np.ndarray:
+    """y = h x + n with n ~ CN(0, sigma2).
 
     n has the length of x's last axis and is shared by all of x's rows.
-    Its (re, im) pairs are the realization's next len(n) x 2 standard
-    normals, scaled.  normals, when given, holds exactly those, drawn
-    ahead (link.CellDraws); otherwise they are drawn here.
+    Its (re, im) pairs are normals, the realization's next len(n) x 2
+    standard normals, drawn ahead (link.CellDraws), scaled.
     """
     # complex128 up front: float32 or complex64 input still gets a complex128
     # result, and the in-place add below does not round the noise to it
     x = np.asarray(x, dtype=complex)
     shape = (*x.shape[-1:], 2)
-    if normals is None:
-        normals = real._noise_rng.standard_normal(shape)
-    elif normals.shape != shape or normals.dtype != np.float64:
+    if normals.shape != shape or normals.dtype != np.float64:
         raise ValueError(f"noise normals must be float64 of shape {shape}")
     n = normals.view(complex)[..., 0] * np.sqrt(real.sigma2 / 2.0)
     y = real.h * x

@@ -22,10 +22,9 @@ from .link import DETECTOR_NEURAL, DETECTOR_SIC, build_constellations, open_cell
 from .modem import (ROLE_FAR, ROLE_NEAR, TrainingDivergedError, count_macs, load_model,
                     modem_macs, save_model, train_modem)
 from .qam import sic_macs_per_symbol
-from .regions import (RegionQuery, default_rate_grid, noma_power_region,
-                      noma_rate_region, oma_power_region, oma_rate_region)
-from .srate import (fit_logistic, image_profile, load_accuracy_csv,
-                    synthetic_accuracy_samples, text_profile)
+from .regions import (default_rate_grid, noma_power_region, noma_rate_region,
+                      oma_power_region, oma_rate_region)
+from .srate import fit_logistic, load_accuracy_csv, synthetic_accuracy_samples
 
 _MACS_LENGTHS = (1, 16, 64, 256, 1024)
 
@@ -218,25 +217,15 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
     fit_text, src_text = _accuracy_model("text", text_csv)
     fit_image, src_image = _accuracy_model("image", image_csv)
 
-    rate_query = RegionQuery(
-        gain_near_db=r.gain_near_db, gain_far_db=r.gain_far_db,
-        bandwidth_hz=r.bandwidth_hz, p_max_watts=r.p_max_watts,
-        near_profile=text_profile(r.text_k_symbols),
-        far_profile=image_profile(r.image_compression),
-        xi_req_near=r.xi_req_near, xi_req_far=r.xi_req_far,
-        grid_points=r.grid_points, sweep_points=r.sweep_points)
-    power_query = dataclasses.replace(
-        rate_query, xi_req_far=case.xi_req_far,
-        rate_req_near=case.rate_req_near, rate_req_far=case.rate_req_far)
     levels = np.linspace(r.power_level_lo, r.power_level_hi,
                          r.power_sweep_points)
 
-    rate_grid = default_rate_grid(rate_query, fit_text.model)
+    rate_grid = default_rate_grid(r, fit_text.model)
     curves = [
-        noma_rate_region(rate_query, fit_text.model, fit_image.model, rate_grid),
-        oma_rate_region(rate_query, fit_text.model, fit_image.model, rate_grid),
-        noma_power_region(power_query, fit_text.model, fit_image.model, levels),
-        oma_power_region(power_query, fit_text.model, fit_image.model, levels),
+        noma_rate_region(r, fit_text.model, fit_image.model, rate_grid),
+        oma_rate_region(r, fit_text.model, fit_image.model, rate_grid),
+        noma_power_region(r, case, fit_text.model, fit_image.model, levels),
+        oma_power_region(r, case, fit_text.model, fit_image.model, levels),
     ]
 
     rows = [(c.scheme, p.x, p.y, int(p.feasible)) for c in curves for p in c.points]

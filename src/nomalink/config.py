@@ -17,8 +17,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .channel import KIND_AWGN, KIND_RAYLEIGH
-from .modem import check_power_split
-from .regions import check_region_settings
+from .modem import SUPERPOSE_LITERAL, SUPERPOSE_SQRT
 from .srate import GAMMA_DB_LIMIT
 
 SCHEMA_VERSION = 1
@@ -32,7 +31,15 @@ def _check_range(section, key, lo, hi):
     """Sizes have upper bounds far above any run this package makes: beyond
     them a value is a typo that would run out of time or memory."""
     if not lo <= getattr(section, key) <= hi:
+        lo, hi = (f"{v:g}" if isinstance(v, float) else v for v in (lo, hi))
         raise ValueError(f"{key} must be in {lo}..{hi}")
+
+
+def _check_accuracy(section, *keys):
+    """Accuracy requirements lie strictly between 0 and 1."""
+    for key in keys:
+        if not 0 < getattr(section, key) < 1:
+            raise ValueError(f"{key} must lie in (0, 1)")
 
 
 def _check_db(section, *keys):
@@ -66,7 +73,16 @@ class LinkSection:
     superposition: str = "sqrt"
 
     def __post_init__(self):
-        check_power_split(self.rho_near, self.rho_far, self.superposition)
+        # shares in (0, 1) summing to 1, the far (weak) user getting at
+        # least the near user's share
+        if not (0 < self.rho_near < 1 and 0 < self.rho_far < 1):
+            raise ValueError("power shares must lie in (0, 1)")
+        if abs(self.rho_near + self.rho_far - 1.0) > 1e-12:
+            raise ValueError("power shares must sum to 1")
+        if self.rho_near > self.rho_far:
+            raise ValueError("near (strong) user cannot get more power than far")
+        if self.superposition not in (SUPERPOSE_SQRT, SUPERPOSE_LITERAL):
+            raise ValueError(f"unknown superposition convention {self.superposition!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +150,10 @@ class RequirementCase:
     rate_req_far: float = 5.0
 
     def __post_init__(self):
-        check_region_settings(self)
+        _check_accuracy(self, "xi_req_far")
+        # bounded far beyond any real link
+        _check_range(self, "rate_req_near", 0.0, 1e12)
+        _check_range(self, "rate_req_far", 0.0, 1e12)
 
 
 @dataclass(frozen=True)
@@ -159,9 +178,14 @@ class RegionSection:
     )
 
     def __post_init__(self):
-        # gains, bandwidth, power ceiling, requirements and the two grids
-        # face the checks of regions.RegionQuery
-        check_region_settings(self)
+        # bandwidth and power ceiling are bounded far beyond any real link;
+        # inside all bounds every region curve runs without overflow
+        _check_db(self, "gain_near_db", "gain_far_db")
+        _check_range(self, "bandwidth_hz", 1e-6, 1e12)
+        _check_range(self, "p_max_watts", 1e-12, 1e12)
+        _check_accuracy(self, "xi_req_near", "xi_req_far")
+        _check_range(self, "grid_points", 8, 65_536)
+        _check_range(self, "sweep_points", 2, 1024)
         _check_range(self, "text_k_symbols", 1, 1_000_000)
         if not 0 < self.image_compression <= 1:
             raise ValueError("image_compression must lie in (0, 1]")
@@ -169,6 +193,11 @@ class RegionSection:
         if not 0 < self.power_level_lo <= self.power_level_hi < 1:
             raise ValueError("power levels must satisfy "
                              "0 < power_level_lo <= power_level_hi < 1")
+        names = [c.name for c in self.cases]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"cases must have distinct names; {name!r} "
+                                 f"appears {names.count(name)} times")
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ as noise):
 
 with g the linear channel gain; a**2 is rho under the sqrt convention
 (unit power composite) and rho**2 under the literal one.  Power ceiling
-and bandwidth belong to the region analysis (regions.RegionQuery), not
-to the link.
+and bandwidth belong to the region analysis (the config's region
+section, which regions reads), not to the link.
 """
 
 import math
@@ -45,7 +45,7 @@ from . import rng as _rng
 from .channel import ChannelSpec, equalize, realize, transmit
 from .modem import SUPERPOSE_SQRT, ModemModel, amplitudes, demodulate, tx_symbols
 from .qam import QamMap, detect_far, make_qam, nearest_point, sic_detect
-from .quant import FeatureVector, QuantizerParams, fit_quantizer, quantize
+from .quant import QuantizerParams, fit_quantizer, quantize
 
 if TYPE_CHECKING:  # config imports modem, as this module does
     from .config import ExperimentConfig, LinkSection
@@ -130,10 +130,11 @@ def effective_snrs_db(link: "LinkSection", gain_near_db: float,
     return 10.0 * math.log10(gamma_n), 10.0 * math.log10(gamma_f)
 
 
-def sample_features(z: np.ndarray, bound_s: float, bound_d: float) -> FeatureVector:
+def sample_features(z: np.ndarray, bound_s: float, bound_d: float) -> np.ndarray:
     """Synthetic encoder output d + s * tanh(z) of standard normals z, a
-    user's source normals (CellDraws.source[user])."""
-    return FeatureVector(bound_d + bound_s * np.tanh(z), bound_s, bound_d)
+    user's source normals (CellDraws.source[user]); in [-s + d, s + d]
+    by construction, which quantize checks."""
+    return bound_d + bound_s * np.tanh(z)
 
 
 _USERS = (_rng.USER_NEAR, _rng.USER_FAR)
@@ -219,10 +220,10 @@ def run_link(books: Constellations, draws: CellDraws,
     if DETECTOR_NEURAL in detectors and models is None:
         raise ValueError("neural detection needs a trained model pair")
     q_near, q_far = books.q_near, books.q_far
-    vec_near, vec_far = (sample_features(z, q.bound_s, q.bound_d)
-                         for z, q in zip(draws.source, (q_near, q_far)))
-    idx_n = quantize(vec_near, q_near)
-    idx_f = quantize(vec_far, q_far)
+    x_near, x_far = (sample_features(z, q.bound_s, q.bound_d)
+                     for z, q in zip(draws.source, (q_near, q_far)))
+    idx_n = quantize(x_near, q_near)
+    idx_f = quantize(x_far, q_far)
     # gathered from the alphabets: bit for bit what dequantizing, modulating
     # and superposing each symbol gives
     v_n = q_near.constellation_deq[idx_n]

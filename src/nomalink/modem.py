@@ -48,7 +48,7 @@ from .channel import ChannelSpec, coefficients
 from .nn import Mlp, dense_macs
 from .quant import QuantizerParams, fit_quantizer
 
-if TYPE_CHECKING:  # config imports this module for check_power_split
+if TYPE_CHECKING:  # config imports this module for the superposition conventions
     from .config import ExperimentConfig
 
 ROLE_NEAR = "near"
@@ -86,20 +86,6 @@ class ModemModel:
     quantizer: QuantizerParams
     mean_power: float | None = None
     input_clip_radius: float | None = None
-
-
-def check_power_split(rho_near: float, rho_far: float, convention: str):
-    """Raise ValueError unless the shares and the superposition convention
-    form a valid split: shares in (0, 1) summing to 1, the far (weak)
-    user getting at least the near user's share."""
-    if not (0 < rho_near < 1 and 0 < rho_far < 1):
-        raise ValueError("power shares must lie in (0, 1)")
-    if abs(rho_near + rho_far - 1.0) > 1e-12:
-        raise ValueError("power shares must sum to 1")
-    if rho_near > rho_far:
-        raise ValueError("near (strong) user cannot get more power than far")
-    if convention not in (SUPERPOSE_SQRT, SUPERPOSE_LITERAL):
-        raise ValueError(f"unknown superposition convention {convention!r}")
 
 
 def amplitudes(rho_near: float, rho_far: float, convention: str = SUPERPOSE_SQRT):

@@ -48,28 +48,6 @@ def round_half_away(x):
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """A batch of analog feature values with their known range.
-
-    values : float array, every element in [-bound_s + bound_d, bound_s + bound_d]
-    """
-
-    values: np.ndarray
-    bound_s: float
-    bound_d: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.size == 0:
-            raise ValueError("FeatureVector must hold at least one value")
-        if not (0 < self.bound_d < self.bound_s):
-            raise ValueError("bounds must satisfy 0 < d < s")
-        if _outside_range(vals, self.bound_s, self.bound_d):
-            raise ValueError("feature value outside [-s + d, s + d]")
-
-
-@dataclass(frozen=True)
 class QuantizerParams:
     """Fitted quantizer: bit width, analog range, scale, zero point, codebook,
     the codebook's detection grid and its variance under a uniform prior
@@ -118,19 +96,13 @@ def fit_quantizer(bits_m: int, bound_s: float, bound_d: float) -> QuantizerParam
                            float(np.std(constellation)) ** 2)
 
 
-def _as_values(v) -> np.ndarray:
-    if isinstance(v, FeatureVector):
-        return v.values
-    return np.asarray(v, dtype=float)
-
-
 def quantize(v, q: QuantizerParams) -> np.ndarray:
     """Map feature values to integer indices in [0, 2**m - 1].
 
     Raises QuantRangeError if any input lies outside the analog range by
     more than EPS_RANGE.
     """
-    vals = _as_values(v)
+    vals = np.asarray(v, dtype=float)
     if _outside_range(vals, q.bound_s, q.bound_d):
         bad = vals[np.abs(vals - q.bound_d) > q.bound_s + EPS_RANGE]
         raise QuantRangeError(f"value {bad.flat[0]!r} outside [-s + d, s + d]")

@@ -12,11 +12,26 @@ row per rate point or requirement level: a coarse slice grid, then
 deterministic zoom refinement around each row's best cell, every round
 one array over all rows.
 
+Every curve reads the experiment config's region section (cfg.region):
+the channel gains gain_near_db / gain_far_db, bandwidth_hz and the slice
+grid's grid_points.  The rate curves take their accuracy requirements
+xi_req_near and xi_req_far from it as well, and the near-rate sweep's
+sweep_points; the power curves take xi_req_far, rate_req_near and
+rate_req_far from the selected requirement case and scale their power
+shares to p_max_watts.  The near user is the text source and the far
+user the image source, with semantic rates
+
+    text  (near): rate = bandwidth_hz / text_k_symbols * xi
+    image (far) : rate = bandwidth_hz / image_compression * xi
+
+at accuracy xi over the whole band; under OMA a user's rate scales
+with its slice of the band.
+
 Conventions shared by every search:
 
-* gains are the query's channel gains in linear scale; under NOMA the
-  near user decodes after interference cancellation (SNR rho_n * g_n)
-  while the far user treats the near signal as noise
+* gains are the region section's channel gains in linear scale; under
+  NOMA the near user decodes after interference cancellation (SNR
+  rho_n * g_n) while the far user treats the near signal as noise
   (SNR rho_f * g_f / (rho_n * g_f + 1)); under OMA each user gets a
   bandwidth slice w and power share rho giving SNR rho * g * W / w.
 * requirement feasibility uses the extended inverse accuracy
@@ -29,71 +44,21 @@ Conventions shared by every search:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .srate import (GAMMA_DB_LIMIT, AccuracyModel, SourceProfile, gamma_required,
-                    image_profile, rate_prefactor, text_profile, xi_eval)
+from .srate import AccuracyModel, gamma_required, xi_eval
+
+if TYPE_CHECKING:  # annotations only
+    from .config import RegionSection, RequirementCase
 
 _REFINE_ROUNDS = 10
 _REFINE_POINTS = 33
 _GRID_BLOCK_ROWS = 4
 _FEAS_TOL = 1e-9
 _SWEEP_CEILING_MARGIN = 0.05
-
-
-# Ranges shared by RegionQuery and the config's region section.  Bandwidth,
-# power ceiling and rate requirements are bounded far beyond any real link;
-# inside all bounds every curve runs without overflow.
-_RANGES = {
-    "gain_near_db": (-GAMMA_DB_LIMIT, GAMMA_DB_LIMIT),
-    "gain_far_db": (-GAMMA_DB_LIMIT, GAMMA_DB_LIMIT),
-    "bandwidth_hz": (1e-6, 1e12),
-    "p_max_watts": (1e-12, 1e12),
-    "rate_req_near": (0.0, 1e12),
-    "rate_req_far": (0.0, 1e12),
-    "grid_points": (8, 65_536),
-    "sweep_points": (2, 1024),
-}
-
-
-def check_region_settings(settings):
-    """Raise ValueError naming the first out-of-range field of settings:
-    every field named in _RANGES that it has, and the accuracy
-    requirements xi_req_near / xi_req_far, which lie in (0, 1)."""
-    for key in ("xi_req_near", "xi_req_far"):
-        if hasattr(settings, key) and not 0 < getattr(settings, key) < 1:
-            raise ValueError(f"{key} must lie in (0, 1)")
-    for key, (lo, hi) in _RANGES.items():
-        if hasattr(settings, key) and not lo <= getattr(settings, key) <= hi:
-            raise ValueError(f"{key} must be in {lo:g}..{hi:g}")
-
-
-@dataclass(frozen=True)
-class RegionQuery:
-    """One region computation: channel, requirements and grid sizes.
-
-    Gains are in dB; under OMA the users split bandwidth_hz, and the power
-    curves are scaled to p_max_watts.  The rate requirements only bind
-    the power regions.
-    """
-
-    gain_near_db: float = 20.0
-    gain_far_db: float = 16.0
-    bandwidth_hz: float = 12.0
-    p_max_watts: float = 1e6
-    near_profile: SourceProfile = field(default_factory=text_profile)
-    far_profile: SourceProfile = field(default_factory=image_profile)
-    xi_req_near: float = 0.6
-    xi_req_far: float = 0.7
-    rate_req_near: float = 0.0
-    rate_req_far: float = 0.0
-    grid_points: int = 2048
-    sweep_points: int = 33
-
-    def __post_init__(self):
-        check_region_settings(self)
 
 
 @dataclass(frozen=True)
@@ -119,8 +84,14 @@ class RegionCurve:
         return sum(not p.feasible for p in self.points)
 
 
-def _gains(q: RegionQuery) -> tuple[float, float]:
-    return 10.0 ** (q.gain_near_db / 10.0), 10.0 ** (q.gain_far_db / 10.0)
+def _gains(r: "RegionSection") -> tuple[float, float]:
+    return 10.0 ** (r.gain_near_db / 10.0), 10.0 ** (r.gain_far_db / 10.0)
+
+
+def _rates_per_accuracy(r: "RegionSection") -> tuple[float, float]:
+    """Semantic rate per unit accuracy over the whole band: W / k for the
+    text (near) user, W / compression for the image (far) user."""
+    return r.bandwidth_hz / r.text_k_symbols, r.bandwidth_hz / r.image_compression
 
 
 def _curve(scheme: str, xs, ys) -> RegionCurve:
@@ -195,25 +166,25 @@ def _oma_search(fun, rows, grid: np.ndarray, maximize: bool) -> np.ndarray:
     return np.where(found, val, np.nan)
 
 
-def default_rate_grid(q: RegionQuery, near_model: AccuracyModel) -> np.ndarray:
+def default_rate_grid(r: "RegionSection", near_model: AccuracyModel) -> np.ndarray:
     """Near-rate sweep from the accuracy-requirement point to full power.
 
     The top is kept a small margin below the near accuracy ceiling: the
     power needed to close the last sliver of accuracy diverges, so curve
     values there are dominated by grid resolution rather than the model.
     """
-    g_n, _ = _gains(q)
-    pref_n = rate_prefactor(q.near_profile, q.bandwidth_hz)
+    g_n, _ = _gains(r)
+    pref_n, _ = _rates_per_accuracy(r)
     cap = near_model.a2 - _SWEEP_CEILING_MARGIN * (near_model.a2 - near_model.a1)
-    lo = pref_n * q.xi_req_near
+    lo = pref_n * r.xi_req_near
     hi = pref_n * min(xi_eval(near_model, g_n), cap)
     if hi <= lo:
         # requirement above what full power delivers: empty sweep at lo
         return np.array([lo])
-    return np.linspace(lo, hi, q.sweep_points)
+    return np.linspace(lo, hi, r.sweep_points)
 
 
-def noma_rate_region(q: RegionQuery, near_model: AccuracyModel,
+def noma_rate_region(r: "RegionSection", near_model: AccuracyModel,
                      far_model: AccuracyModel, rate_grid) -> RegionCurve:
     """Largest far rate per near rate of rate_grid (default_rate_grid)
     under superposition.
@@ -221,26 +192,24 @@ def noma_rate_region(q: RegionQuery, near_model: AccuracyModel,
     Closed form: the near rate pins the near power share, the far user
     gets the rest and its rate follows from its interference-limited SNR.
     """
-    g_n, g_f = _gains(q)
-    pref_n = rate_prefactor(q.near_profile, q.bandwidth_hz)
-    pref_f = rate_prefactor(q.far_profile, q.bandwidth_hz)
+    g_n, g_f = _gains(r)
+    pref_n, pref_f = _rates_per_accuracy(r)
     rate_n = np.asarray(rate_grid)
     # an unreachable near rate needs rho_n = inf, which the share test drops
     rho_n = np.maximum(0.0, gamma_required(near_model, rate_n / pref_n) / g_n)
     rho_c = np.minimum(rho_n, 1.0)
     acc_f = xi_eval(far_model, (1.0 - rho_c) * g_f / (rho_c * g_f + 1.0))
-    ok = (rho_n <= 1.0 + _FEAS_TOL) & (acc_f + _FEAS_TOL >= q.xi_req_far)
+    ok = (rho_n <= 1.0 + _FEAS_TOL) & (acc_f + _FEAS_TOL >= r.xi_req_far)
     return _curve("noma-rate", rate_n, np.where(ok, pref_f * acc_f, np.nan))
 
 
-def _oma_rate_at(q: RegionQuery, near_model: AccuracyModel, far_model: AccuracyModel,
+def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: AccuracyModel,
                  rate_n, w_n) -> np.ndarray:
     """Far rate for each near rate in rate_n and near bandwidth slice in
     w_n (broadcast against each other); NaN where the split is invalid."""
-    g_n, g_f = _gains(q)
-    w = q.bandwidth_hz
-    pref_n = rate_prefactor(q.near_profile, w)
-    pref_f = rate_prefactor(q.far_profile, w)
+    g_n, g_f = _gains(r)
+    w = r.bandwidth_hz
+    pref_n, pref_f = _rates_per_accuracy(r)
     w_n = np.asarray(w_n, dtype=float)
     w_f = w - w_n
 
@@ -248,22 +217,22 @@ def _oma_rate_at(q: RegionQuery, near_model: AccuracyModel, far_model: AccuracyM
     with np.errstate(divide="ignore", invalid="ignore"):
         acc_rate = rate_n * w / (pref_n * w_n)
         need = np.maximum(gamma_required(near_model, acc_rate),
-                          gamma_required(near_model, q.xi_req_near))
+                          gamma_required(near_model, r.xi_req_near))
         rho_low = np.maximum(0.0, need * w_n / (w * g_n))
         # near excluded: admissible only for a zero near rate, limit sense
-        near_out_ok = (rate_n <= 0.0) & (q.xi_req_near < near_model.a2)
+        near_out_ok = (rate_n <= 0.0) & (r.xi_req_near < near_model.a2)
         rho_low = np.where(w_n > 0.0, rho_low, np.where(near_out_ok, 0.0, np.nan))
         gamma_f = (1.0 - np.minimum(rho_low, 1.0)) * g_f * w / w_f
     acc_f = xi_eval(far_model, gamma_f)
-    rate_f = np.where(acc_f + _FEAS_TOL < q.xi_req_far, np.nan,
+    rate_f = np.where(acc_f + _FEAS_TOL < r.xi_req_far, np.nan,
                       pref_f * (w_f / w) * acc_f)
     # far excluded at the right corner
-    far_out_ok = q.xi_req_far < far_model.a2
+    far_out_ok = r.xi_req_far < far_model.a2
     rate_f = np.where(w_f > 0.0, rate_f, 0.0 if far_out_ok else np.nan)
     return np.where(rho_low <= 1.0 + _FEAS_TOL, rate_f, np.nan)
 
 
-def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
+def oma_rate_region(r: "RegionSection", near_model: AccuracyModel,
                     far_model: AccuracyModel, rate_grid) -> RegionCurve:
     """Largest far rate per near rate of rate_grid (default_rate_grid)
     under orthogonal slicing.
@@ -272,13 +241,13 @@ def oma_rate_region(q: RegionQuery, near_model: AccuracyModel,
     once: a coarse grid, then zoom refinement around each best cell.
     """
     rate_n = np.asarray(rate_grid)
-    w_grid = np.linspace(0.0, q.bandwidth_hz, q.grid_points, endpoint=False)
-    best = _oma_search(lambda r, w_n: _oma_rate_at(q, near_model, far_model, r, w_n),
+    w_grid = np.linspace(0.0, r.bandwidth_hz, r.grid_points, endpoint=False)
+    best = _oma_search(lambda rate, w_n: _oma_rate_at(r, near_model, far_model, rate, w_n),
                        rate_n, w_grid, maximize=True)
     return _curve("oma-rate", rate_n, best)
 
 
-def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
+def noma_power_region(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
                       far_model: AccuracyModel, req_levels) -> RegionCurve:
     """Minimum total power share per near accuracy requirement level.
 
@@ -286,41 +255,39 @@ def noma_power_region(q: RegionQuery, near_model: AccuracyModel,
     every feasibility limit only grow with rho_n, so the minimum sits at
     the smallest near share that meets the near requirements.
     """
-    g_n, g_f = _gains(q)
-    pref_n = rate_prefactor(q.near_profile, q.bandwidth_hz)
-    pref_f = rate_prefactor(q.far_profile, q.bandwidth_hz)
+    g_n, g_f = _gains(r)
+    pref_n, pref_f = _rates_per_accuracy(r)
     levels = np.asarray(req_levels)
     need_n = np.maximum(gamma_required(near_model, levels),
-                        gamma_required(near_model, q.rate_req_near / pref_n))
-    need_f = max(gamma_required(far_model, q.xi_req_far),
-                 gamma_required(far_model, q.rate_req_far / pref_f))
+                        gamma_required(near_model, case.rate_req_near / pref_n))
+    need_f = max(gamma_required(far_model, case.xi_req_far),
+                 gamma_required(far_model, case.rate_req_far / pref_f))
     rho_n = np.maximum(0.0, need_n / g_n)
     # an unreachable far requirement (need_f = +inf) makes the total +inf
     total = rho_n + np.maximum(0.0, need_f * (1.0 / g_f + rho_n))
     ok = (rho_n <= 1.0) & (total <= 1.0 + _FEAS_TOL)
-    return _curve("noma-power", levels, np.where(ok, total, np.nan) * q.p_max_watts)
+    return _curve("noma-power", levels, np.where(ok, total, np.nan) * r.p_max_watts)
 
 
-def _oma_power_total(q: RegionQuery, near_model: AccuracyModel,
+def _oma_power_total(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
                      far_model: AccuracyModel, level, w_n) -> np.ndarray:
     """Total power share for each near requirement level in level and near
     bandwidth slice in w_n (broadcast against each other); NaN where the
     split is invalid."""
-    g_n, g_f = _gains(q)
-    w = q.bandwidth_hz
-    pref_n = rate_prefactor(q.near_profile, w)
-    pref_f = rate_prefactor(q.far_profile, w)
+    g_n, g_f = _gains(r)
+    w = r.bandwidth_hz
+    pref_n, pref_f = _rates_per_accuracy(r)
     w_n = np.asarray(w_n, dtype=float)
     w_f = w - w_n
 
     # slices of zero width divide by zero here; the mask below drops them
     with np.errstate(divide="ignore", invalid="ignore"):
-        acc_rate_n = q.rate_req_near * w / (pref_n * w_n)
+        acc_rate_n = case.rate_req_near * w / (pref_n * w_n)
         need_n = np.maximum(gamma_required(near_model, level),
                             gamma_required(near_model, acc_rate_n))
         rho_n = np.maximum(0.0, need_n * w_n / (w * g_n))
-        acc_rate_f = q.rate_req_far * w / (pref_f * w_f)
-        need_f = np.maximum(gamma_required(far_model, q.xi_req_far),
+        acc_rate_f = case.rate_req_far * w / (pref_f * w_f)
+        need_f = np.maximum(gamma_required(far_model, case.xi_req_far),
                             gamma_required(far_model, acc_rate_f))
         rho_f = np.maximum(0.0, need_f * w_f / (w * g_f))
     # an unreachable requirement (need = +inf) makes the total +inf
@@ -329,7 +296,7 @@ def _oma_power_total(q: RegionQuery, near_model: AccuracyModel,
     return np.where(valid, total, np.nan)
 
 
-def oma_power_region(q: RegionQuery, near_model: AccuracyModel,
+def oma_power_region(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
                      far_model: AccuracyModel, req_levels) -> RegionCurve:
     """Minimum total power share per near accuracy requirement level.
 
@@ -338,9 +305,10 @@ def oma_power_region(q: RegionQuery, near_model: AccuracyModel,
     slice is the whole band, no slice on the grid is valid.
     """
     levels = np.asarray(req_levels)
-    w = q.bandwidth_hz
-    w_lo = q.rate_req_near * w / rate_prefactor(q.near_profile, w)  # slice at accuracy 1
-    grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
-    best = _oma_search(lambda lv, w_n: _oma_power_total(q, near_model, far_model, lv, w_n),
-                       levels, grid, maximize=False)
-    return _curve("oma-power", levels, best * q.p_max_watts)
+    w = r.bandwidth_hz
+    w_lo = case.rate_req_near * w / _rates_per_accuracy(r)[0]  # slice at accuracy 1
+    grid = np.linspace(max(w_lo, w / r.grid_points), w, r.grid_points, endpoint=False)
+    best = _oma_search(
+        lambda lv, w_n: _oma_power_total(r, case, near_model, far_model, lv, w_n),
+        levels, grid, maximize=False)
+    return _curve("oma-power", levels, best * r.p_max_watts)

@@ -6,16 +6,19 @@ by a generalized logistic
     xi(gamma) = a1 + (a2 - a1) / (1 + exp(-(c1 * gamma + c2)))
 
 with floor a1, ceiling a2 and slope c1 > 0.  The semantic rate of a
-source is the accuracy times a units prefactor:
+source is the accuracy times a units prefactor, read from the config's
+region section by the region curves (regions):
 
-    text  : (W / k_symbols) * xi
-    image : (W / compression) * xi
+    text  : (bandwidth_hz / text_k_symbols) * xi
+    image : (bandwidth_hz / image_compression) * xi
 
-where W is the occupied bandwidth, so rates come out in units of
-semantic content per item.  Accuracy samples can be ingested
-from two-column CSVs (gamma_db, accuracy) and fitted by least squares
-with deterministic Levenberg-Marquardt on all four parameters, started
-from a logit-linearized slope pair and the levels projected onto it.
+where bandwidth_hz is the occupied bandwidth W, text_k_symbols the
+average symbols per word and image_compression the compression ratio,
+so rates come out in units of semantic content per item.  Accuracy
+samples can be ingested from two-column CSVs (gamma_db, accuracy) and
+fitted by least squares with deterministic Levenberg-Marquardt on all
+four parameters, started from a logit-linearized slope pair and the
+levels projected onto it.
 """
 
 import csv
@@ -46,45 +49,6 @@ DEGENERATE_SPAN = 1e-9
 # accuracy CSV rows lie within this many dB of 0 dB; a row beyond it is a
 # units or typing error (at 3,000 dB the fit's Jacobian overflows)
 GAMMA_DB_LIMIT = 100.0
-
-
-@dataclass(frozen=True)
-class SourceProfile:
-    """Units of one semantic source.
-
-    kind 'text' divides by k_symbols (average symbols per word); kind
-    'image' divides by compression (compression ratio).
-    """
-
-    kind: str
-    k_symbols: float | None = None
-    compression: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (KIND_TEXT, KIND_IMAGE):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.kind == KIND_TEXT:
-            if self.k_symbols is None or self.compression is not None:
-                raise ValueError("text profile needs k_symbols and no compression")
-            if self.k_symbols <= 0:
-                raise ValueError("k_symbols must be positive")
-        else:
-            if self.compression is None or self.k_symbols is not None:
-                raise ValueError("image profile needs compression and no k_symbols")
-            if not (0 < self.compression <= 1):
-                raise ValueError("compression must lie in (0, 1]")
-
-    @property
-    def denominator(self) -> float:
-        return self.k_symbols if self.kind == KIND_TEXT else self.compression
-
-
-def text_profile(k_symbols: float = 128.0) -> SourceProfile:
-    return SourceProfile(KIND_TEXT, k_symbols=k_symbols)
-
-
-def image_profile(compression: float = 0.33) -> SourceProfile:
-    return SourceProfile(KIND_IMAGE, compression=compression)
 
 
 @dataclass(frozen=True)
@@ -125,10 +89,6 @@ def gamma_required(model: AccuracyModel, target) -> np.ndarray | float:
         inner = (np.log((t - model.a1) / (model.a2 - t)) - model.c2) / model.c1
     out = np.where(t <= model.a1, -np.inf, np.where(t >= model.a2, np.inf, inner))
     return float(out) if out.ndim == 0 else out
-
-
-def rate_prefactor(profile: SourceProfile, bandwidth_w: float) -> float:
-    return bandwidth_w / profile.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ line per guarantee.  Stated runtime budgets are asserted at the end of
 each test body.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -15,20 +14,18 @@ import pytest
 
 import oracles
 from nomalink.cli import main
-from nomalink.config import ExperimentConfig, LinkSection
+from nomalink.config import ExperimentConfig, LinkSection, RegionSection
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, build_constellations,
                            effective_snrs_db, open_cell, run_link)
 from nomalink.modem import (amplitudes, composite_peak, count_macs, demodulate,
                             train_modem, tx_symbols)
 from nomalink.qam import make_qam, sic_detect, sic_macs_per_symbol
-from nomalink.quant import FeatureVector, dequantize, fit_quantizer, quantize
-from nomalink.regions import (RegionQuery, default_rate_grid,
-                              noma_power_region, noma_rate_region,
+from nomalink.quant import dequantize, fit_quantizer, quantize
+from nomalink.regions import (default_rate_grid, noma_power_region, noma_rate_region,
                               oma_power_region, oma_rate_region)
 from nomalink.rng import stream_rng
 from nomalink.srate import (TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE, fit_logistic,
-                            image_profile, rate_prefactor,
-                            synthetic_accuracy_samples, text_profile)
+                            synthetic_accuracy_samples)
 
 
 def _nearest(values, constellation):
@@ -52,8 +49,7 @@ def test_criterion_02_round_trip_error_bound():
     q = fit_quantizer(2, 5.0, 1.0)
     g = stream_rng(42)
     x = g.uniform(q.bound_d - q.bound_s, q.bound_d + q.bound_s, size=1_000_000)
-    vec = FeatureVector(x, q.bound_s, q.bound_d)
-    err = np.abs(dequantize(quantize(vec, q), q) - x)
+    err = np.abs(dequantize(quantize(x, q), q) - x)
     violations = int(np.sum(err > 1 / q.scale_fs))
     assert violations == 0
     assert time.monotonic() - t0 < 5.0
@@ -79,10 +75,10 @@ def test_criterion_04_noiseless_detection_exactness():
     reps = oracles.representative_features(2, 5.0, 1.0)
     idx_n = np.array([p[0] for p in pairs])
     idx_f = np.array([p[1] for p in pairs])
-    vec_n = FeatureVector(np.array([reps[i] for i in idx_n]), 5.0, 1.0)
-    vec_f = FeatureVector(np.array([reps[j] for j in idx_f]), 5.0, 1.0)
-    assert np.array_equal(quantize(vec_n, q), idx_n)  # reps hit their index
-    assert np.array_equal(quantize(vec_f, q), idx_f)
+    x_n = np.array([reps[i] for i in idx_n])
+    x_f = np.array([reps[j] for j in idx_f])
+    assert np.array_equal(quantize(x_n, q), idx_n)  # reps hit their index
+    assert np.array_equal(quantize(x_f, q), idx_f)
 
     amp_n, amp_f = amplitudes(0.3, 0.7)
     x = amp_n * tx_symbols(dequantize(idx_n, q), near_m) \
@@ -231,27 +227,25 @@ def test_criterion_08_logistic_fit_recovery():
     assert time.monotonic() - t0 < 10.0
 
 
-def _shipped_rate_query(grid_points=2048) -> RegionQuery:
-    return RegionQuery(gain_near_db=20, gain_far_db=16, bandwidth_hz=12.0,
-                       p_max_watts=1.0, near_profile=text_profile(128.0),
-                       far_profile=image_profile(0.33), xi_req_near=0.6,
-                       xi_req_far=0.7, grid_points=grid_points, sweep_points=33)
+# the shipped region section (gains 20 and 16 dB, 12 Hz, 128 text symbols
+# per word, image compression 0.33, requirements 0.6 and 0.7, a 2,048-point
+# slice grid and 33 rate points) at a unit power ceiling
+SHIPPED_REGION = RegionSection(p_max_watts=1.0)
 
 
 def test_criterion_09_rate_region_containment():
     t0 = time.monotonic()
-    q = _shipped_rate_query()
-    grid = default_rate_grid(q, TRUE_TEXT_CURVE)
-    noma = noma_rate_region(q, TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, grid)
-    oma = oma_rate_region(q, TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, grid)
+    r = SHIPPED_REGION
+    grid = default_rate_grid(r, TRUE_TEXT_CURVE)
+    noma = noma_rate_region(r, TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, grid)
+    oma = oma_rate_region(r, TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, grid)
 
-    pref_n = rate_prefactor(q.near_profile, 12.0)
-    pref_f = rate_prefactor(q.far_profile, 12.0)
+    pref_n, pref_f = 12.0 / 128.0, 12.0 / 0.33  # text W / k, image W / compression
     ref_noma = oracles.dense_noma_rate(TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE,
                                        100.0, 10**1.6, pref_n, pref_f, 0.7, grid)
     ref_oma = oracles.dense_oma_rate(TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE,
                                      100.0, 10**1.6, 12.0, pref_n, pref_f,
-                                     0.6, 0.7, grid, 8 * q.grid_points)
+                                     0.6, 0.7, grid, 8 * r.grid_points)
 
     for got, ref in ((np.array([p.y for p in noma.points]), ref_noma),
                      (np.array([p.y for p in oma.points]), ref_oma)):
@@ -271,19 +265,14 @@ def test_criterion_09_rate_region_containment():
 
 def test_criterion_10_power_region_ordering():
     t0 = time.monotonic()
-    cases = {"high": (0.75, 0.075, 5.0), "med": (0.68, 0.069, 4.13),
-             "low": (0.65, 0.063, 3.13)}
-    base_q = _shipped_rate_query()
+    r = SHIPPED_REGION
+    cases = {c.name: c for c in r.cases}
+    assert [(c.xi_req_far, c.rate_req_near, c.rate_req_far) for c in cases.values()] == [
+        (0.75, 0.075, 5.0), (0.68, 0.069, 4.13), (0.65, 0.063, 3.13)]
     levels = np.linspace(0.6, 0.84, 13)
 
-    def query(name):
-        xi_f, r_n, r_f = cases[name]
-        return dataclasses.replace(base_q, xi_req_far=xi_f, rate_req_near=r_n,
-                                   rate_req_far=r_f, sweep_points=13)
-
-    q_high = query("high")
-    noma = noma_power_region(q_high, TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, levels)
-    oma = oma_power_region(q_high, TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, levels)
+    noma = noma_power_region(r, cases["high"], TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, levels)
+    oma = oma_power_region(r, cases["high"], TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE, levels)
     assert noma.points[0].feasible and oma.points[0].feasible
     assert noma.points[0].y <= oma.points[0].y * (1 + 1e-6), (
         f"NOMA {noma.points[0].y:.6f} > OMA {oma.points[0].y:.6f} at base")
@@ -295,8 +284,8 @@ def test_criterion_10_power_region_ordering():
 
     base_level = np.array([0.6])  # monotone across requirement cases
     for region in (noma_power_region, oma_power_region):
-        y = {name: region(query(name), TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE,
-                          base_level).points[0].y for name in cases}
+        y = {name: region(r, case, TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE,
+                          base_level).points[0].y for name, case in cases.items()}
         assert y["low"] <= y["med"] + 1e-9 <= y["high"] + 2e-9, y
     assert time.monotonic() - t0 < 60.0
 

@@ -9,6 +9,15 @@ from nomalink.channel import (KIND_AWGN, KIND_RAYLEIGH, ChannelSpec, coefficient
 from nomalink.rng import USER_FAR, USER_NEAR
 
 
+def _send(x, real):
+    """transmit x over real with the realization's next noise normals."""
+    normals = real._noise_rng.standard_normal((np.shape(x)[-1], 2))
+    kept = normals.copy()
+    y = transmit(x, real, normals)
+    assert np.array_equal(normals, kept)  # left as drawn
+    return y
+
+
 def test_awgn_coefficient_is_unity():
     real = realize(ChannelSpec(KIND_AWGN, 10.0), USER_NEAR, 0)
     assert real.h == 1.0 + 0.0j
@@ -20,14 +29,14 @@ def test_noise_power_matches_snr():
     # unit-power input at 10 dB: empirical SNR within 0.2 dB over 1e6 symbols
     real = realize(ChannelSpec(KIND_AWGN, 10.0), USER_NEAR, 0)
     x = np.ones(1_000_000, dtype=complex)
-    y = transmit(x, real)
+    y = _send(x, real)
     snr_db = 10 * np.log10(1.0 / np.mean(np.abs(y - x) ** 2))
     assert abs(snr_db - 10.0) < 0.2
 
 
 def test_noise_is_white_and_circular():
     real = realize(ChannelSpec(KIND_AWGN, 0.0), USER_NEAR, 1)
-    n = transmit(np.zeros(1_000_000, dtype=complex), real)
+    n = _send(np.zeros(1_000_000, dtype=complex), real)
     # lag >= 1 autocorrelation below 1% of lag-0 power
     power = np.mean(np.abs(n) ** 2)
     for lag in (1, 2, 5):
@@ -62,7 +71,7 @@ def test_perfect_csi_when_delta_zero():
 def test_equalize_inverts_known_channel():
     real = realize(ChannelSpec(KIND_RAYLEIGH, 300.0), USER_NEAR, 7)
     x = np.array([1 + 1j, -2 + 0.5j, 0.25j])
-    y = transmit(x, real)
+    y = _send(x, real)
     assert np.allclose(equalize(y, real), x, atol=1e-6)
 
 
@@ -71,7 +80,7 @@ def test_realization_reproducible_per_key():
     a = realize(spec, USER_NEAR, 5)
     b = realize(spec, USER_NEAR, 5)
     assert a.h == b.h and a.h_hat == b.h_hat
-    assert np.array_equal(transmit(np.ones(8), a), transmit(np.ones(8), b))
+    assert np.array_equal(_send(np.ones(8), a), _send(np.ones(8), b))
     c = realize(spec, USER_NEAR, 6)
     assert c.h != a.h
 
@@ -80,7 +89,7 @@ def test_noise_is_the_complex_view_of_the_normal_draw():
     # the view must equal the old re + 1j*im matmul bit for bit
     spec = ChannelSpec(KIND_RAYLEIGH, 3.0, estimation_error_delta=0.1, seed=9)
     x = np.exp(1j * np.arange(20000))
-    y = transmit(x, realize(spec, USER_FAR, 2))
+    y = _send(x, realize(spec, USER_FAR, 2))
     draw = realize(spec, USER_FAR, 2)._noise_rng.standard_normal((20000, 2))
     n = draw @ np.array([1.0, 1.0j])
     n *= np.sqrt(realize(spec, USER_FAR, 2).sigma2 / 2.0)
@@ -95,26 +104,13 @@ def test_transmit_equals_h_x_plus_n_for_every_input_dtype(dtype):
     z = 3.0 * np.exp(1j * np.arange(1000))
     x = (z if np.issubdtype(dtype, np.complexfloating) else z.real).astype(dtype)
     x = np.stack([x, -x])
-    y = transmit(x, realize(spec, USER_NEAR, 1))
+    y = _send(x, realize(spec, USER_NEAR, 1))
     real = realize(spec, USER_NEAR, 1)
     n = real._noise_rng.standard_normal((1000, 2)).view(complex)[..., 0]
     n *= np.sqrt(real.sigma2 / 2.0)
     want = real.h * x.astype(complex) + n
     assert y.dtype == np.complex128
     assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
-
-
-def test_transmit_given_its_normals_equals_its_own_draw():
-    # a sweep draws a cell's noise normals ahead, into a reused buffer
-    spec = ChannelSpec(KIND_RAYLEIGH, 3.0, estimation_error_delta=0.1, seed=9)
-    x = np.stack([np.exp(1j * np.arange(700)), np.linspace(-1, 1, 700) + 0.5j])
-    normals = np.empty((700, 2))
-    realize(spec, USER_FAR, 3)._noise_rng.standard_normal(out=normals)
-    kept = normals.copy()
-    y = transmit(x, realize(spec, USER_FAR, 3), normals)
-    want = transmit(x, realize(spec, USER_FAR, 3))
-    assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(normals, kept)  # left as drawn
 
 
 @pytest.mark.parametrize("normals", [np.zeros((699, 2)), np.zeros((700, 3)), np.zeros(1400),
@@ -129,9 +125,9 @@ def test_rows_of_one_transmit_share_its_noise_draw():
     # exactly what a call of its own on a fresh realization gives
     spec = ChannelSpec(KIND_RAYLEIGH, 3.0, estimation_error_delta=0.1, seed=9)
     x = np.stack([np.exp(1j * np.arange(500)), np.linspace(-1, 1, 500) + 0.5j])
-    y = transmit(x, realize(spec, USER_NEAR, 4))
+    y = _send(x, realize(spec, USER_NEAR, 4))
     for row, x_row in zip(y, x):
-        want = transmit(x_row, realize(spec, USER_NEAR, 4))
+        want = _send(x_row, realize(spec, USER_NEAR, 4))
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 

@@ -23,7 +23,7 @@ import nomalink
 import oracles
 from nomalink import cli, link, modem, qam, quant
 from nomalink.cli import main
-from nomalink.config import LinkSection, load_config
+from nomalink.config import LinkSection, RegionSection, RequirementCase, load_config
 from nomalink.srate import FIT_MAX_ITERS
 
 TINY = {
@@ -32,6 +32,9 @@ TINY = {
     "sweep": {"grid_step_db": 14.0, "n_symbols": 300},
     "region": {"grid_points": 128, "sweep_points": 5, "power_sweep_points": 3},
 }
+# the first two default requirement cases
+HIGH = {"name": "high", "xi_req_far": 0.75, "rate_req_near": 0.075, "rate_req_far": 5.0}
+MED = {"name": "med", "xi_req_far": 0.68, "rate_req_near": 0.069, "rate_req_far": 4.13}
 
 
 @pytest.fixture()
@@ -185,6 +188,20 @@ def test_regions_outputs_and_rerun_identical(tiny_cfg, tmp_path):
         assert 0 < mm["iterations"] < FIT_MAX_ITERS
 
 
+@pytest.mark.parametrize("command", [["regions", "--case", "high"], ["macs"], ["train-modem"],
+                                     ["sweep", "--detector", "sic"]])
+def test_requirement_cases_of_one_name_exit_2(tmp_path, capsys, command):
+    # a second case of a name could never be selected
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**TINY, "region": {**TINY["region"], "cases": [
+        HIGH, MED, {**HIGH, "xi_req_far": 0.65}]}}))
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "region: cases" in err and "'high'" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_regions_unknown_case_exits_2(tiny_cfg, tmp_path, capsys):
     assert main(["regions", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
                  "--case", "extreme"]) == 2
@@ -264,8 +281,19 @@ def _data_rows(tmp_path, name, command, overrides):
     return csv.read_text().splitlines()[1:]
 
 
+# requirement-case key -> region.cases under which regions --case high
+# writes other rows than under the default cases
+CASE_CHANGES = {
+    "xi_req_far": [{**HIGH, "xi_req_far": 0.8}],
+    "rate_req_near": [{**HIGH, "rate_req_near": 0.085}],
+    "rate_req_far": [{**HIGH, "rate_req_far": 5.5}],
+    # --case selects by name: the second case here, not the first
+    "name": [{**HIGH, "name": "spare"}, {**MED, "name": "high"}],
+}
 # a setting that does not change what its command writes is dead: every
-# link key and the region analysis's channel keys must move the data rows
+# link, region and requirement-case key must move the data rows.  On TINY,
+# region.xi_req_far up to 0.89 and grid_points 100 or 2048 leave the
+# rows as they are
 KEY_CHANGES = [
     (["sweep", "--detector", "sic"], {"link": {"rho_near": 0.2, "rho_far": 0.8}}),
     (["sweep", "--detector", "sic"], {"link": {"superposition": "literal"}}),
@@ -273,12 +301,28 @@ KEY_CHANGES = [
     (["regions"], {"region": {"gain_far_db": 18.0}}),
     (["regions"], {"region": {"bandwidth_hz": 13.0}}),
     (["regions"], {"region": {"p_max_watts": 2e6}}),
+    (["regions"], {"region": {"xi_req_near": 0.7}}),
+    (["regions"], {"region": {"xi_req_far": 0.95}}),  # empties the rate curves
+    (["regions"], {"region": {"text_k_symbols": 64}}),
+    (["regions"], {"region": {"image_compression": 0.5}}),
+    (["regions"], {"region": {"grid_points": 8}}),
+    (["regions"], {"region": {"sweep_points": 7}}),
+    (["regions"], {"region": {"power_level_lo": 0.65}}),
+    (["regions"], {"region": {"power_level_hi": 0.8}}),
+    (["regions"], {"region": {"power_sweep_points": 4}}),
+    *((["regions"], {"region": {"cases": cases}}) for cases in CASE_CHANGES.values()),
 ]
 
 
 def test_key_changes_cover_every_link_key():
     changed = {key for _, doc in KEY_CHANGES for key in doc.get("link", {})}
     assert changed == {f.name for f in dataclasses.fields(LinkSection)}
+
+
+def test_key_changes_cover_every_region_and_case_key():
+    changed = {key for _, doc in KEY_CHANGES for key in doc.get("region", {})}
+    assert changed == {f.name for f in dataclasses.fields(RegionSection)}
+    assert set(CASE_CHANGES) == {f.name for f in dataclasses.fields(RequirementCase)}
 
 
 @pytest.mark.parametrize("command, overrides", KEY_CHANGES)

@@ -61,10 +61,10 @@ def test_sample_features_in_bounds_and_deterministic():
     d2 = open_cell((0.0, 0.0), 5000, seed=3, block=2).fill()
     v1, v3 = (sample_features(z, 5.0, 1.0) for z in d1.source)
     v2 = sample_features(d2.source[0], 5.0, 1.0)
-    assert np.array_equal(v1.values, v2.values)
-    assert np.all(np.abs(v1.values - 1.0) < 5.0)
-    assert np.array_equal(v1.values, 1.0 + 5.0 * np.tanh(d1.source[0]))
-    assert not np.array_equal(v1.values, v3.values)
+    assert np.array_equal(v1, v2)
+    assert np.all(np.abs(v1 - 1.0) < 5.0)
+    assert np.array_equal(v1, 1.0 + 5.0 * np.tanh(d1.source[0]))
+    assert not np.array_equal(v1, v3)
 
 
 def test_superpose_power_conservation(table1_models):
@@ -106,7 +106,7 @@ def test_neural_detector_runs_and_beats_chance(table1_models):
     assert rep.detector == DETECTOR_NEURAL
     assert rep.n_symbols == 5000
     assert rep.ser_near < 0.25 and rep.ser_far < 0.25
-    assert rep.mse_near < np.var(sample_features(draws.source[0], 5.0, 1.0).values)
+    assert rep.mse_near < np.var(sample_features(draws.source[0], 5.0, 1.0))
 
 
 def test_neural_requires_models():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import oracles
 from nomalink import quant
-from nomalink.quant import (EPS_RANGE, FeatureVector, QuantRangeError,
-                            dequantize, fit_quantizer, quantize, round_half_away)
+from nomalink.quant import (EPS_RANGE, QuantRangeError, dequantize, fit_quantizer, quantize,
+                            round_half_away)
 
 
 def test_round_half_away_ties():
@@ -101,17 +101,6 @@ def test_out_of_range_raises():
         dequantize(np.array([-1]), q)
 
 
-def test_feature_vector_validation():
-    with pytest.raises(ValueError):
-        FeatureVector(np.array([6.5]), 5.0, 1.0)
-    with pytest.raises(ValueError):
-        FeatureVector(np.array([]), 5.0, 1.0)
-    with pytest.raises(ValueError):
-        FeatureVector(np.array([0.0]), 5.0, 6.0)  # d >= s
-    fv = FeatureVector(np.array([0.0, 6.0, -4.0]), 5.0, 1.0)
-    assert fv.values.size == 3
-
-
 def test_bits_validation():
     with pytest.raises(ValueError):
         fit_quantizer(0, 5.0, 1.0)
@@ -137,17 +126,13 @@ _edge_values = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 6.0, -4.0,
                        max_size=12),
        bounds=st.sampled_from([(5.0, 1.0), (0.5, 0.25), (3.0, 2.9)]))
 def test_range_check_from_the_extremes_equals_the_elementwise_one(values, bounds):
-    # quantize and FeatureVector decide from the largest and smallest value;
-    # NaN is skipped, as the elementwise comparison never flags it
+    # quantize decides from the largest and smallest value; NaN is skipped,
+    # as the elementwise comparison never flags it
     s, d = bounds
     vals = np.array(values, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         want = bool(np.any(np.abs(vals - d) > s + EPS_RANGE))
     assert quant._outside_range(vals, s, d) == want
-    if len(vals) and not want:
-        FeatureVector(vals, s, d)
-    elif len(vals):
-        with pytest.raises(ValueError, match="outside"):
-            FeatureVector(vals, s, d)
-        with pytest.raises(QuantRangeError):
+    if want:
+        with pytest.raises(QuantRangeError, match="outside"):
             quantize(vals, fit_quantizer(2, s, d))

@@ -9,38 +9,42 @@ from hypothesis import strategies as st
 
 import oracles
 from nomalink.config import RegionSection, RequirementCase
-from nomalink.regions import (RegionCurve, RegionPoint, RegionQuery,
-                              _linspace_rows, _oma_power_total, _oma_rate_at,
-                              _oma_search,
+from nomalink.regions import (RegionCurve, RegionPoint, _linspace_rows,
+                              _oma_power_total, _oma_rate_at, _oma_search,
                               _refine_extremum, default_rate_grid,
                               noma_power_region, noma_rate_region,
                               oma_power_region, oma_rate_region)
-from nomalink.srate import (TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE, gamma_required,
-                            image_profile, rate_prefactor, text_profile,
-                            xi_eval)
+from nomalink.srate import TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE, gamma_required, xi_eval
 
 TEXT = TRUE_TEXT_CURVE
 IMAGE = TRUE_IMAGE_CURVE
+# semantic rate per unit accuracy of the shipped text and image users:
+# 12 Hz over 128 symbols per word, and over a compression ratio of 0.33
+PREF_N, PREF_F = 12.0 / 128.0, 12.0 / 0.33
 
 
 def _ys(curve) -> np.ndarray:
     return np.array([p.y for p in curve.points])
 
 
-def shipped_query(**overrides) -> RegionQuery:
-    base = dict(gain_near_db=20, gain_far_db=16, bandwidth_hz=12.0,
-                p_max_watts=1.0, near_profile=text_profile(128.0),
-                far_profile=image_profile(0.33), xi_req_near=0.6,
-                xi_req_far=0.7, grid_points=256, sweep_points=9)
-    base.update(overrides)
-    return RegionQuery(**base)
+def _names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
 
 
-def test_query_defaults_are_the_config_defaults():
-    q, r = RegionQuery(), RegionSection()
-    for key in ("gain_near_db", "gain_far_db", "bandwidth_hz", "p_max_watts",
-                "xi_req_near", "xi_req_far", "grid_points", "sweep_points"):
-        assert getattr(q, key) == getattr(r, key), key
+def shipped(**overrides) -> tuple[RegionSection, RequirementCase]:
+    """The shipped region section at a unit power ceiling and coarse grids,
+    with a requirement case of far accuracy 0.7 and no rate requirement.
+    Each override sets the section's or the case's field of its name;
+    xi_req_far sets both."""
+    region = dict(p_max_watts=1.0, grid_points=256, sweep_points=9)
+    case = dict(xi_req_far=0.7, rate_req_near=0.0, rate_req_far=0.0)
+    for key, value in overrides.items():
+        assert key in _names(RegionSection) | _names(RequirementCase), key
+        if key in _names(RegionSection):
+            region[key] = value
+        if key in _names(RequirementCase):
+            case[key] = value
+    return RegionSection(**region), RequirementCase(**case)
 
 
 @pytest.mark.parametrize("key, bad", [
@@ -51,9 +55,10 @@ def test_query_defaults_are_the_config_defaults():
     ("sweep_points", 1),
 ])
 def test_query_rejects_out_of_range_settings_naming_them(key, bad):
-    # the config's region section or requirement case shares the check
-    section = RegionSection if hasattr(RegionSection, key) else RequirementCase
-    for cls in (RegionQuery, section):
+    # the config's region section and requirement case check their own keys
+    owners = [cls for cls in (RegionSection, RequirementCase) if key in _names(cls)]
+    assert owners
+    for cls in owners:
         with pytest.raises(ValueError, match=key):
             cls(**{key: bad})
 
@@ -76,54 +81,46 @@ def test_refine_converges_on_smooth_minimum():
 
 
 def test_default_rate_grid_span():
-    q = shipped_query()
-    grid = default_rate_grid(q, TEXT)
-    pref_n = rate_prefactor(q.near_profile, 12.0)
+    r, _ = shipped()
+    grid = default_rate_grid(r, TEXT)
     assert len(grid) == 9
-    assert grid[0] == pytest.approx(pref_n * 0.6)
+    assert grid[0] == pytest.approx(PREF_N * 0.6)
     cap = TEXT.a2 - 0.05 * (TEXT.a2 - TEXT.a1)
-    assert grid[-1] <= pref_n * cap + 1e-12
+    assert grid[-1] <= PREF_N * cap + 1e-12
     assert np.all(np.diff(grid) > 0)
 
 
 def test_default_rate_grid_collapses_above_ceiling():
-    q = shipped_query(xi_req_near=0.93)  # above the sweep cap
-    grid = default_rate_grid(q, TEXT)
+    r, _ = shipped(xi_req_near=0.93)  # above the sweep cap
+    grid = default_rate_grid(r, TEXT)
     assert len(grid) == 1
 
 
 def test_noma_rate_point_matches_hand_computation():
-    q = shipped_query()
-    pref_n = rate_prefactor(q.near_profile, 12.0)
-    pref_f = rate_prefactor(q.far_profile, 12.0)
-    rate_n = pref_n * 0.8
-    curve = noma_rate_region(q, TEXT, IMAGE, np.array([rate_n]))
+    r, _ = shipped()
+    rate_n = PREF_N * 0.8
+    curve = noma_rate_region(r, TEXT, IMAGE, np.array([rate_n]))
     rho_n = gamma_required(TEXT, 0.8) / 100.0
     gamma_f = (1 - rho_n) * 10**1.6 / (rho_n * 10**1.6 + 1)
-    want = pref_f * xi_eval(IMAGE, gamma_f)
+    want = PREF_F * xi_eval(IMAGE, gamma_f)
     assert curve.points[0].feasible
     assert curve.points[0].y == pytest.approx(want, rel=1e-12)
 
 
 def test_noma_rate_matches_dense_oracle():
-    q = shipped_query()
-    grid = default_rate_grid(q, TEXT)
-    curve = noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
-    ref = oracles.dense_noma_rate(TEXT, IMAGE, 100.0, 10**1.6,
-                                  rate_prefactor(q.near_profile, 12.0),
-                                  rate_prefactor(q.far_profile, 12.0),
-                                  0.7, grid)
+    r, _ = shipped()
+    grid = default_rate_grid(r, TEXT)
+    curve = noma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))
+    ref = oracles.dense_noma_rate(TEXT, IMAGE, 100.0, 10**1.6, PREF_N, PREF_F, 0.7, grid)
     got = _ys(curve)
     assert np.allclose(got[~np.isnan(ref)], ref[~np.isnan(ref)], rtol=1e-12)
 
 
 def test_oma_rate_close_to_dense_oracle():
-    q = shipped_query(grid_points=1024)
-    grid = default_rate_grid(q, TEXT)
-    curve = oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
-    ref = oracles.dense_oma_rate(TEXT, IMAGE, 100.0, 10**1.6, 12.0,
-                                 rate_prefactor(q.near_profile, 12.0),
-                                 rate_prefactor(q.far_profile, 12.0),
+    r, _ = shipped(grid_points=1024)
+    grid = default_rate_grid(r, TEXT)
+    curve = oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))
+    ref = oracles.dense_oma_rate(TEXT, IMAGE, 100.0, 10**1.6, 12.0, PREF_N, PREF_F,
                                  0.6, 0.7, grid, 8192)
     got = _ys(curve)
     mask = ~np.isnan(ref)
@@ -133,9 +130,9 @@ def test_oma_rate_close_to_dense_oracle():
 
 
 def test_noma_rate_region_contains_oma():
-    q = shipped_query()
-    noma = noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
-    oma = oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
+    r, _ = shipped()
+    noma = noma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))
+    oma = oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))
     for pn, po in zip(noma.points, oma.points):
         assert pn.x == po.x
         if po.feasible:
@@ -144,12 +141,10 @@ def test_noma_rate_region_contains_oma():
 
 
 def test_noma_power_matches_dense_oracle():
-    q = shipped_query()
+    r, case = shipped()
     levels = np.linspace(0.6, 0.84, 5)
-    curve = noma_power_region(q, TEXT, IMAGE, req_levels=levels)
-    ref = oracles.dense_noma_power(TEXT, IMAGE, 100.0, 10**1.6,
-                                   rate_prefactor(q.near_profile, 12.0),
-                                   rate_prefactor(q.far_profile, 12.0),
+    curve = noma_power_region(r, case, TEXT, IMAGE, req_levels=levels)
+    ref = oracles.dense_noma_power(TEXT, IMAGE, 100.0, 10**1.6, PREF_N, PREF_F,
                                    0.7, 0.0, 0.0, levels, 4096)
     got = _ys(curve)
     mask = ~np.isnan(ref)
@@ -157,16 +152,16 @@ def test_noma_power_matches_dense_oracle():
     assert np.all(got[mask] <= ref[mask] + 1e-9)
 
 
-def _scalar_noma_power(q, level):
+def _scalar_noma_power(r, case, level):
     """The NOMA total power share at the smallest near share that meets the
     near requirements, one level at a time, from the oracle helpers."""
-    w = q.bandwidth_hz
+    w = r.bandwidth_hz
     tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
     tf = (IMAGE.a1, IMAGE.a2, IMAGE.c1, IMAGE.c2)
     need_n = max(oracles._gamma_needed(*tn, level),
-                 oracles._gamma_needed(*tn, q.rate_req_near / rate_prefactor(q.near_profile, w)))
-    need_f = max(oracles._gamma_needed(*tf, q.xi_req_far),
-                 oracles._gamma_needed(*tf, q.rate_req_far / rate_prefactor(q.far_profile, w)))
+                 oracles._gamma_needed(*tn, case.rate_req_near / (w / r.text_k_symbols)))
+    need_f = max(oracles._gamma_needed(*tf, case.xi_req_far),
+                 oracles._gamma_needed(*tf, case.rate_req_far / (w / r.image_compression)))
     rho_n = max(0.0, need_n / 100.0)
     if rho_n > 1.0 or need_f == math.inf:
         return math.nan
@@ -175,53 +170,53 @@ def _scalar_noma_power(q, level):
 
 
 def test_noma_power_is_the_total_at_the_smallest_near_share():
-    for q in (shipped_query(), shipped_query(rate_req_near=0.075, rate_req_far=5.0,
-                                             xi_req_far=0.75)):
+    for r, case in (shipped(), shipped(rate_req_near=0.075, rate_req_far=5.0,
+                                       xi_req_far=0.75)):
         levels = np.linspace(0.6, 0.84, 5)
-        curve = noma_power_region(q, TEXT, IMAGE, req_levels=levels)
-        want = np.array([_scalar_noma_power(q, level) for level in levels])
+        curve = noma_power_region(r, case, TEXT, IMAGE, req_levels=levels)
+        want = np.array([_scalar_noma_power(r, case, level) for level in levels])
         assert [p.feasible for p in curve.points] == list(~np.isnan(want))
         np.testing.assert_allclose(_ys(curve), want, rtol=1e-13, atol=0)
 
 
-def _scalar_oma_rate(q, rate_n, w_n):
+def _scalar_oma_rate(r, rate_n, w_n):
     """The per-split OMA far rate, one slice at a time, from the oracle helpers."""
-    w = q.bandwidth_hz
-    pref_n = rate_prefactor(q.near_profile, w)
-    pref_f = rate_prefactor(q.far_profile, w)
+    w = r.bandwidth_hz
+    pref_n = w / r.text_k_symbols
+    pref_f = w / r.image_compression
     tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
     tf = (IMAGE.a1, IMAGE.a2, IMAGE.c1, IMAGE.c2)
     if w_n <= 0.0:
-        if rate_n > 0.0 or q.xi_req_near >= TEXT.a2:
+        if rate_n > 0.0 or r.xi_req_near >= TEXT.a2:
             return math.nan
         rho = 0.0
     else:
         need = max(oracles._gamma_needed(*tn, rate_n * w / (pref_n * w_n)),
-                   oracles._gamma_needed(*tn, q.xi_req_near))
+                   oracles._gamma_needed(*tn, r.xi_req_near))
         rho = max(0.0, need * w_n / (w * 100.0))
     if rho > 1.0 + 1e-9:
         return math.nan
     w_f = w - w_n
     if w_f <= 0.0:
-        return 0.0 if q.xi_req_far < IMAGE.a2 else math.nan
+        return 0.0 if r.xi_req_far < IMAGE.a2 else math.nan
     acc_f = oracles._xi(*tf, (1.0 - rho) * 10**1.6 * w / w_f)
-    return pref_f * (w_f / w) * acc_f if acc_f + 1e-9 >= q.xi_req_far else math.nan
+    return pref_f * (w_f / w) * acc_f if acc_f + 1e-9 >= r.xi_req_far else math.nan
 
 
-def _scalar_oma_power(q, level, w_n):
+def _scalar_oma_power(r, case, level, w_n):
     """The per-split OMA total power share, one slice at a time."""
-    w = q.bandwidth_hz
-    pref_n = rate_prefactor(q.near_profile, w)
-    pref_f = rate_prefactor(q.far_profile, w)
+    w = r.bandwidth_hz
+    pref_n = w / r.text_k_symbols
+    pref_f = w / r.image_compression
     tn = (TEXT.a1, TEXT.a2, TEXT.c1, TEXT.c2)
     tf = (IMAGE.a1, IMAGE.a2, IMAGE.c1, IMAGE.c2)
     w_f = w - w_n
     if w_n <= 0.0 or w_f <= 0.0:
         return math.nan
     need_n = max(oracles._gamma_needed(*tn, level),
-                 oracles._gamma_needed(*tn, q.rate_req_near * w / (pref_n * w_n)))
-    need_f = max(oracles._gamma_needed(*tf, q.xi_req_far),
-                 oracles._gamma_needed(*tf, q.rate_req_far * w / (pref_f * w_f)))
+                 oracles._gamma_needed(*tn, case.rate_req_near * w / (pref_n * w_n)))
+    need_f = max(oracles._gamma_needed(*tf, case.xi_req_far),
+                 oracles._gamma_needed(*tf, case.rate_req_far * w / (pref_f * w_f)))
     if math.inf in (need_n, need_f):
         return math.nan
     tot = max(0.0, need_n * w_n / (w * 100.0)) + max(0.0, need_f * w_f / (w * 10**1.6))
@@ -235,16 +230,15 @@ def _scalar_oma_power(q, level, w_n):
 ])
 def test_array_split_evaluations_match_scalar_loops(overrides):
     # every slice including both corners, where a user gets no bandwidth
-    q = shipped_query(**overrides)
+    r, case = shipped(**overrides)
     w_n = np.concatenate([np.linspace(0.0, 12.0, 257), [1e-300, 12.0 - 1e-12]])
-    pref_n = rate_prefactor(q.near_profile, 12.0)
-    for rate_n in (0.0, pref_n * 0.6, pref_n * 0.8, pref_n * 0.99):
-        got = _oma_rate_at(q, TEXT, IMAGE, rate_n, w_n)
-        want = np.array([_scalar_oma_rate(q, rate_n, x) for x in w_n])
+    for rate_n in (0.0, PREF_N * 0.6, PREF_N * 0.8, PREF_N * 0.99):
+        got = _oma_rate_at(r, TEXT, IMAGE, rate_n, w_n)
+        want = np.array([_scalar_oma_rate(r, rate_n, x) for x in w_n])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     for level in (0.6, 0.7, 0.84, 0.96):
-        got = _oma_power_total(q, TEXT, IMAGE, level, w_n)
-        want = np.array([_scalar_oma_power(q, level, x) for x in w_n])
+        got = _oma_power_total(r, case, TEXT, IMAGE, level, w_n)
+        want = np.array([_scalar_oma_power(r, case, level, x) for x in w_n])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
@@ -304,19 +298,20 @@ def _loop_search(fun, rows, grid, maximize):
     return np.array(out)
 
 
-def _loop_oma_rate(q, rates):
-    w_grid = np.linspace(0.0, q.bandwidth_hz, q.grid_points, endpoint=False)
-    return _loop_search(lambda r, x: _oma_rate_at(q, TEXT, IMAGE, r, x), rates, w_grid, True)
+def _loop_oma_rate(r, rates):
+    w_grid = np.linspace(0.0, r.bandwidth_hz, r.grid_points, endpoint=False)
+    return _loop_search(lambda rate, x: _oma_rate_at(r, TEXT, IMAGE, rate, x), rates, w_grid,
+                        True)
 
 
-def _loop_oma_power(q, levels):
-    w = q.bandwidth_hz
-    w_lo = q.rate_req_near * w / rate_prefactor(q.near_profile, w)
+def _loop_oma_power(r, case, levels):
+    w = r.bandwidth_hz
+    w_lo = case.rate_req_near * w / (w / r.text_k_symbols)
     if w_lo >= w:
         return np.full(len(levels), math.nan)
-    grid = np.linspace(max(w_lo, w / q.grid_points), w, q.grid_points, endpoint=False)
-    return q.p_max_watts * _loop_search(
-        lambda lv, x: _oma_power_total(q, TEXT, IMAGE, lv, x), levels, grid, False)
+    grid = np.linspace(max(w_lo, w / r.grid_points), w, r.grid_points, endpoint=False)
+    return r.p_max_watts * _loop_search(
+        lambda lv, x: _oma_power_total(r, case, TEXT, IMAGE, lv, x), levels, grid, False)
 
 
 def _same_curve(curve, want):
@@ -337,15 +332,16 @@ def test_row_batched_oma_curves_equal_the_per_row_loop(gain_near, gain_gap, band
                                                         xi_near, xi_far, rate_near, rate_far,
                                                         grid_points, sweep):
     # xi_far reaches above the far ceiling 0.90, rate_near above a whole band
-    q = shipped_query(gain_near_db=gain_near, gain_far_db=gain_near - gain_gap,
+    r, case = shipped(gain_near_db=gain_near, gain_far_db=gain_near - gain_gap,
                       bandwidth_hz=bandwidth, p_max_watts=p_max,
                       xi_req_near=xi_near, xi_req_far=xi_far,
                       rate_req_near=rate_near, rate_req_far=rate_far,
                       grid_points=grid_points, sweep_points=sweep)
-    rates = np.concatenate([[0.0], default_rate_grid(q, TEXT)])  # with a zero near rate
-    _same_curve(oma_rate_region(q, TEXT, IMAGE, rates), _loop_oma_rate(q, rates))
+    rates = np.concatenate([[0.0], default_rate_grid(r, TEXT)])  # with a zero near rate
+    _same_curve(oma_rate_region(r, TEXT, IMAGE, rates), _loop_oma_rate(r, rates))
     levels = np.linspace(xi_near, 0.94, sweep)
-    _same_curve(oma_power_region(q, TEXT, IMAGE, levels), _loop_oma_power(q, levels))
+    _same_curve(oma_power_region(r, case, TEXT, IMAGE, levels),
+                _loop_oma_power(r, case, levels))
 
 
 def test_rows_without_a_valid_grid_point_stay_infeasible():
@@ -363,11 +359,11 @@ def test_rows_without_a_valid_grid_point_stay_infeasible():
 
 def test_oma_rate_search_memory_is_bounded():
     # the coarse grid is evaluated a few rows at a time, not all 33 x 2048 at once
-    q = shipped_query(grid_points=2048, sweep_points=33)
-    oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))  # warm up imports and caches
+    r, _ = shipped(grid_points=2048, sweep_points=33)
+    oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))  # warm up imports and caches
     tracemalloc.start()
     try:
-        curve = oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT))
+        curve = oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,12 +372,10 @@ def test_oma_rate_search_memory_is_bounded():
 
 
 def test_oma_power_close_to_dense_oracle():
-    q = shipped_query(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75)
+    r, case = shipped(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75)
     levels = np.linspace(0.6, 0.84, 5)
-    curve = oma_power_region(q, TEXT, IMAGE, req_levels=levels)
-    ref = oracles.dense_oma_power(TEXT, IMAGE, 100.0, 10**1.6, 12.0,
-                                  rate_prefactor(q.near_profile, 12.0),
-                                  rate_prefactor(q.far_profile, 12.0),
+    curve = oma_power_region(r, case, TEXT, IMAGE, req_levels=levels)
+    ref = oracles.dense_oma_power(TEXT, IMAGE, 100.0, 10**1.6, 12.0, PREF_N, PREF_F,
                                   0.75, 0.075, 5.0, levels, 4096)
     got = _ys(curve)
     mask = ~np.isnan(ref)
@@ -390,10 +384,10 @@ def test_oma_power_close_to_dense_oracle():
 
 
 def test_power_curves_monotone_in_level():
-    q = shipped_query(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75)
+    r, case = shipped(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75)
     levels = np.linspace(0.6, 0.84, 7)
     for region in (noma_power_region, oma_power_region):
-        ys = _ys(region(q, TEXT, IMAGE, req_levels=levels))
+        ys = _ys(region(r, case, TEXT, IMAGE, req_levels=levels))
         ok = ~np.isnan(ys)
         assert np.all(np.diff(ys[ok]) >= -1e-9)
 
@@ -404,35 +398,34 @@ def test_power_curves_monotone_in_level():
     dict(rate_req_far=5.5),
 ])
 def test_raising_any_requirement_never_lowers_power(bump):
-    base = shipped_query(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75)
+    r, base = shipped(rate_req_near=0.075, rate_req_far=5.0, xi_req_far=0.75)
     bumped = dataclasses.replace(base, **bump)
     levels = np.array([0.6])
     for region in (noma_power_region, oma_power_region):
-        p0 = region(base, TEXT, IMAGE, req_levels=levels).points[0]
-        p1 = region(bumped, TEXT, IMAGE, req_levels=levels).points[0]
+        p0 = region(r, base, TEXT, IMAGE, req_levels=levels).points[0]
+        p1 = region(r, bumped, TEXT, IMAGE, req_levels=levels).points[0]
         if p0.feasible:
             # tighter demand: either dearer or newly infeasible (cost -> inf)
             assert (not p1.feasible) or p1.y >= p0.y - 1e-9
 
 
 def test_unreachable_far_requirement_gives_empty_curves():
-    q = shipped_query(xi_req_far=0.95)  # above the far accuracy ceiling 0.90
-    assert not noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT)).feasible
-    assert not oma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT)).feasible
-    assert not noma_power_region(q, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
-    assert not oma_power_region(q, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
+    r, case = shipped(xi_req_far=0.95)  # above the far accuracy ceiling 0.90
+    assert not noma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT)).feasible
+    assert not oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT)).feasible
+    assert not noma_power_region(r, case, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
+    assert not oma_power_region(r, case, TEXT, IMAGE, np.linspace(0.6, 0.88, 9)).feasible
 
 
 def test_oma_power_infeasible_when_rate_exceeds_bandwidth():
-    pref_n = rate_prefactor(text_profile(128.0), 12.0)
-    q = shipped_query(rate_req_near=1.5 * pref_n)
-    curve = oma_power_region(q, TEXT, IMAGE, req_levels=np.array([0.6]))
+    r, case = shipped(rate_req_near=1.5 * PREF_N)
+    curve = oma_power_region(r, case, TEXT, IMAGE, req_levels=np.array([0.6]))
     assert not curve.feasible
 
 
 def test_infeasible_points_carry_nan_y():
-    q = shipped_query(xi_req_far=0.95)
-    for p in noma_rate_region(q, TEXT, IMAGE, default_rate_grid(q, TEXT)).points:
+    r, _ = shipped(xi_req_far=0.95)
+    for p in noma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT)).points:
         assert not p.feasible and math.isnan(p.y)
 
 
@@ -446,12 +439,12 @@ def test_curve_accessors():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        shipped_query(xi_req_near=0.0)
+        shipped(xi_req_near=0.0)
     with pytest.raises(ValueError):
-        shipped_query(xi_req_far=1.0)
+        shipped(xi_req_far=1.0)
     with pytest.raises(ValueError):
-        shipped_query(rate_req_near=-0.1)
+        shipped(rate_req_near=-0.1)
     with pytest.raises(ValueError):
-        shipped_query(grid_points=4)
+        shipped(grid_points=4)
     with pytest.raises(ValueError):
-        shipped_query(sweep_points=1)
+        shipped(sweep_points=1)

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomalink import srate
-from nomalink.srate import (AccuracyModel, FIT_MAX_ITERS,
-                            FIT_STALL_ITERS, FitResult, SourceProfile, TRUE_IMAGE_CURVE,
-                            TRUE_TEXT_CURVE,
-                            fit_logistic, gamma_required, image_profile,
-                            load_accuracy_csv, rate_prefactor,
-                            synthetic_accuracy_samples, text_profile,
-                            write_accuracy_csv, xi_eval)
+from nomalink.config import RegionSection
+from nomalink.regions import _rates_per_accuracy
+from nomalink.srate import (AccuracyModel, FIT_MAX_ITERS, FIT_STALL_ITERS, FitResult,
+                            TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE, fit_logistic,
+                            gamma_required, load_accuracy_csv,
+                            synthetic_accuracy_samples, write_accuracy_csv, xi_eval)
 
 
 def test_xi_eval_limits():
@@ -62,23 +61,11 @@ def test_gamma_required_guards():
 
 
 def test_rate_formulas():
-    text = text_profile(k_symbols=128.0)
-    image = image_profile(compression=0.33)
-    assert rate_prefactor(text, 12.0) == pytest.approx(12.0 / 128.0)
-    assert rate_prefactor(image, 12.0) == pytest.approx(12.0 / 0.33)
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        SourceProfile("audio")
-    with pytest.raises(ValueError):
-        SourceProfile("text", k_symbols=None)
-    with pytest.raises(ValueError):
-        SourceProfile("text", k_symbols=128.0, compression=0.5)
-    with pytest.raises(ValueError):
-        SourceProfile("image", compression=1.5)
-    with pytest.raises(ValueError):
-        text_profile(k_symbols=-1.0)
+    # rate per unit accuracy over the region section's band: W / k_symbols
+    # for text, W / compression for image
+    assert _rates_per_accuracy(RegionSection()) == (12.0 / 128.0, 12.0 / 0.33)
+    section = RegionSection(bandwidth_hz=3.0, text_k_symbols=4, image_compression=0.5)
+    assert _rates_per_accuracy(section) == (0.75, 6.0)
 
 
 def test_accuracy_model_validation():
