@@ -10,7 +10,9 @@ takes the rest (rate) or the least it needs (power).  Both OMA curves
 share one row-batched search over the near user's bandwidth slice, one
 row per rate point or requirement level: a coarse slice grid, then
 deterministic zoom refinement around each row's best cell, every round
-one array over all rows.
+one array over all rows.  Each OMA objective computes the SNRs of its
+fixed accuracy requirements once per curve, and the power search's rows
+are the levels' required near SNRs, so no call recomputes them.
 
 Every curve reads the experiment config's region section (cfg.region):
 the channel gains gain_near_db / gain_far_db, bandwidth_hz and the slice
@@ -203,33 +205,37 @@ def noma_rate_region(r: "RegionSection", near_model: AccuracyModel,
     return _curve("noma-rate", rate_n, np.where(ok, pref_f * acc_f, np.nan))
 
 
-def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: AccuracyModel,
-                 rate_n, w_n) -> np.ndarray:
-    """Far rate for each near rate in rate_n and near bandwidth slice in
-    w_n (broadcast against each other); NaN where the split is invalid."""
+def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: AccuracyModel):
+    """The OMA objective far_rate(rate_n, w_n): far rate for each near rate
+    in rate_n and near bandwidth slice in w_n (broadcast against each
+    other), NaN where the split is invalid.  The near accuracy
+    requirement's SNR is computed once, here, not once per call."""
     g_n, g_f = _gains(r)
     w = r.bandwidth_hz
     pref_n, pref_f = _rates_per_accuracy(r)
-    w_n = np.asarray(w_n, dtype=float)
-    w_f = w - w_n
-
-    # slices of zero width divide by zero here; the masks below drop them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        acc_rate = rate_n * w / (pref_n * w_n)
-        need = np.maximum(gamma_required(near_model, acc_rate),
-                          gamma_required(near_model, r.xi_req_near))
-        rho_low = np.maximum(0.0, need * w_n / (w * g_n))
-        # near excluded: admissible only for a zero near rate, limit sense
-        near_out_ok = (rate_n <= 0.0) & (r.xi_req_near < near_model.a2)
-        rho_low = np.where(w_n > 0.0, rho_low, np.where(near_out_ok, 0.0, np.nan))
-        gamma_f = (1.0 - np.minimum(rho_low, 1.0)) * g_f * w / w_f
-    acc_f = xi_eval(far_model, gamma_f)
-    rate_f = np.where(acc_f + _FEAS_TOL < r.xi_req_far, np.nan,
-                      pref_f * (w_f / w) * acc_f)
+    need_req = gamma_required(near_model, r.xi_req_near)
+    # near excluded: admissible only for a zero near rate, limit sense
+    near_out_ok = r.xi_req_near < near_model.a2
     # far excluded at the right corner
-    far_out_ok = r.xi_req_far < far_model.a2
-    rate_f = np.where(w_f > 0.0, rate_f, 0.0 if far_out_ok else np.nan)
-    return np.where(rho_low <= 1.0 + _FEAS_TOL, rate_f, np.nan)
+    far_out = 0.0 if r.xi_req_far < far_model.a2 else np.nan
+
+    def far_rate(rate_n, w_n):
+        w_n = np.asarray(w_n, dtype=float)
+        w_f = w - w_n
+        # slices of zero width divide by zero here; the masks below drop them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acc_rate = rate_n * w / (pref_n * w_n)
+            need = np.maximum(gamma_required(near_model, acc_rate), need_req)
+            rho_low = np.maximum(0.0, need * w_n / (w * g_n))
+            rho_low = np.where(w_n > 0.0, rho_low,
+                               np.where((rate_n <= 0.0) & near_out_ok, 0.0, np.nan))
+            gamma_f = (1.0 - np.minimum(rho_low, 1.0)) * g_f * w / w_f
+        acc_f = xi_eval(far_model, gamma_f)
+        rate_f = np.where(acc_f + _FEAS_TOL < r.xi_req_far, np.nan,
+                          pref_f * (w_f / w) * acc_f)
+        rate_f = np.where(w_f > 0.0, rate_f, far_out)
+        return np.where(rho_low <= 1.0 + _FEAS_TOL, rate_f, np.nan)
+    return far_rate
 
 
 def oma_rate_region(r: "RegionSection", near_model: AccuracyModel,
@@ -242,8 +248,7 @@ def oma_rate_region(r: "RegionSection", near_model: AccuracyModel,
     """
     rate_n = np.asarray(rate_grid)
     w_grid = np.linspace(0.0, r.bandwidth_hz, r.grid_points, endpoint=False)
-    best = _oma_search(lambda rate, w_n: _oma_rate_at(r, near_model, far_model, rate, w_n),
-                       rate_n, w_grid, maximize=True)
+    best = _oma_search(_oma_rate_at(r, near_model, far_model), rate_n, w_grid, maximize=True)
     return _curve("oma-rate", rate_n, best)
 
 
@@ -270,30 +275,33 @@ def noma_power_region(r: "RegionSection", case: "RequirementCase", near_model: A
 
 
 def _oma_power_total(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
-                     far_model: AccuracyModel, level, w_n) -> np.ndarray:
-    """Total power share for each near requirement level in level and near
-    bandwidth slice in w_n (broadcast against each other); NaN where the
-    split is invalid."""
+                     far_model: AccuracyModel):
+    """The OMA objective total_power(need_level, w_n): total power share for each
+    near requirement SNR in need_level (gamma_required of the near model
+    at the requirement level) and near bandwidth slice in w_n (broadcast
+    against each other), NaN where the split is invalid.  The far
+    accuracy requirement's SNR is computed once, here, not once per call."""
     g_n, g_f = _gains(r)
     w = r.bandwidth_hz
     pref_n, pref_f = _rates_per_accuracy(r)
-    w_n = np.asarray(w_n, dtype=float)
-    w_f = w - w_n
+    need_req_f = gamma_required(far_model, case.xi_req_far)
 
-    # slices of zero width divide by zero here; the mask below drops them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        acc_rate_n = case.rate_req_near * w / (pref_n * w_n)
-        need_n = np.maximum(gamma_required(near_model, level),
-                            gamma_required(near_model, acc_rate_n))
-        rho_n = np.maximum(0.0, need_n * w_n / (w * g_n))
-        acc_rate_f = case.rate_req_far * w / (pref_f * w_f)
-        need_f = np.maximum(gamma_required(far_model, case.xi_req_far),
-                            gamma_required(far_model, acc_rate_f))
-        rho_f = np.maximum(0.0, need_f * w_f / (w * g_f))
-    # an unreachable requirement (need = +inf) makes the total +inf
-    total = rho_n + rho_f
-    valid = (w_n > 0.0) & (w_f > 0.0) & (total <= 1.0 + _FEAS_TOL)
-    return np.where(valid, total, np.nan)
+    def total_power(need_level, w_n):
+        w_n = np.asarray(w_n, dtype=float)
+        w_f = w - w_n
+        # slices of zero width divide by zero here; the mask below drops them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acc_rate_n = case.rate_req_near * w / (pref_n * w_n)
+            need_n = np.maximum(need_level, gamma_required(near_model, acc_rate_n))
+            rho_n = np.maximum(0.0, need_n * w_n / (w * g_n))
+            acc_rate_f = case.rate_req_far * w / (pref_f * w_f)
+            need_f = np.maximum(need_req_f, gamma_required(far_model, acc_rate_f))
+            rho_f = np.maximum(0.0, need_f * w_f / (w * g_f))
+        # an unreachable requirement (need = +inf) makes the total +inf
+        total = rho_n + rho_f
+        valid = (w_n > 0.0) & (w_f > 0.0) & (total <= 1.0 + _FEAS_TOL)
+        return np.where(valid, total, np.nan)
+    return total_power
 
 
 def oma_power_region(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
@@ -302,13 +310,13 @@ def oma_power_region(r: "RegionSection", case: "RequirementCase", near_model: Ac
 
     Searches the near bandwidth slice for every level at once, from the
     smallest slice that can carry the near rate requirement; when that
-    slice is the whole band, no slice on the grid is valid.
+    slice is the whole band, no slice on the grid is valid.  Each row of
+    the search is one level's requirement SNR, computed once.
     """
     levels = np.asarray(req_levels)
     w = r.bandwidth_hz
     w_lo = case.rate_req_near * w / _rates_per_accuracy(r)[0]  # slice at accuracy 1
     grid = np.linspace(max(w_lo, w / r.grid_points), w, r.grid_points, endpoint=False)
-    best = _oma_search(
-        lambda lv, w_n: _oma_power_total(r, case, near_model, far_model, lv, w_n),
-        levels, grid, maximize=False)
+    best = _oma_search(_oma_power_total(r, case, near_model, far_model),
+                       gamma_required(near_model, levels), grid, maximize=False)
     return _curve("oma-power", levels, best * r.p_max_watts)

@@ -18,7 +18,10 @@ so rates come out in units of semantic content per item.  Accuracy
 samples can be ingested from two-column CSVs (gamma_db, accuracy) and
 fitted by least squares with deterministic Levenberg-Marquardt on all
 four parameters, started from a logit-linearized slope pair and the
-levels projected onto it.
+levels projected onto it.  Without a CSV the region curves take the
+shipped ground-truth curves TRUE_TEXT_CURVE and TRUE_IMAGE_CURVE as
+given; synthetic_accuracy_samples evaluates those same curves, for
+tests and for benchmark inputs.
 """
 
 import csv
@@ -214,12 +217,13 @@ def fit_logistic(samples) -> FitResult:
 def load_accuracy_csv(path) -> np.ndarray:
     """Read (gamma_db, accuracy) rows; returns (gamma_linear, accuracy) pairs.
 
-    The header row naming the two columns is required; gamma is converted
-    from dB to linear scale.  A malformed data row, or a finite gamma_db
+    The header row naming the two columns is required; a UTF-8 byte-order
+    mark before it, as spreadsheet exports often write, is skipped.  gamma
+    is converted from dB to linear scale.  A malformed data row, or a finite gamma_db
     beyond +-GAMMA_DB_LIMIT, raises ValueError naming the file and the
     line; non-finite values are left to fit_logistic, which rejects them.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             lines = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
         except UnicodeDecodeError as exc:
@@ -250,10 +254,12 @@ def load_accuracy_csv(path) -> np.ndarray:
     return np.asarray(rows)
 
 
-# ground-truth curves behind the shipped synthetic samples; the text curve
-# saturates slowly with SNR, the image curve earlier and more sharply
+# ground-truth curves: the accuracy models of regions without a CSV, and
+# the curves behind the synthetic samples.  The text curve saturates
+# slowly with SNR, the image curve earlier and more sharply
 TRUE_TEXT_CURVE = AccuracyModel(a1=0.10, a2=0.95, c1=0.5, c2=-1.5)
 TRUE_IMAGE_CURVE = AccuracyModel(a1=0.05, a2=0.90, c1=3.0, c2=-0.5)
+TRUE_CURVES = {KIND_TEXT: TRUE_TEXT_CURVE, KIND_IMAGE: TRUE_IMAGE_CURVE}
 
 
 def synthetic_accuracy_samples(kind: str, n: int = 40, noise: float = 0.0,
@@ -263,12 +269,9 @@ def synthetic_accuracy_samples(kind: str, n: int = 40, noise: float = 0.0,
     gamma is linear, log-spaced over [-12, 18] dB.  Optional additive
     noise is seeded and clipped back into [0, 1].
     """
-    if kind == KIND_TEXT:
-        model = TRUE_TEXT_CURVE
-    elif kind == KIND_IMAGE:
-        model = TRUE_IMAGE_CURVE
-    else:
+    if kind not in TRUE_CURVES:
         raise ValueError(f"unknown source kind {kind!r}")
+    model = TRUE_CURVES[kind]
     gamma = 10.0 ** (np.linspace(-12.0, 18.0, n) / 10.0)
     acc = xi_eval(model, gamma)
     if noise > 0:

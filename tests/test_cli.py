@@ -15,6 +15,7 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +24,12 @@ import nomalink
 import oracles
 from nomalink import cli, link, modem, qam, quant
 from nomalink.cli import main
-from nomalink.config import LinkSection, RegionSection, RequirementCase, load_config
-from nomalink.srate import FIT_MAX_ITERS
+from nomalink.config import (LinkSection, RegionSection, RequirementCase, config_from_dict,
+                             load_config)
+from nomalink.regions import (default_rate_grid, noma_power_region, noma_rate_region,
+                              oma_power_region, oma_rate_region)
+from nomalink.srate import (TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE, fit_logistic,
+                            synthetic_accuracy_samples, write_accuracy_csv, xi_eval)
 
 TINY = {
     "seed": 0,
@@ -182,10 +187,43 @@ def test_regions_outputs_and_rerun_identical(tiny_cfg, tmp_path):
         mm = meta["accuracy_models"][kind]
         assert {"a1", "a2", "c1", "c2", "residual_rms", "iterations", "source",
                 "warning"} <= set(mm)
-        assert mm["source"] == "builtin-synthetic"
-        assert mm["residual_rms"] < 0.01
-        assert isinstance(mm["iterations"], int)
-        assert 0 < mm["iterations"] < FIT_MAX_ITERS
+        # the shipped ground-truth curve, taken as given
+        truth = TRUE_TEXT_CURVE if kind == "text" else TRUE_IMAGE_CURVE
+        assert mm["source"] == "builtin"
+        assert [mm[k] for k in ("a1", "a2", "c1", "c2")] == [truth.a1, truth.a2, truth.c1,
+                                                             truth.c2]
+        assert mm["iterations"] == 0 and isinstance(mm["iterations"], int)
+        assert mm["residual_rms"] == 0.0
+        assert mm["warning"] is None
+
+
+@pytest.mark.parametrize("doc", [{}, TINY], ids=["shipped", "tiny"])
+def test_shipped_curves_write_the_rows_of_their_fitted_samples(doc):
+    # the builtin accuracy models are the ground-truth curves, not fits to
+    # their samples; the two agree to a few ulps, which no written row shows
+    r = config_from_dict(doc).region
+    truth = (TRUE_TEXT_CURVE, TRUE_IMAGE_CURVE)
+    fitted = []
+    for kind, curve in zip(("text", "image"), truth):
+        samples = synthetic_accuracy_samples(kind)
+        assert np.array_equal(xi_eval(curve, samples[:, 0]).view(np.uint64),
+                              samples[:, 1].view(np.uint64))
+        fitted.append(fit_logistic(samples).model)
+
+    def rows(text, image, case):
+        levels = np.linspace(r.power_level_lo, r.power_level_hi, r.power_sweep_points)
+        grid = default_rate_grid(r, text)
+        curves = [noma_rate_region(r, text, image, grid), oma_rate_region(r, text, image, grid),
+                  noma_power_region(r, case, text, image, levels),
+                  oma_power_region(r, case, text, image, levels)]
+        return [",".join(cli._fmt(v) for v in (c.scheme, p.x, p.y, int(p.feasible)))
+                for c in curves for p in c.points]
+
+    assert len(r.cases) == 3
+    for case in r.cases:
+        want = rows(*truth, case)
+        assert len(want) == 2 * r.sweep_points + 2 * r.power_sweep_points
+        assert rows(*fitted, case) == want, case.name
 
 
 @pytest.mark.parametrize("command", [["regions", "--case", "high"], ["macs"], ["train-modem"],
@@ -221,7 +259,6 @@ def test_regions_all_empty_exits_3(tmp_path, capsys):
 
 
 def test_regions_accepts_accuracy_csvs(tiny_cfg, tmp_path):
-    from nomalink.srate import synthetic_accuracy_samples, write_accuracy_csv
     tc = tmp_path / "text.csv"
     ic = tmp_path / "image.csv"
     write_accuracy_csv(tc, synthetic_accuracy_samples("text"))
@@ -231,6 +268,20 @@ def test_regions_accepts_accuracy_csvs(tiny_cfg, tmp_path):
                  "--text-csv", str(tc), "--image-csv", str(ic)]) == 0
     meta = json.loads((out / "regions_meta.json").read_text())
     assert meta["accuracy_models"]["text"]["source"] == str(tc)
+
+
+def test_regions_accepts_an_accuracy_csv_with_a_byte_order_mark(tiny_cfg, tmp_path):
+    # spreadsheet exports often start with a UTF-8 BOM and end lines in CRLF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_accuracy_csv(plain, synthetic_accuracy_samples("text", noise=0.01, seed=4))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    written = []
+    for csv in (plain, marked):
+        out = tmp_path / csv.stem
+        assert main(["regions", "--config", tiny_cfg, "--out", str(out),
+                     "--text-csv", str(csv)]) == 0
+        written.append((out / "regions.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("row", ["10", "nan,0.5", "0,nan", "inf,0.5", "0,inf"])
@@ -666,6 +717,8 @@ _UNREACHED_BY_COMMANDS = {
     "qam.QamMap.size": "qam_modulate reads it",
     "qam.PointGrid.__len__": "perfbench/tracing.py sizes nearest_point's grid with len()",
     "srate.write_accuracy_csv": "perfbench/workloads.py writes the regions CSVs with it",
+    "srate.synthetic_accuracy_samples": "perfbench/workloads.py makes the noisy regions CSVs "
+                                        "with it, and criterion 08 fits it",
 }
 
 
@@ -697,8 +750,6 @@ def _public_code(package):
 
 
 def test_every_public_function_is_reached_by_a_command(tmp_path):
-    from nomalink.srate import synthetic_accuracy_samples, write_accuracy_csv
-
     # the default requirement cases are built at import; this one is read
     case = {"name": "med", "xi_req_far": 0.68, "rate_req_near": 0.069, "rate_req_far": 4.13}
     rayleigh = {**TINY, "link": {"superposition": "literal"},

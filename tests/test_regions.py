@@ -232,12 +232,14 @@ def test_array_split_evaluations_match_scalar_loops(overrides):
     # every slice including both corners, where a user gets no bandwidth
     r, case = shipped(**overrides)
     w_n = np.concatenate([np.linspace(0.0, 12.0, 257), [1e-300, 12.0 - 1e-12]])
+    far_rate = _oma_rate_at(r, TEXT, IMAGE)
+    total_power = _oma_power_total(r, case, TEXT, IMAGE)
     for rate_n in (0.0, PREF_N * 0.6, PREF_N * 0.8, PREF_N * 0.99):
-        got = _oma_rate_at(r, TEXT, IMAGE, rate_n, w_n)
+        got = far_rate(rate_n, w_n)
         want = np.array([_scalar_oma_rate(r, rate_n, x) for x in w_n])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     for level in (0.6, 0.7, 0.84, 0.96):
-        got = _oma_power_total(r, case, TEXT, IMAGE, level, w_n)
+        got = total_power(gamma_required(TEXT, level), w_n)
         want = np.array([_scalar_oma_power(r, case, level, x) for x in w_n])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -300,8 +302,7 @@ def _loop_search(fun, rows, grid, maximize):
 
 def _loop_oma_rate(r, rates):
     w_grid = np.linspace(0.0, r.bandwidth_hz, r.grid_points, endpoint=False)
-    return _loop_search(lambda rate, x: _oma_rate_at(r, TEXT, IMAGE, rate, x), rates, w_grid,
-                        True)
+    return _loop_search(_oma_rate_at(r, TEXT, IMAGE), rates, w_grid, True)
 
 
 def _loop_oma_power(r, case, levels):
@@ -310,8 +311,9 @@ def _loop_oma_power(r, case, levels):
     if w_lo >= w:
         return np.full(len(levels), math.nan)
     grid = np.linspace(max(w_lo, w / r.grid_points), w, r.grid_points, endpoint=False)
+    total_power = _oma_power_total(r, case, TEXT, IMAGE)
     return r.p_max_watts * _loop_search(
-        lambda lv, x: _oma_power_total(r, case, TEXT, IMAGE, lv, x), levels, grid, False)
+        lambda lv, x: total_power(gamma_required(TEXT, lv), x), levels, grid, False)
 
 
 def _same_curve(curve, want):
