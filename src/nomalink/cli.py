@@ -97,9 +97,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, cfg: ExperimentConfig, seed: int, header: str, rows):
+def _write_csv(path: str, digest: str, seed: int, header: str, rows):
+    """A CSV stamped with the config hash digest and the seed."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)} seed={seed}\n")
+        fh.write(f"# config_hash={digest} seed={seed}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -111,7 +112,7 @@ def cmd_train_modem(cfg: ExperimentConfig, seed: int, out_dir: str) -> int:
     save_model(far, os.path.join(out_dir, "modem_far.json"))
     rows = [(e + 1, float(trace[e, 0]), float(trace[e, 1]))
             for e in range(trace.shape[0])]
-    _write_csv(os.path.join(out_dir, "train_trace.csv"), cfg, seed,
+    _write_csv(os.path.join(out_dir, "train_trace.csv"), config_hash(cfg), seed,
                "epoch,loss_near,loss_far", rows)
     print(f"trained {trace.shape[0]} epochs; final losses "
           f"near={trace[-1, 0]:.6g} far={trace[-1, 1]:.6g}; "
@@ -187,7 +188,7 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
             rows.extend((rep.detector, sweep.kind, dlt, *gains,
                          rep.mse_near, rep.mse_far, rep.ser_near, rep.ser_far)
                         for rep in run_link(books, draws, detectors))
-    _write_csv(os.path.join(out_dir, "sweep.csv"), cfg, seed,
+    _write_csv(os.path.join(out_dir, "sweep.csv"), config_hash(cfg), seed,
                "detector,kind,delta,snr_near_db,snr_far_db,"
                "mse_near,mse_far,ser_near,ser_far", rows)
     print(f"swept {len(near_grid)}x{len(far_grid)} SNR cells x "
@@ -232,7 +233,8 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
     ]
 
     rows = [(c.scheme, p.x, p.y, int(p.feasible)) for c in curves for p in c.points]
-    _write_csv(os.path.join(out_dir, "regions.csv"), cfg, seed,
+    digest = config_hash(cfg)
+    _write_csv(os.path.join(out_dir, "regions.csv"), digest, seed,
                "curve,x,y,feasible", rows)
 
     def model_meta(fit, source):
@@ -242,7 +244,7 @@ def cmd_regions(cfg: ExperimentConfig, seed: int, out_dir: str, case_name: str,
                 "source": source, "warning": fit.warning}
 
     meta = {
-        "config_hash": config_hash(cfg),
+        "config_hash": digest,
         "seed": seed,
         "case": dataclasses.asdict(case),
         "accuracy_models": {"text": model_meta(fit_text, src_text),
@@ -276,7 +278,7 @@ def cmd_macs(cfg: ExperimentConfig, seed: int, out_dir: str,
 
     rows = [(n, n * macs_near, n * macs_far, n * macs_sic)
             for n in _MACS_LENGTHS]
-    _write_csv(os.path.join(out_dir, "macs.csv"), cfg, seed,
+    _write_csv(os.path.join(out_dir, "macs.csv"), config_hash(cfg), seed,
                "message_length,neural_near,neural_far,sic", rows)
     print("per-symbol multiply-accumulate cost:")
     print(f"  neural near-user demodulator: {macs_near}")

@@ -10,9 +10,15 @@ takes the rest (rate) or the least it needs (power).  Both OMA curves
 share one row-batched search over the near user's bandwidth slice, one
 row per rate point or requirement level: a coarse slice grid, then
 deterministic zoom refinement around each row's best cell, every round
-one array over all rows.  Each OMA objective computes the SNRs of its
-fixed accuracy requirements once per curve, and the power search's rows
-are the levels' required near SNRs, so no call recomputes them.
+one array over all rows.  The coarse grid is evaluated in blocks of at
+most _GRID_BLOCK_POINTS points, every row of a block in one call, and
+only on the slices that can be feasible: a slice too narrow to carry a
+user's required rate below its accuracy ceiling is infeasible by the
+same test gamma_required applies, so each search skips those slices
+before evaluating (_oma_rate_slices, _oma_power_slices).  Each OMA
+objective computes the SNRs of its fixed accuracy requirements once per
+curve, and the power search's rows are the levels' required near SNRs,
+so no call recomputes them.
 
 Every curve reads the experiment config's region section (cfg.region):
 the channel gains gain_near_db / gain_far_db, bandwidth_hz and the slice
@@ -58,7 +64,8 @@ if TYPE_CHECKING:  # annotations only
 
 _REFINE_ROUNDS = 10
 _REFINE_POINTS = 33
-_GRID_BLOCK_ROWS = 4
+# coarse-grid points per objective call: 4 rows of a 2,048-slice grid
+_GRID_BLOCK_POINTS = 8192
 _FEAS_TOL = 1e-9
 _SWEEP_CEILING_MARGIN = 0.05
 
@@ -96,6 +103,14 @@ def _rates_per_accuracy(r: "RegionSection") -> tuple[float, float]:
     return r.bandwidth_hz / r.text_k_symbols, r.bandwidth_hz / r.image_compression
 
 
+def _slice_accuracy(rate, w: float, pref: float, w_slice):
+    """Accuracy that a slice w_slice of the band w needs to carry a
+    semantic rate at pref rate per unit accuracy over the whole band.  It
+    falls as the slice widens and rises with the rate, and where it
+    reaches the accuracy ceiling gamma_required is +inf."""
+    return rate * w / (pref * w_slice)
+
+
 def _curve(scheme: str, xs, ys) -> RegionCurve:
     """Curve from x and y arrays; a point is feasible where y is not NaN."""
     return RegionCurve(scheme, tuple(RegionPoint(float(x), float(y), not math.isnan(y))
@@ -130,38 +145,65 @@ def _refine_extremum(fun, lo, hi, best_x, maximize: bool):
     extrema sitting on a feasibility edge (fun returns NaN beyond it) are
     approached from the inside.
     """
-    def at(arr, j):  # arr[r, j[r]] for every row r
-        return np.take_along_axis(arr, j, axis=-1)[..., 0]
-
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    r = np.arange(len(a)) if a.ndim else ...  # arr[r, i] is arr[row, i[row]] per row
     x_best = np.asarray(best_x, dtype=float)
     v_best = _cost(fun(x_best[..., None]), maximize)[..., 0]
     for _ in range(_REFINE_ROUNDS):
         xs = _linspace_rows(a, b, _REFINE_POINTS)
         vals = _cost(fun(xs), maximize)
-        i = np.argmin(vals, axis=-1)[..., None]
-        better = at(vals, i) < v_best
-        x_best = np.where(better, at(xs, i), x_best)
-        v_best = np.where(better, at(vals, i), v_best)
-        a, b = at(xs, np.maximum(i - 1, 0)), at(xs, np.minimum(i + 1, _REFINE_POINTS - 1))
+        i = np.argmin(vals, axis=-1)
+        better = vals[r, i] < v_best
+        x_best = np.where(better, xs[r, i], x_best)
+        v_best = np.where(better, vals[r, i], v_best)
+        a, b = xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, _REFINE_POINTS - 1)]
     return x_best, fun(x_best[..., None])[..., 0]
 
 
-def _oma_search(fun, rows, grid: np.ndarray, maximize: bool) -> np.ndarray:
+def _coarse_block(fun, rows, grid: np.ndarray, maximize: bool, usable, best, least) -> int:
+    """Search the coarse grid for the first block of rows, and return the
+    block's length.  The block takes as many rows as fit _GRID_BLOCK_POINTS
+    with the slices that usable marks for all of the rows given, so any
+    shorter block fits too.  best and least, views over the same rows,
+    hold each row's first least-cost slice so far and that cost, and are
+    updated in place.  A function of its own, so that one block's index
+    array is freed before the next block's rule allocates."""
+    cols = np.arange(len(grid)) if usable is None else np.flatnonzero(usable(rows, grid))
+    m = min(len(rows), max(1, _GRID_BLOCK_POINTS // max(len(cols), 1)))
+    step = _GRID_BLOCK_POINTS // m  # all slices in one call unless one row exceeds the budget
+    for c in range(0, len(cols), step):
+        j = cols[c:c + step]
+        cost = _cost(fun(rows[:m], grid[j]), maximize)
+        i = np.argmin(cost, axis=1)
+        v = cost[np.arange(m), i]
+        # strictly less: a tie keeps the earlier slice, as one argmin would
+        better = v < least[:m]
+        best[:m] = np.where(better, j[i], best[:m])
+        least[:m] = np.where(better, v, least[:m])
+    return m
+
+
+def _oma_search(fun, rows, grid: np.ndarray, maximize: bool, usable=None) -> np.ndarray:
     """Extremum of fun(rows[:, None], w_n) over the near slice w_n, per row.
 
-    Evaluates the coarse slice grid _GRID_BLOCK_ROWS rows at a time, takes
-    each row's best grid point (NaN masked), then refines every row's
-    bracket around it at once.  NaN for rows where no grid point is valid.
+    Evaluates the coarse slice grid in blocks of at most _GRID_BLOCK_POINTS
+    points, every row of a block in one call (a row with more slices than
+    that in several), takes each row's best grid point (NaN masked), then
+    refines every row's bracket around it at once.  NaN for rows where no
+    grid point is valid.
+
+    usable(rows, grid), when given, marks the grid slices that any of
+    these rows can use: fun must be NaN at every other slice for each of
+    the rows.  Those slices are skipped, which changes no result, because
+    a NaN slice is never a row's best.  Without it every slice is searched.
     """
     rows = np.asarray(rows, dtype=float)[:, None]
-    best = np.empty(len(rows), dtype=np.intp)
-    found = np.empty(len(rows), dtype=bool)
-    for k in range(0, len(rows), _GRID_BLOCK_ROWS):
-        block = slice(k, k + _GRID_BLOCK_ROWS)
-        cost = _cost(fun(rows[block], grid), maximize)
-        best[block] = np.argmin(cost, axis=1)
-        found[block] = np.min(cost, axis=1) < np.inf
+    best = np.zeros(len(rows), dtype=np.intp)
+    least = np.full(len(rows), np.inf)
+    k = 0
+    while k < len(rows):
+        k += _coarse_block(fun, rows[k:], grid, maximize, usable, best[k:], least[k:])
+    found = least < np.inf
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, len(grid) - 1)]
     _, val = _refine_extremum(lambda w_n: fun(rows, w_n), lo, hi, grid[best], maximize)
@@ -224,7 +266,7 @@ def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: Accur
         w_f = w - w_n
         # slices of zero width divide by zero here; the masks below drop them
         with np.errstate(divide="ignore", invalid="ignore"):
-            acc_rate = rate_n * w / (pref_n * w_n)
+            acc_rate = _slice_accuracy(rate_n, w, pref_n, w_n)
             need = np.maximum(gamma_required(near_model, acc_rate), need_req)
             rho_low = np.maximum(0.0, need * w_n / (w * g_n))
             rho_low = np.where(w_n > 0.0, rho_low,
@@ -238,6 +280,21 @@ def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: Accur
     return far_rate
 
 
+def _oma_rate_slices(r: "RegionSection", near_model: AccuracyModel):
+    """The OMA rate search's skip rule usable(rate_n, w_n): the w_n = 0
+    corner, and the slices on which the smallest near rate of rate_n needs
+    an accuracy below the near ceiling.  On any other slice every rate's
+    need and near share are +inf, so _oma_rate_at is NaN there."""
+    w = r.bandwidth_hz
+    pref_n, _ = _rates_per_accuracy(r)
+
+    def usable(rate_n, w_n):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dead = _slice_accuracy(np.min(rate_n), w, pref_n, w_n) >= near_model.a2
+        return (w_n <= 0.0) | ~dead
+    return usable
+
+
 def oma_rate_region(r: "RegionSection", near_model: AccuracyModel,
                     far_model: AccuracyModel, rate_grid) -> RegionCurve:
     """Largest far rate per near rate of rate_grid (default_rate_grid)
@@ -248,7 +305,8 @@ def oma_rate_region(r: "RegionSection", near_model: AccuracyModel,
     """
     rate_n = np.asarray(rate_grid)
     w_grid = np.linspace(0.0, r.bandwidth_hz, r.grid_points, endpoint=False)
-    best = _oma_search(_oma_rate_at(r, near_model, far_model), rate_n, w_grid, maximize=True)
+    best = _oma_search(_oma_rate_at(r, near_model, far_model), rate_n, w_grid, maximize=True,
+                       usable=_oma_rate_slices(r, near_model))
     return _curve("oma-rate", rate_n, best)
 
 
@@ -291,10 +349,10 @@ def _oma_power_total(r: "RegionSection", case: "RequirementCase", near_model: Ac
         w_f = w - w_n
         # slices of zero width divide by zero here; the mask below drops them
         with np.errstate(divide="ignore", invalid="ignore"):
-            acc_rate_n = case.rate_req_near * w / (pref_n * w_n)
+            acc_rate_n = _slice_accuracy(case.rate_req_near, w, pref_n, w_n)
             need_n = np.maximum(need_level, gamma_required(near_model, acc_rate_n))
             rho_n = np.maximum(0.0, need_n * w_n / (w * g_n))
-            acc_rate_f = case.rate_req_far * w / (pref_f * w_f)
+            acc_rate_f = _slice_accuracy(case.rate_req_far, w, pref_f, w_f)
             need_f = np.maximum(need_req_f, gamma_required(far_model, acc_rate_f))
             rho_f = np.maximum(0.0, need_f * w_f / (w * g_f))
         # an unreachable requirement (need = +inf) makes the total +inf
@@ -302,6 +360,24 @@ def _oma_power_total(r: "RegionSection", case: "RequirementCase", near_model: Ac
         valid = (w_n > 0.0) & (w_f > 0.0) & (total <= 1.0 + _FEAS_TOL)
         return np.where(valid, total, np.nan)
     return total_power
+
+
+def _oma_power_slices(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
+                      far_model: AccuracyModel):
+    """The OMA power search's skip rule usable(need_level, w_n): the slices
+    where both users get bandwidth and each carries its rate requirement
+    below its accuracy ceiling, one interval for every level.  On any
+    other slice _oma_power_total is NaN."""
+    w = r.bandwidth_hz
+    pref_n, pref_f = _rates_per_accuracy(r)
+
+    def usable(need_level, w_n):
+        w_f = w - w_n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dead = ((_slice_accuracy(case.rate_req_near, w, pref_n, w_n) >= near_model.a2)
+                    | (_slice_accuracy(case.rate_req_far, w, pref_f, w_f) >= far_model.a2))
+        return (w_n > 0.0) & (w_f > 0.0) & ~dead
+    return usable
 
 
 def oma_power_region(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
@@ -318,5 +394,6 @@ def oma_power_region(r: "RegionSection", case: "RequirementCase", near_model: Ac
     w_lo = case.rate_req_near * w / _rates_per_accuracy(r)[0]  # slice at accuracy 1
     grid = np.linspace(max(w_lo, w / r.grid_points), w, r.grid_points, endpoint=False)
     best = _oma_search(_oma_power_total(r, case, near_model, far_model),
-                       gamma_required(near_model, levels), grid, maximize=False)
+                       gamma_required(near_model, levels), grid, maximize=False,
+                       usable=_oma_power_slices(r, case, near_model, far_model))
     return _curve("oma-power", levels, best * r.p_max_watts)

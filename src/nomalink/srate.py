@@ -72,7 +72,8 @@ def xi_eval(model: AccuracyModel, gamma) -> np.ndarray | float:
     """Accuracy at linear SNR gamma (scalar or array)."""
     g = np.asarray(gamma, dtype=float)
     z = model.c1 * g + model.c2
-    out = model.a1 + (model.a2 - model.a1) / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp overflow saturates to the floor a1
+        out = model.a1 + (model.a2 - model.a1) / (1.0 + np.exp(-z))
     return float(out) if out.ndim == 0 else out
 
 

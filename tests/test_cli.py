@@ -313,6 +313,20 @@ def test_regions_accuracy_row_beyond_the_gamma_range_exits_2(tiny_cfg, tmp_path,
     assert "Traceback" not in err
 
 
+def test_regions_on_a_falling_accuracy_fit_does_not_warn(tmp_path, capfd):
+    # the fit to these rows falls with SNR (c1 < 0), so exp(-(c1 * gamma + c2))
+    # overflows in xi_eval wherever the OMA rate objective reads a large SNR;
+    # that saturates to the accuracy floor and is no cause for a warning
+    ic = tmp_path / "image.csv"
+    ic.write_text("gamma_db,accuracy\n-10,0.9\n0,0.7\n10,0.3\n20,0.1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["regions", "--out", str(tmp_path / "o"), "--image-csv", str(ic)]) == 0
+    assert capfd.readouterr().err == ""
+    meta = json.loads((tmp_path / "o" / "regions_meta.json").read_text())
+    assert meta["accuracy_models"]["image"]["c1"] < 0
+
+
 def test_regions_accuracy_rows_at_the_gamma_limits_load(tiny_cfg, tmp_path):
     tc = tmp_path / "text.csv"
     tc.write_text("gamma_db,accuracy\n-100,0.1\n-10,0.2\n0,0.5\n5,0.7\n10,0.8\n100,0.95\n")

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import oracles
 from nomalink.config import RegionSection, RequirementCase
 from nomalink.regions import (RegionCurve, RegionPoint, _linspace_rows,
-                              _oma_power_total, _oma_rate_at, _oma_search,
-                              _refine_extremum, default_rate_grid,
-                              noma_power_region, noma_rate_region,
+                              _oma_power_slices, _oma_power_total, _oma_rate_at,
+                              _oma_rate_slices, _oma_search, _refine_extremum,
+                              default_rate_grid, noma_power_region, noma_rate_region,
                               oma_power_region, oma_rate_region)
-from nomalink.srate import TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE, gamma_required, xi_eval
+from nomalink.srate import (TRUE_IMAGE_CURVE, TRUE_TEXT_CURVE, AccuracyModel,
+                            gamma_required, xi_eval)
 
 TEXT = TRUE_TEXT_CURVE
 IMAGE = TRUE_IMAGE_CURVE
@@ -316,11 +317,14 @@ def _loop_oma_power(r, case, levels):
         lambda lv, x: total_power(gamma_required(TEXT, lv), x), levels, grid, False)
 
 
-def _same_curve(curve, want):
-    got = _ys(curve)
-    assert [p.feasible for p in curve.points] == list(~np.isnan(want))
+def _same_values(got, want):
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(_bits(got[~np.isnan(got)]), _bits(want[~np.isnan(want)]))
+
+
+def _same_curve(curve, want):
+    assert [p.feasible for p in curve.points] == list(~np.isnan(want))
+    _same_values(_ys(curve), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,17 +363,90 @@ def test_rows_without_a_valid_grid_point_stay_infeasible():
     assert got[1] == 1.875
 
 
-def test_oma_rate_search_memory_is_bounded():
-    # the coarse grid is evaluated a few rows at a time, not all 33 x 2048 at once
-    r, _ = shipped(grid_points=2048, sweep_points=33)
-    oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))  # warm up imports and caches
+# fitted curves a search must survive: falling or flat (c1 <= 0), a floor
+# below 0 and a ceiling above 1, next to the shipped curves
+_models = st.one_of(st.sampled_from([TEXT, IMAGE]), st.builds(
+    lambda a1, span, c1, c2: AccuracyModel(a1, a1 + span, c1, c2),
+    st.floats(-1.0, 0.9), st.floats(0.01, 1.5),
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), st.floats(-5.0, 5.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(near=_models, far=_models, gain_near=st.floats(0.0, 30.0),
+       gain_gap=st.floats(0.0, 20.0), bandwidth=st.floats(0.5, 50.0),
+       xi_near=st.floats(0.12, 0.94), xi_far=st.floats(0.06, 0.97),
+       rate_near=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+       rate_far=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+       grid_points=st.integers(8, 300),
+       rates=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.2)), min_size=1, max_size=6),
+       levels=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6))
+def test_every_slice_a_skip_rule_drops_is_nan_in_the_objective(
+        near, far, gain_near, gain_gap, bandwidth, xi_near, xi_far, rate_near, rate_far,
+        grid_points, rates, levels):
+    # the rules are evaluated on every tail of the rows, as the search
+    # passes them, and the search gives the same bits with them as without;
+    # rows come in any order
+    r, case = shipped(gain_near_db=gain_near, gain_far_db=gain_near - gain_gap,
+                      bandwidth_hz=bandwidth, xi_req_near=xi_near, xi_req_far=xi_far,
+                      rate_req_near=rate_near, rate_req_far=rate_far,
+                      grid_points=grid_points)
+    w = r.bandwidth_hz
+    w_lo = case.rate_req_near * w / (w / r.text_k_symbols)
+    searches = [
+        (_oma_rate_at(r, near, far), _oma_rate_slices(r, near), np.array(rates),
+         np.linspace(0.0, w, grid_points, endpoint=False), True),
+        (_oma_power_total(r, case, near, far), _oma_power_slices(r, case, near, far),
+         gamma_required(near, np.array(levels)),
+         np.linspace(max(w_lo, w / grid_points), w, grid_points, endpoint=False), False),
+    ]
+    for fun, usable, rows, grid, maximize in searches:
+        values = fun(rows[:, None], grid)
+        for k in range(len(rows)):
+            dropped = ~usable(rows[k:, None], grid)
+            assert np.isnan(values[k:, dropped]).all()
+        _same_values(_oma_search(fun, rows, grid, maximize, usable),
+                     _oma_search(fun, rows, grid, maximize))
+
+
+def _search_peak(points: int, region, *args) -> int:
+    """Peak traced bytes of one call of a curve with these many points,
+    some feasible, after a warm-up call."""
+    region(*args)  # warm up imports and caches
     tracemalloc.start()
     try:
-        curve = oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))
+        curve = region(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(curve.points) == 33 and curve.feasible
+    assert len(curve.points) == points and curve.feasible
+    return peak
+
+
+def test_oma_rate_search_memory_is_bounded():
+    # the coarse grid is evaluated a block of points at a time, not all 33 x 2048 at once
+    r, _ = shipped(grid_points=2048, sweep_points=33)
+    peak = _search_peak(33, oma_rate_region, r, TEXT, IMAGE, default_rate_grid(r, TEXT))
+    assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_oma_power_search_memory_is_bounded():
+    # no rate requirement, so no slice is skipped and every row reads the whole grid
+    r, case = shipped(grid_points=2048)
+    peak = _search_peak(33, oma_power_region, r, case, TEXT, IMAGE, np.linspace(0.6, 0.84, 33))
+    assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("curve", ["rate", "power"])
+def test_oma_search_memory_is_bounded_far_above_the_block_budget(curve):
+    # 64 rows x 65,536 slices is 512 blocks' worth of points (33.5 MB as one
+    # matrix): a row with more slices than one block holds is searched in
+    # several calls, so only a few grid-length vectors (0.5 MB each) remain
+    r, case = shipped(grid_points=65536, sweep_points=64)
+    if curve == "rate":
+        peak = _search_peak(64, oma_rate_region, r, TEXT, IMAGE, default_rate_grid(r, TEXT))
+    else:
+        peak = _search_peak(64, oma_power_region, r, case, TEXT, IMAGE,
+                            np.linspace(0.6, 0.84, 64))
     assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
