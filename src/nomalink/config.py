@@ -17,10 +17,12 @@ import typing
 from dataclasses import dataclass, field
 
 from .channel import KIND_AWGN, KIND_RAYLEIGH
-from .modem import SUPERPOSE_LITERAL, SUPERPOSE_SQRT
 from .srate import GAMMA_DB_LIMIT
 
 SCHEMA_VERSION = 1
+
+SUPERPOSE_SQRT = "sqrt"      # amplitude sqrt(rho_i), composite has unit mean power
+SUPERPOSE_LITERAL = "literal"  # amplitude rho_i
 
 
 class ConfigError(ValueError):
@@ -70,7 +72,7 @@ class QuantSection:
 class LinkSection:
     rho_near: float = 0.3
     rho_far: float = 0.7
-    superposition: str = "sqrt"
+    superposition: str = SUPERPOSE_SQRT
 
     def __post_init__(self):
         # shares in (0, 1) summing to 1, the far (weak) user getting at
@@ -84,6 +86,14 @@ class LinkSection:
         if self.superposition not in (SUPERPOSE_SQRT, SUPERPOSE_LITERAL):
             raise ValueError(f"unknown superposition convention {self.superposition!r}")
 
+    def amplitudes(self) -> tuple[float, float]:
+        """The (near, far) amplitude factors applied to the unit power
+        symbols: sqrt(rho) under the sqrt convention, rho under the literal
+        one."""
+        if self.superposition == SUPERPOSE_SQRT:
+            return math.sqrt(self.rho_near), math.sqrt(self.rho_far)
+        return self.rho_near, self.rho_far
+
 
 @dataclass(frozen=True)
 class TrainSection:
@@ -93,7 +103,7 @@ class TrainSection:
     dataset_size: int = 64
     snr_train_near_db: float = 14.0
     snr_train_far_db: float = 6.0
-    hidden: tuple = (32, 32, 32)
+    hidden: tuple[int, ...] = (32, 32, 32)
 
     def __post_init__(self):
         _check_range(self, "epochs", 1, 1_000_000)
@@ -171,7 +181,7 @@ class RegionSection:
     power_level_lo: float = 0.6
     power_level_hi: float = 0.84
     power_sweep_points: int = 13
-    cases: tuple = (
+    cases: tuple[RequirementCase, ...] = (
         RequirementCase("high", 0.75, 0.075, 5.0),
         RequirementCase("med", 0.68, 0.069, 4.13),
         RequirementCase("low", 0.65, 0.063, 3.13),
@@ -240,6 +250,21 @@ def _coerce_scalar(value, target, path):
     return value
 
 
+def _convert(target, value, path):
+    """value as the field type target: a dataclass, a scalar or a tuple of
+    either."""
+    if dataclasses.is_dataclass(target):
+        return _build(target, value, path)
+    if target in _SCALARS:
+        return _coerce_scalar(value, target, path)
+    if typing.get_origin(target) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        item = typing.get_args(target)[0]
+        return tuple(_convert(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    raise ConfigError(f"{path}: unsupported field type {target!r}")
+
+
 def _build(cls, data, path):
     """Recursively build dataclass cls from a JSON mapping."""
     if not isinstance(data, dict):
@@ -252,30 +277,9 @@ def _build(cls, data, path):
             raise ConfigError(f"unknown config field: {dotted}")
     kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        sub = f"{path}.{f.name}" if path else f.name
-        target = hints[f.name]
-        value = data[f.name]
-        if dataclasses.is_dataclass(target):
-            kwargs[f.name] = _build(target, value, sub)
-        elif target in _SCALARS:
-            kwargs[f.name] = _coerce_scalar(value, target, sub)
-        elif target is tuple:
-            if not isinstance(value, list):
-                raise ConfigError(f"{sub}: expected a list, got {value!r}")
-            if f.name == "cases":
-                kwargs[f.name] = tuple(
-                    _build(RequirementCase, v, f"{sub}[{i}]")
-                    for i, v in enumerate(value))
-            elif f.name == "hidden":
-                kwargs[f.name] = tuple(
-                    _coerce_scalar(v, int, f"{sub}[{i}]")
-                    for i, v in enumerate(value))
-            else:
-                kwargs[f.name] = tuple(value)
-        else:
-            raise ConfigError(f"{sub}: unsupported field type {target!r}")
+        if f.name in data:
+            sub = f"{path}.{f.name}" if path else f.name
+            kwargs[f.name] = _convert(hints[f.name], data[f.name], sub)
     try:
         return cls(**kwargs)
     except ValueError as exc:

@@ -7,7 +7,7 @@ channel and detects at both receivers, with the trained neural
 demodulators, the QAM + SIC baseline, or both.  Block fading: one
 channel draw per cell per user.  The detectors of one run share
 everything but their transmit signals: the quantized features, each
-user's channel realization and one noise draw per user, so a run with
+user's fading block and one noise draw per user, so a run with
 both detectors reports exactly what one run per detector would, at one
 channel pass.  Both users' quantizers and QAM maps depend only on the
 config's bit widths and range, and their transmit alphabets (each
@@ -37,18 +37,15 @@ section, which regions reads), not to the link.
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng as _rng
-from .channel import ChannelSpec, equalize, realize, transmit
-from .modem import SUPERPOSE_SQRT, ModemModel, amplitudes, demodulate, tx_symbols
+from .channel import equalize, realize, transmit
+from .config import SUPERPOSE_SQRT, ExperimentConfig, LinkSection
+from .modem import ModemModel, demodulate, tx_symbols
 from .qam import QamMap, detect_far, make_qam, nearest_point, sic_detect
 from .quant import QuantizerParams, fit_quantizer, quantize
-
-if TYPE_CHECKING:  # config imports modem, as this module does
-    from .config import ExperimentConfig, LinkSection
 
 DETECTOR_NEURAL = "neural"
 DETECTOR_SIC = "sic"
@@ -62,22 +59,22 @@ class Constellations:
     tx_sic and tx_neural hold the (near, far) alphabets: entry i is the
     user's amplitude-scaled transmit symbol for quantizer index i, a *
     QAM point or a * tx_symbols(constellation[i], model).  link is the
-    config's power split and convention, which SIC detection reads, and
-    models the trained (near, far) pair; without models there is no
-    neural alphabet.
+    config's power split and convention, whose amplitudes SIC detection
+    takes (LinkSection.amplitudes), and models the trained (near, far)
+    pair; without models there is no neural alphabet.
     """
 
     q_near: QuantizerParams
     q_far: QuantizerParams
     qam_near: QamMap
     qam_far: QamMap
-    link: "LinkSection"
+    link: LinkSection
     tx_sic: tuple = field(repr=False, compare=False)
     models: tuple | None = field(default=None, repr=False, compare=False)
     tx_neural: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def build_constellations(cfg: "ExperimentConfig",
+def build_constellations(cfg: ExperimentConfig,
                          models: tuple[ModemModel, ModemModel] | None = None) -> Constellations:
     """The constellations and transmit alphabets the config's bit widths,
     range and power split fix, with the neural ones of the trained (near,
@@ -87,7 +84,7 @@ def build_constellations(cfg: "ExperimentConfig",
     s, d = quant.bound_s, quant.bound_d
     q_near, q_far = fit_quantizer(quant.bits_near, s, d), fit_quantizer(quant.bits_far, s, d)
     qam_near, qam_far = make_qam(quant.bits_near), make_qam(quant.bits_far)
-    a_n, a_f = amplitudes(link.rho_near, link.rho_far, link.superposition)
+    a_n, a_f = link.amplitudes()
     tx_neural = None
     if models is not None:
         models = tuple(models)
@@ -115,13 +112,13 @@ class LinkReport:
     snr_eff_far_db: float
 
 
-def effective_snrs_db(link: "LinkSection", gain_near_db: float,
+def effective_snrs_db(link: LinkSection, gain_near_db: float,
                       gain_far_db: float) -> tuple[float, float]:
     """Closed-form post-split SNRs (near after SIC, far under interference)
     of the split and convention of link at these channel gains."""
     g_n = 10.0 ** (gain_near_db / 10.0)
     g_f = 10.0 ** (gain_far_db / 10.0)
-    a_n, a_f = amplitudes(link.rho_near, link.rho_far, link.superposition)
+    a_n, a_f = link.amplitudes()
     # sqrt powers are the shares themselves: squaring sqrt(rho) can move the last bit
     p_n, p_f = ((link.rho_near, link.rho_far) if link.superposition == SUPERPOSE_SQRT
                 else (a_n * a_n, a_f * a_f))
@@ -144,10 +141,11 @@ _USERS = (_rng.USER_NEAR, _rng.USER_FAR)
 class CellDraws:
     """The random inputs of one run, opened by open_cell.
 
-    gains_db is the cell's (near, far) channel gain pair, channels each
-    user's channel realization, noise[u] the (n, 2) standard normals of
-    user u's noise and source[u] the n normals of user u's features.
-    The buffers hold nothing until fill() draws into them.
+    gains_db is the cell's (near, far) channel gain pair, channels[u]
+    user u's fading block and noise power (h, h_hat, sigma2), noise[u]
+    the (n, 2) standard normals of user u's noise and source[u] the n
+    normals of user u's features.  The buffers hold nothing until fill()
+    draws into them.
     """
 
     gains_db: tuple
@@ -169,9 +167,10 @@ class CellDraws:
 
 def open_cell(gains_db: tuple[float, float], n: int, kind: str = "awgn", delta: float = 0.0,
               seed: int = 0, block: int = 0, out: tuple | None = None) -> CellDraws:
-    """Make the streams and channel realizations of one run of n symbols a
-    user at the (near, far) channel gains gains_db, without drawing their
-    normals (see CellDraws).
+    """Make the streams and fading blocks of one run of n symbols a user at
+    the (near, far) channel gains gains_db, without drawing their normals
+    (see CellDraws).  A gain g in dB gives the noise power 10**(-g / 10)
+    against a unit power transmit signal.
 
     out is a (noise, source) pair of buffers of shapes (2, n, 2) and
     (2, n) to draw into, which a sweep reuses from cell to cell; new ones
@@ -181,13 +180,12 @@ def open_cell(gains_db: tuple[float, float], n: int, kind: str = "awgn", delta: 
     noise, source = out or (np.empty((2, n, 2)), np.empty((2, n)))
     if noise.shape != (2, n, 2) or source.shape != (2, n):
         raise ValueError(f"draw buffers must have shapes (2, {n}, 2) and (2, {n})")
-    channels = tuple(
-        realize(ChannelSpec(kind=kind, snr_db=gain, estimation_error_delta=delta, seed=seed),
-                user=user, block=block)
-        for user, gain in zip(_USERS, gains_db))
-    streams = [(real._noise_rng, buf) for real, buf in zip(channels, noise)]
-    streams += [(_rng.stream_rng(seed, user, _rng.SOURCE, block), buf)
-                for user, buf in zip(_USERS, source)]
+    channels = tuple((*realize(kind, delta, seed, user, block), 10.0 ** (-gain / 10.0))
+                     for user, gain in zip(_USERS, gains_db))
+    streams = []
+    for user, noise_buf, source_buf in zip(_USERS, noise, source):
+        streams += [(_rng.stream_rng(seed, user, _rng.NOISE, block), noise_buf),
+                    (_rng.stream_rng(seed, user, _rng.SOURCE, block), source_buf)]
     return CellDraws(tuple(gains_db), channels, noise, source, tuple(streams))
 
 
@@ -204,7 +202,7 @@ def run_link(books: Constellations, draws: CellDraws,
     build_constellations(cfg, models) and draws the cell's filled
     open_cell draws.  Each user's features are sample_features of its
     source normals.  The detectors share one set-up: the quantized
-    features, each user's channel realization and one noise draw per
+    features, each user's fading block and one noise draw per
     user, added to every detector's own transmit signal.  The neural
     detector needs books built with the trained model pair.  Feature MSE
     is measured between the true dequantized values and the detected
@@ -217,6 +215,7 @@ def run_link(books: Constellations, draws: CellDraws,
         if det not in (DETECTOR_NEURAL, DETECTOR_SIC):
             raise ValueError(f"unknown detector {det!r}")
     models, link = books.models, books.link
+    a_n, a_f = link.amplitudes()
     if DETECTOR_NEURAL in detectors and models is None:
         raise ValueError("neural detection needs a trained model pair")
     q_near, q_far = books.q_near, books.q_far
@@ -233,8 +232,8 @@ def run_link(books: Constellations, draws: CellDraws,
     for row, det in zip(x, detectors):
         t_n, t_f = books.tx_neural if det == DETECTOR_NEURAL else books.tx_sic
         np.add(t_n[idx_n], t_f[idx_f], out=row)
-    eq = [equalize(transmit(x, real, normals), real)
-          for real, normals in zip(draws.channels, draws.noise)]
+    eq = [equalize(transmit(x, h, sigma2, normals), h_hat)
+          for (h, h_hat, sigma2), normals in zip(draws.channels, draws.noise)]
 
     snr_n, snr_f = effective_snrs_db(link, *draws.gains_db)
     reports = []
@@ -247,10 +246,8 @@ def run_link(books: Constellations, draws: CellDraws,
             det_idx_n = nearest_point(out_n[:, 0], q_near.grid)
             det_idx_f = nearest_point(out_f[:, 0], q_far.grid)
         else:
-            det_idx_n, _ = sic_detect(eq_near_rx, books.qam_near, books.qam_far,
-                                      link.rho_near, link.rho_far, link.superposition)
-            det_idx_f = detect_far(eq_far_rx, books.qam_far, link.rho_near, link.rho_far,
-                                   link.superposition)
+            det_idx_n, _ = sic_detect(eq_near_rx, books.qam_near, books.qam_far, a_n, a_f)
+            det_idx_f = detect_far(eq_far_rx, books.qam_far, a_f)
             est_n = q_near.constellation_deq[det_idx_n]
             est_f = q_far.constellation_deq[det_idx_f]
         reports.append(LinkReport(

@@ -39,23 +39,17 @@ dequantized units.
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng as _rng
-from .channel import ChannelSpec, coefficients
+from .channel import coefficients
+from .config import ExperimentConfig
 from .nn import Mlp, dense_macs
 from .quant import QuantizerParams, fit_quantizer
 
-if TYPE_CHECKING:  # config imports this module for the superposition conventions
-    from .config import ExperimentConfig
-
 ROLE_NEAR = "near"
 ROLE_FAR = "far"
-
-SUPERPOSE_SQRT = "sqrt"      # amplitude sqrt(rho_i), composite has unit mean power
-SUPERPOSE_LITERAL = "literal"  # amplitude rho_i
 
 _MODEL_FORMAT = "nomalink-modem-v1"
 # receiver soft limiter: inputs are shrunk onto a sphere of this many
@@ -86,15 +80,6 @@ class ModemModel:
     quantizer: QuantizerParams
     mean_power: float | None = None
     input_clip_radius: float | None = None
-
-
-def amplitudes(rho_near: float, rho_far: float, convention: str = SUPERPOSE_SQRT):
-    """Per-user amplitude factors applied to the normalized symbols."""
-    if convention == SUPERPOSE_SQRT:
-        return math.sqrt(rho_near), math.sqrt(rho_far)
-    if convention == SUPERPOSE_LITERAL:
-        return rho_near, rho_far
-    raise ValueError(f"unknown superposition convention {convention!r}")
 
 
 def modulate(v, model: ModemModel) -> np.ndarray:
@@ -324,7 +309,7 @@ def composite_peak(near: ModemModel, far: ModemModel, amp_n: float, amp_f: float
 # a diverging run overflows before its loss turns non-finite; the loss check
 # in the loop reports it as TrainingDivergedError instead of numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def train_modem(cfg: "ExperimentConfig", seed: int):
+def train_modem(cfg: ExperimentConfig, seed: int):
     """Alternating SGD over the superimposed link.
 
     Everything comes from cfg: both quantizers from cfg.quant, the
@@ -341,8 +326,6 @@ def train_modem(cfg: "ExperimentConfig", seed: int):
     tc, qc = cfg.train, cfg.quant
     q_near = fit_quantizer(qc.bits_near, qc.bound_s, qc.bound_d)
     q_far = fit_quantizer(qc.bits_far, qc.bound_s, qc.bound_d)
-    channel = ChannelSpec(kind=cfg.sweep.kind,
-                          estimation_error_delta=cfg.sweep.estimation_error_delta)
     rng_n = _rng.stream_rng(seed, _rng.USER_NEAR, _rng.WEIGHT_INIT)
     rng_f = _rng.stream_rng(seed, _rng.USER_FAR, _rng.WEIGHT_INIT)
     near = _init_model(ROLE_NEAR, 2, tc.hidden, q_near, rng_n)
@@ -358,7 +341,7 @@ def train_modem(cfg: "ExperimentConfig", seed: int):
     sigma2 = [10.0 ** (-tc.snr_train_near_db / 10.0),
               10.0 ** (-tc.snr_train_far_db / 10.0)]
 
-    amp_n, amp_f = amplitudes(cfg.link.rho_near, cfg.link.rho_far, cfg.link.superposition)
+    amp_n, amp_f = cfg.link.amplitudes()
     batches = tc.dataset_size // tc.batch_size
     lr = tc.learning_rate
     trace = np.zeros((tc.epochs, 2))
@@ -373,7 +356,8 @@ def train_modem(cfg: "ExperimentConfig", seed: int):
         draws = []
         for u in (0, 1):
             h, h_hat = coefficients(
-                channel, lambda p: fade_rng[u].standard_normal((batches, len(p), 2)), batches)
+                cfg.sweep.kind, cfg.sweep.estimation_error_delta,
+                lambda p: fade_rng[u].standard_normal((batches, len(p), 2)), batches)
             noise = noise_rng[u].standard_normal((batches, tc.batch_size, 2)).view(complex)[..., 0]
             noise *= math.sqrt(sigma2[u] / 2.0)
             # Python complex scalars: numpy's h / h_hat rounds differently

@@ -5,7 +5,9 @@ mean power QAM constellation.  Even bit widths give square QAM, odd ones
 rectangular (the extra bit goes to the in-phase axis); both axes carry
 independent Gray-coded PAM.  The far user's index is detected first by
 nearest-point search treating the near signal as noise, its contribution
-is subtracted, and the near index is detected from the residual.
+is subtracted, and the near index is detected from the residual.  The
+SIC stages take the two superposition amplitudes as plain numbers, which
+the caller reads from the config (config.LinkSection.amplitudes).
 
 Detection runs on a PointGrid, built once per QAM map or quantizer by
 point_grid: each axis's sorted levels with their origin and step, the
@@ -25,8 +27,6 @@ argmin, ties to the lowest index, in O(N) memory for every width up to
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .modem import SUPERPOSE_SQRT, amplitudes
 
 # Within this many smallest grid steps of its bracket, rounding of |y - p|
 # (relative error ~1e-16) cannot make an outside point tie with a bracket
@@ -271,8 +271,7 @@ def nearest_point(y, grid: PointGrid) -> np.ndarray:
     return idx
 
 
-def detect_far(y, qmap_far: QamMap, rho_near: float, rho_far: float,
-               convention: str = SUPERPOSE_SQRT) -> np.ndarray:
+def detect_far(y, qmap_far: QamMap, a_far: float) -> np.ndarray:
     """First SIC stage: far indices, treating the near signal as noise.
 
     This is all the far receiver needs; sic_detect continues from it.
@@ -281,24 +280,21 @@ def detect_far(y, qmap_far: QamMap, rho_near: float, rho_far: float,
     of y / a_far (up to the sign of a zero part, which slicing ignores).
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    _, a_f = amplitudes(rho_near, rho_far, convention)
-    return nearest_point(y * (1.0 / a_f), qmap_far.grid)
+    return nearest_point(y * (1.0 / a_far), qmap_far.grid)
 
 
-def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap,
-               rho_near: float, rho_far: float, convention: str = SUPERPOSE_SQRT):
+def sic_detect(y, qmap_near: QamMap, qmap_far: QamMap, a_near: float, a_far: float):
     """Far-first successive interference cancellation.
 
-    y is the equalized receive signal a_n s_n + a_f s_f plus noise, with
-    the amplitudes of the superposition convention (sqrt(rho) by default).
+    y is the equalized receive signal a_near s_n + a_far s_f plus noise,
+    with the amplitudes of the superposition (config.LinkSection.amplitudes).
     The far signal is removed by gathering from the far map's points
-    scaled once by a_f.  Returns (near_indices, far_indices).
+    scaled once by a_far.  Returns (near_indices, far_indices).
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    a_n, a_f = amplitudes(rho_near, rho_far, convention)
-    idx_far = detect_far(y, qmap_far, rho_near, rho_far, convention)
-    residual = y - (a_f * qmap_far.points)[idx_far]
-    residual *= 1.0 / a_n
+    idx_far = detect_far(y, qmap_far, a_far)
+    residual = y - (a_far * qmap_far.points)[idx_far]
+    residual *= 1.0 / a_near
     idx_near = nearest_point(residual, qmap_near.grid)
     return idx_near, idx_far
 

@@ -10,16 +10,15 @@ with round() meaning half away from zero.  Quantization maps a value x to
 the integer clamp(round(x * f_s) - p_z, 0, 2**m - 1) and dequantization
 maps index i back to (i + p_z) / f_s.  The dequantized constellation
 always contains exactly 0.0; its detection grid (qam.PointGrid) is built
-once, with the quantizer.
+once, with the quantizer.  qam imports nothing from the package, so this
+module can import it at the top without a cycle.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .qam import PointGrid
+from .qam import PointGrid, point_grid
 
 EPS_RANGE = 1e-9  # slack for the input range check
 
@@ -59,7 +58,7 @@ class QuantizerParams:
     scale_fs: float
     zero_pz: int
     constellation_deq: np.ndarray = field(repr=False)
-    grid: "PointGrid" = field(repr=False, compare=False)
+    grid: PointGrid = field(repr=False, compare=False)
     variance: float = field(repr=False, compare=False)
 
     @property
@@ -78,9 +77,6 @@ def fit_quantizer(bits_m: int, bound_s: float, bound_d: float) -> QuantizerParam
     The scale uses the full fixed range (2 s wide), not the data; the zero
     point shifts the grid so index -p_z dequantizes to exactly 0.0.
     """
-    # imported here because qam imports modem, which imports this module
-    from .qam import point_grid
-
     if not (1 <= bits_m <= 16):
         raise ValueError("bits_m must be in 1..16")
     if not (0 < bound_d < bound_s):

@@ -53,14 +53,11 @@ Conventions shared by every search:
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import RegionSection, RequirementCase
 from .srate import AccuracyModel, gamma_required, xi_eval
-
-if TYPE_CHECKING:  # annotations only
-    from .config import RegionSection, RequirementCase
 
 _REFINE_ROUNDS = 10
 _REFINE_POINTS = 33
@@ -93,11 +90,11 @@ class RegionCurve:
         return sum(not p.feasible for p in self.points)
 
 
-def _gains(r: "RegionSection") -> tuple[float, float]:
+def _gains(r: RegionSection) -> tuple[float, float]:
     return 10.0 ** (r.gain_near_db / 10.0), 10.0 ** (r.gain_far_db / 10.0)
 
 
-def _rates_per_accuracy(r: "RegionSection") -> tuple[float, float]:
+def _rates_per_accuracy(r: RegionSection) -> tuple[float, float]:
     """Semantic rate per unit accuracy over the whole band: W / k for the
     text (near) user, W / compression for the image (far) user."""
     return r.bandwidth_hz / r.text_k_symbols, r.bandwidth_hz / r.image_compression
@@ -189,8 +186,8 @@ def _oma_search(fun, rows, grid: np.ndarray, maximize: bool, usable=None) -> np.
     Evaluates the coarse slice grid in blocks of at most _GRID_BLOCK_POINTS
     points, every row of a block in one call (a row with more slices than
     that in several), takes each row's best grid point (NaN masked), then
-    refines every row's bracket around it at once.  NaN for rows where no
-    grid point is valid.
+    refines the bracket around it of every row that has one, all at once.
+    NaN for rows where no grid point is valid; those are not refined.
 
     usable(rows, grid), when given, marks the grid slices that any of
     these rows can use: fun must be NaN at every other slice for each of
@@ -203,14 +200,18 @@ def _oma_search(fun, rows, grid: np.ndarray, maximize: bool, usable=None) -> np.
     k = 0
     while k < len(rows):
         k += _coarse_block(fun, rows[k:], grid, maximize, usable, best[k:], least[k:])
-    found = least < np.inf
-    lo = grid[np.maximum(best - 1, 0)]
-    hi = grid[np.minimum(best + 1, len(grid) - 1)]
-    _, val = _refine_extremum(lambda w_n: fun(rows, w_n), lo, hi, grid[best], maximize)
-    return np.where(found, val, np.nan)
+    found = np.flatnonzero(least < np.inf)
+    out = np.full(len(rows), np.nan)
+    if len(found):
+        best, rows = best[found], rows[found]
+        lo = grid[np.maximum(best - 1, 0)]
+        hi = grid[np.minimum(best + 1, len(grid) - 1)]
+        _, out[found] = _refine_extremum(lambda w_n: fun(rows, w_n), lo, hi, grid[best],
+                                         maximize)
+    return out
 
 
-def default_rate_grid(r: "RegionSection", near_model: AccuracyModel) -> np.ndarray:
+def default_rate_grid(r: RegionSection, near_model: AccuracyModel) -> np.ndarray:
     """Near-rate sweep from the accuracy-requirement point to full power.
 
     The top is kept a small margin below the near accuracy ceiling: the
@@ -228,7 +229,7 @@ def default_rate_grid(r: "RegionSection", near_model: AccuracyModel) -> np.ndarr
     return np.linspace(lo, hi, r.sweep_points)
 
 
-def noma_rate_region(r: "RegionSection", near_model: AccuracyModel,
+def noma_rate_region(r: RegionSection, near_model: AccuracyModel,
                      far_model: AccuracyModel, rate_grid) -> RegionCurve:
     """Largest far rate per near rate of rate_grid (default_rate_grid)
     under superposition.
@@ -247,7 +248,7 @@ def noma_rate_region(r: "RegionSection", near_model: AccuracyModel,
     return _curve("noma-rate", rate_n, np.where(ok, pref_f * acc_f, np.nan))
 
 
-def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: AccuracyModel):
+def _oma_rate_at(r: RegionSection, near_model: AccuracyModel, far_model: AccuracyModel):
     """The OMA objective far_rate(rate_n, w_n): far rate for each near rate
     in rate_n and near bandwidth slice in w_n (broadcast against each
     other), NaN where the split is invalid.  The near accuracy
@@ -264,8 +265,10 @@ def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: Accur
     def far_rate(rate_n, w_n):
         w_n = np.asarray(w_n, dtype=float)
         w_f = w - w_n
-        # slices of zero width divide by zero here; the masks below drop them
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # slices of zero width divide by zero here, and a need near the float
+        # range (slope c1 near 0) overflows to +inf, its exact limit; the
+        # masks below drop both
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             acc_rate = _slice_accuracy(rate_n, w, pref_n, w_n)
             need = np.maximum(gamma_required(near_model, acc_rate), need_req)
             rho_low = np.maximum(0.0, need * w_n / (w * g_n))
@@ -280,7 +283,7 @@ def _oma_rate_at(r: "RegionSection", near_model: AccuracyModel, far_model: Accur
     return far_rate
 
 
-def _oma_rate_slices(r: "RegionSection", near_model: AccuracyModel):
+def _oma_rate_slices(r: RegionSection, near_model: AccuracyModel):
     """The OMA rate search's skip rule usable(rate_n, w_n): the w_n = 0
     corner, and the slices on which the smallest near rate of rate_n needs
     an accuracy below the near ceiling.  On any other slice every rate's
@@ -295,7 +298,7 @@ def _oma_rate_slices(r: "RegionSection", near_model: AccuracyModel):
     return usable
 
 
-def oma_rate_region(r: "RegionSection", near_model: AccuracyModel,
+def oma_rate_region(r: RegionSection, near_model: AccuracyModel,
                     far_model: AccuracyModel, rate_grid) -> RegionCurve:
     """Largest far rate per near rate of rate_grid (default_rate_grid)
     under orthogonal slicing.
@@ -310,7 +313,7 @@ def oma_rate_region(r: "RegionSection", near_model: AccuracyModel,
     return _curve("oma-rate", rate_n, best)
 
 
-def noma_power_region(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
+def noma_power_region(r: RegionSection, case: RequirementCase, near_model: AccuracyModel,
                       far_model: AccuracyModel, req_levels) -> RegionCurve:
     """Minimum total power share per near accuracy requirement level.
 
@@ -326,13 +329,15 @@ def noma_power_region(r: "RegionSection", case: "RequirementCase", near_model: A
     need_f = max(gamma_required(far_model, case.xi_req_far),
                  gamma_required(far_model, case.rate_req_far / pref_f))
     rho_n = np.maximum(0.0, need_n / g_n)
-    # an unreachable far requirement (need_f = +inf) makes the total +inf
-    total = rho_n + np.maximum(0.0, need_f * (1.0 / g_f + rho_n))
+    # an unreachable far requirement (need_f = +inf) makes the total +inf,
+    # and so does a product beyond the float range, its exact limit
+    with np.errstate(over="ignore"):
+        total = rho_n + np.maximum(0.0, need_f * (1.0 / g_f + rho_n))
     ok = (rho_n <= 1.0) & (total <= 1.0 + _FEAS_TOL)
     return _curve("noma-power", levels, np.where(ok, total, np.nan) * r.p_max_watts)
 
 
-def _oma_power_total(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
+def _oma_power_total(r: RegionSection, case: RequirementCase, near_model: AccuracyModel,
                      far_model: AccuracyModel):
     """The OMA objective total_power(need_level, w_n): total power share for each
     near requirement SNR in need_level (gamma_required of the near model
@@ -347,8 +352,10 @@ def _oma_power_total(r: "RegionSection", case: "RequirementCase", near_model: Ac
     def total_power(need_level, w_n):
         w_n = np.asarray(w_n, dtype=float)
         w_f = w - w_n
-        # slices of zero width divide by zero here; the mask below drops them
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # slices of zero width divide by zero here, and a need near the float
+        # range (slope c1 near 0) overflows to +inf, its exact limit; the
+        # mask below drops both
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             acc_rate_n = _slice_accuracy(case.rate_req_near, w, pref_n, w_n)
             need_n = np.maximum(need_level, gamma_required(near_model, acc_rate_n))
             rho_n = np.maximum(0.0, need_n * w_n / (w * g_n))
@@ -362,7 +369,7 @@ def _oma_power_total(r: "RegionSection", case: "RequirementCase", near_model: Ac
     return total_power
 
 
-def _oma_power_slices(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
+def _oma_power_slices(r: RegionSection, case: RequirementCase, near_model: AccuracyModel,
                       far_model: AccuracyModel):
     """The OMA power search's skip rule usable(need_level, w_n): the slices
     where both users get bandwidth and each carries its rate requirement
@@ -380,7 +387,7 @@ def _oma_power_slices(r: "RegionSection", case: "RequirementCase", near_model: A
     return usable
 
 
-def oma_power_region(r: "RegionSection", case: "RequirementCase", near_model: AccuracyModel,
+def oma_power_region(r: RegionSection, case: RequirementCase, near_model: AccuracyModel,
                      far_model: AccuracyModel, req_levels) -> RegionCurve:
     """Minimum total power share per near accuracy requirement level.
 

@@ -87,7 +87,8 @@ def gamma_required(model: AccuracyModel, target) -> np.ndarray | float:
     a NaN target gives NaN.
     """
     t = np.asarray(target, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a slope c1 near 0 overflows the division to +-inf, the exact limit
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # odds taken from the two gaps directly: a2 - t > 0 for any t < a2,
         # where 1 - (t - a1) / (a2 - a1) can round to 0 just below the ceiling
         inner = (np.log((t - model.a1) / (model.a2 - t)) - model.c2) / model.c1

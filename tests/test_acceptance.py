@@ -17,7 +17,7 @@ from nomalink.cli import main
 from nomalink.config import ExperimentConfig, LinkSection, RegionSection
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, build_constellations,
                            effective_snrs_db, open_cell, run_link)
-from nomalink.modem import (amplitudes, composite_peak, count_macs, demodulate,
+from nomalink.modem import (composite_peak, count_macs, demodulate,
                             train_modem, tx_symbols)
 from nomalink.qam import make_qam, sic_detect, sic_macs_per_symbol
 from nomalink.quant import dequantize, fit_quantizer, quantize
@@ -80,7 +80,7 @@ def test_criterion_04_noiseless_detection_exactness():
     assert np.array_equal(quantize(x_n, q), idx_n)  # reps hit their index
     assert np.array_equal(quantize(x_f, q), idx_f)
 
-    amp_n, amp_f = amplitudes(0.3, 0.7)
+    amp_n, amp_f = LinkSection().amplitudes()
     x = amp_n * tx_symbols(dequantize(idx_n, q), near_m) \
         + amp_f * tx_symbols(dequantize(idx_f, q), far_m)
     out_n = demodulate(x, near_m)  # zero noise, unit channel
@@ -91,7 +91,7 @@ def test_criterion_04_noiseless_detection_exactness():
 
     qam = make_qam(2)
     y = amp_n * qam.points[idx_n] + amp_f * qam.points[idx_f]
-    got_n, got_f = sic_detect(y, qam, qam, 0.3, 0.7)
+    got_n, got_f = sic_detect(y, qam, qam, amp_n, amp_f)
     assert np.array_equal(got_n, idx_n)
     assert np.array_equal(got_f, idx_f)
     assert time.monotonic() - t0 < 300.0
@@ -113,7 +113,7 @@ def test_criterion_05_gradients_match_finite_differences():
         vn = q.constellation_deq[g.integers(0, 4, size=b)]
         vf = q.constellation_deq[g.integers(0, 4, size=b)]
         rho_n = float(g.uniform(0.1, 0.5))
-        amp_n, amp_f = amplitudes(rho_n, 1.0 - rho_n)
+        amp_n, amp_f = LinkSection(rho_n, 1.0 - rho_n).amplitudes()
         chans = []
         for _ in range(2):
             h = complex(g.normal(1.0, 0.2), g.normal(0.0, 0.2))
@@ -196,7 +196,7 @@ def test_criterion_07_equal_power_breakdown(equal_power_models):
 
     qam = make_qam(2)
     y = np.sqrt(0.5) * (qam.points[idx_n] + qam.points[idx_f])
-    got_n, got_f = sic_detect(y, qam, qam, 0.5, 0.5)
+    got_n, got_f = sic_detect(y, qam, qam, *LinkSection(0.5, 0.5).amplitudes())
     ser_sic = np.mean((got_n != idx_n) | (got_f != idx_f))
     assert ser_sic >= 0.25, f"equal-power SIC SER {ser_sic}"
 

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from nomalink.cli import main
-from nomalink.config import (ConfigError, ExperimentConfig, RequirementCase,
+from nomalink.config import (ConfigError, ExperimentConfig, LinkSection, RequirementCase,
                              SCHEMA_VERSION, canonical_json, config_from_dict,
                              config_hash, config_to_dict, load_config)
 
@@ -145,6 +146,13 @@ def test_equal_power_split_and_both_conventions_accepted():
     cfg = config_from_dict({"link": {"rho_near": 0.5, "rho_far": 0.5,
                                      "superposition": "literal"}})
     assert (cfg.link.rho_near, cfg.link.superposition) == (0.5, "literal")
+
+
+def test_amplitudes_conventions():
+    # the square roots of the shares under sqrt, the shares themselves under literal
+    assert LinkSection(0.3, 0.7, "sqrt").amplitudes() == (math.sqrt(0.3), math.sqrt(0.7))
+    assert LinkSection(0.3, 0.7, "literal").amplitudes() == (0.3, 0.7)
+    assert LinkSection().amplitudes() == LinkSection(0.3, 0.7, "sqrt").amplitudes()
 
 
 @pytest.mark.parametrize("doc, key", [

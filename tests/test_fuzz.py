@@ -139,8 +139,9 @@ def bad_configs(draw):
         junk = draw(JUNK.filter(lambda v: not isinstance(v, dict)))
         return {section: junk} if section else junk
     key = draw(st.sampled_from(sorted(fields)))
-    return _set({}, f"{section}.{key}" if section else key,
-                draw(WRONG_TYPE[fields[key]]))
+    # tuple[int, ...] and tuple[RequirementCase, ...] draw from the tuple entry
+    wrong = WRONG_TYPE[typing.get_origin(fields[key]) or fields[key]]
+    return _set({}, f"{section}.{key}" if section else key, draw(wrong))
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,11 +5,12 @@ import pytest
 
 import oracles
 from nomalink import rng
-from nomalink.channel import ChannelSpec, realize
-from nomalink.config import ExperimentConfig, LinkSection, QuantSection
+from nomalink.channel import realize
+from nomalink.config import (SUPERPOSE_LITERAL, SUPERPOSE_SQRT, ExperimentConfig, LinkSection,
+                             QuantSection)
 from nomalink.link import (DETECTOR_NEURAL, DETECTOR_SIC, build_constellations,
                            effective_snrs_db, open_cell, run_link, sample_features)
-from nomalink.modem import SUPERPOSE_LITERAL, SUPERPOSE_SQRT, amplitudes, tx_symbols
+from nomalink.modem import tx_symbols
 from nomalink.quant import dequantize, fit_quantizer
 from nomalink.rng import stream_rng
 
@@ -129,7 +130,7 @@ def test_alphabets_equal_per_symbol_modulation(table1_models, superposition):
     cfg = _cfg(superposition=superposition)
     books = build_constellations(cfg, (near_m, far_m))
     assert books.link == cfg.link
-    a_n, a_f = amplitudes(0.3, 0.7, superposition)
+    a_n, a_f = cfg.link.amplitudes()
     idx = stream_rng(21).integers(0, 4, size=(2, 500))
     v = books.q_near.constellation_deq[idx]
     for (t_n, t_f), s_n, s_f in (
@@ -213,8 +214,8 @@ def test_cell_draws_are_the_streams_own_draws(kind, delta):
             source = stream_rng(3, user, rng.SOURCE, block).standard_normal(400)
             assert np.array_equal(_bits(draws.noise[user]), _bits(noise))
             assert np.array_equal(_bits(draws.source[user]), _bits(source))
-            real = realize(ChannelSpec(kind, gain, delta, seed=3), user, block)
-            assert (draws.channels[user].h, draws.channels[user].h_hat) == (real.h, real.h_hat)
+            h, h_hat = realize(kind, delta, 3, user, block)
+            assert draws.channels[user] == (h, h_hat, 10.0 ** (-gain / 10.0))
 
 
 def test_draw_buffers_of_another_size_rejected():

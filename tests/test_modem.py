@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from nomalink.config import ExperimentConfig, LinkSection, TrainSection, config_from_dict
-from nomalink.modem import (ROLE_FAR, ROLE_NEAR, SUPERPOSE_LITERAL,
-                            SUPERPOSE_SQRT, ModemModel, TrainingDivergedError,
-                            amplitudes, count_macs, demodulate, load_model,
+from nomalink.config import (SUPERPOSE_LITERAL, ExperimentConfig, LinkSection, TrainSection,
+                             config_from_dict)
+from nomalink.modem import (ROLE_FAR, ROLE_NEAR, ModemModel, TrainingDivergedError,
+                            count_macs, demodulate, load_model,
                             mean_symbol_power, modulate, pair_backward,
                             pair_forward, save_model, stack_hidden,
                             train_modem, tx_symbols, _init_model)
@@ -36,14 +36,6 @@ def _train_cfg(**train):
 def _stacked_pair(q, seed=0):
     near, far = _random_pair(q, seed)
     return stack_hidden(near, far), near, far
-
-
-def test_amplitudes_conventions():
-    a_n, a_f = amplitudes(0.3, 0.7, SUPERPOSE_SQRT)
-    assert (a_n, a_f) == pytest.approx((np.sqrt(0.3), np.sqrt(0.7)))
-    assert amplitudes(0.3, 0.7, SUPERPOSE_LITERAL) == (0.3, 0.7)
-    with pytest.raises(ValueError):
-        amplitudes(0.3, 0.7, "weird")
 
 
 def test_modulator_is_affine(q22):
@@ -80,7 +72,7 @@ def test_pair_forward_loss_decomposition(q22):
     vf = q22.constellation_deq[rng.integers(0, 4, size=8)]
     noise_n = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 0.05
     noise_f = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 0.05
-    amp_n, amp_f = amplitudes(0.3, 0.7)
+    amp_n, amp_f = LinkSection().amplitudes()
     losses, _ = pair_forward(hidden, near, far, vn, vf, amp_n, amp_f,
                              (1.0, 1.0, noise_n), (1.0, 1.0, noise_f))
 
@@ -108,7 +100,7 @@ def test_pair_backward_matches_finite_differences(q22):
     # mismatched channel estimate exercises the conj(h / h_hat) chain rule
     chan_n = (0.9 - 0.2j, 0.85 - 0.16j, 0.03 * rng.standard_normal(5) + 0.01j)
     chan_f = (1.1 + 0.4j, 1.02 + 0.44j, 0.03 * rng.standard_normal(5) - 0.02j)
-    amp_n, amp_f = amplitudes(0.3, 0.7)
+    amp_n, amp_f = LinkSection().amplitudes()
 
     def near_loss():
         losses, _ = pair_forward(hidden, near, far, vn, vf, amp_n, amp_f, chan_n, chan_f)

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 import oracles
 from nomalink import qam
-from nomalink.modem import SUPERPOSE_LITERAL
+from nomalink.config import LinkSection
 from nomalink.qam import (detect_far, make_qam, nearest_point, point_grid,
                           qam_modulate, sic_detect, sic_macs_per_symbol)
 from nomalink.quant import fit_quantizer
 from nomalink.rng import stream_rng
+
+# the (near, far) amplitudes of the 0.3 / 0.7 split in each convention
+SQRT = LinkSection(0.3, 0.7, "sqrt").amplitudes()
+LITERAL = LinkSection(0.3, 0.7, "literal").amplitudes()
 
 
 def test_qpsk_index_zero_frozen():
@@ -68,7 +72,7 @@ def test_sic_worked_example_frozen():
     q = make_qam(1)
     y = np.sqrt(0.3) * (-1.0) + np.sqrt(0.7) * (+1.0)
     assert y == pytest.approx(oracles.EXPECTED_SIC_COMPOSITE, abs=1e-15)
-    idx_n, idx_f = sic_detect(np.array([y]), q, q, 0.3, 0.7)
+    idx_n, idx_f = sic_detect(np.array([y]), q, q, *SQRT)
     far_pt = q.points[idx_f[0]]
     assert far_pt == 1.0 + 0j
     residual = y - np.sqrt(0.7) * far_pt
@@ -82,7 +86,7 @@ def test_sic_noiseless_recovers_all_pairs():
     idx_n = np.array([p[0] for p in pairs])
     idx_f = np.array([p[1] for p in pairs])
     y = np.sqrt(0.3) * q.points[idx_n] + np.sqrt(0.7) * q.points[idx_f]
-    got_n, got_f = sic_detect(y, q, q, 0.3, 0.7)
+    got_n, got_f = sic_detect(y, q, q, *SQRT)
     assert np.array_equal(got_n, idx_n)
     assert np.array_equal(got_f, idx_f)
 
@@ -91,8 +95,8 @@ def test_sic_agrees_with_loop_reference():
     q = make_qam(2)
     rng = stream_rng(5)
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    got_n, got_f = sic_detect(y, q, q, 0.3, 0.7)
-    far_only = detect_far(y, q, 0.3, 0.7)
+    got_n, got_f = sic_detect(y, q, q, *SQRT)
+    far_only = detect_far(y, q, SQRT[1])
     for k in range(64):
         ref_n, ref_f = oracles.sic_reference(complex(y[k]), q.points, q.points, 0.3, 0.7)
         assert (got_n[k], got_f[k], far_only[k]) == (ref_n, ref_f, ref_f)
@@ -106,7 +110,7 @@ def test_equal_power_breaks_sic():
     idx_n = np.array([p[0] for p in pairs])
     idx_f = np.array([p[1] for p in pairs])
     y = np.sqrt(0.5) * (q.points[idx_n] + q.points[idx_f])
-    got_n, got_f = sic_detect(y, q, q, 0.5, 0.5)
+    got_n, got_f = sic_detect(y, q, q, *LinkSection(0.5, 0.5).amplitudes())
     ser = np.mean((got_n != idx_n) | (got_f != idx_f))
     assert ser >= 0.25
 
@@ -356,7 +360,7 @@ def test_sic_memory_is_linear_at_16_bits():
     y = y + 1e-4 * (rng.standard_normal(4096) + 1j * rng.standard_normal(4096))
     tracemalloc.start()
     try:
-        got_n, got_f = sic_detect(y, q, q, 0.3, 0.7)
+        got_n, got_f = sic_detect(y, q, q, *SQRT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,16 +385,16 @@ def test_sic_equals_the_per_symbol_residual_formula(m, convention):
     # the residual y - a_f * point[far index], over a_n, per symbol: what
     # sic_detect gathers from the far points scaled once
     q = make_qam(m)
-    a_n, a_f = qam.amplitudes(0.3, 0.7, convention)
+    a_n, a_f = LinkSection(0.3, 0.7, convention).amplitudes()
     g = stream_rng(41, m)
     idx = g.integers(0, 2**m, size=(2, 4000))
     y = a_n * q.points[idx[0]] + a_f * q.points[idx[1]] \
         + 0.05 * (g.standard_normal(4000) + 1j * g.standard_normal(4000))
     far = nearest_point(y / a_f, q.grid)
     near = nearest_point((y - a_f * q.points[far]) / a_n, q.grid)
-    got_n, got_f = sic_detect(y, q, q, 0.3, 0.7, convention)
+    got_n, got_f = sic_detect(y, q, q, a_n, a_f)
     assert np.array_equal(got_f, far) and np.array_equal(got_n, near)
-    assert np.array_equal(detect_far(y, q, 0.3, 0.7, convention), far)
+    assert np.array_equal(detect_far(y, q, a_f), far)
 
 
 def test_sic_literal_agrees_with_loop_reference():
@@ -398,18 +402,18 @@ def test_sic_literal_agrees_with_loop_reference():
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     for m in (2, 4):
         q = make_qam(m)
-        got_n, got_f = sic_detect(y, q, q, 0.3, 0.7, SUPERPOSE_LITERAL)
+        got_n, got_f = sic_detect(y, q, q, *LITERAL)
         ref_n, ref_f = oracles.literal_sic_reference(y, q.points, q.points, 0.3, 0.7)
         assert np.array_equal(got_n, ref_n)
         assert np.array_equal(got_f, ref_f)
-        assert np.array_equal(detect_far(y, q, 0.3, 0.7, SUPERPOSE_LITERAL), ref_f)
+        assert np.array_equal(detect_far(y, q, LITERAL[1]), ref_f)
 
 
 def test_sic_literal_noiseless_recovers_all_pairs():
     q = make_qam(2)
     idx_n, idx_f = oracles.enumerate_index_pairs(2, 2)
     y = 0.3 * q.points[idx_n] + 0.7 * q.points[idx_f]
-    got_n, got_f = sic_detect(y, q, q, 0.3, 0.7, SUPERPOSE_LITERAL)
+    got_n, got_f = sic_detect(y, q, q, *LITERAL)
     assert np.array_equal(got_n, idx_n)
     assert np.array_equal(got_f, idx_f)
 
@@ -421,7 +425,7 @@ def test_detection_survives_small_noise():
     idx_f = rng.integers(0, 4, size=1000)
     y = np.sqrt(0.3) * q.points[idx_n] + np.sqrt(0.7) * q.points[idx_f]
     y = y + 1e-6 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
-    got_n, got_f = sic_detect(y, q, q, 0.3, 0.7)
+    got_n, got_f = sic_detect(y, q, q, *SQRT)
     assert np.array_equal(got_n, idx_n)
     assert np.array_equal(got_f, idx_f)
 

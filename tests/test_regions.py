@@ -1,13 +1,15 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nomalink import regions
 from nomalink.config import RegionSection, RequirementCase
 from nomalink.regions import (RegionCurve, RegionPoint, _linspace_rows,
                               _oma_power_slices, _oma_power_total, _oma_rate_at,
@@ -350,17 +352,42 @@ def test_row_batched_oma_curves_equal_the_per_row_loop(gain_near, gain_gap, band
                 _loop_oma_power(r, case, levels))
 
 
+def _recording(fun, calls):
+    """fun, appending each call's rows and whether its slices were a
+    refinement's (2-D: one set per row) rather than the coarse grid's."""
+    def recorded(rows, w_n):
+        calls.append((np.array(rows), np.ndim(w_n) == 2))
+        return fun(rows, w_n)
+    return recorded
+
+
 def test_rows_without_a_valid_grid_point_stay_infeasible():
-    # row 0 is valid only between the first two grid points, where the
-    # refinement would reach; a row needs a valid coarse point to count
+    # rows 0 and 2 are valid only between the first two grid points, where
+    # the refinement would reach; a row needs a valid coarse point to count,
+    # and only the rows that have one are refined
     grid = np.linspace(0.0, 1.0, 8, endpoint=False)
 
     def fun(r, x):
         return np.where(((x > 0.01) & (x < 0.1)) | ((r > 0.5) & (x >= 0.5)), r + x, np.nan)
 
-    got = _oma_search(fun, np.array([0.0, 1.0]), grid, maximize=True)
-    assert math.isnan(got[0])
-    assert got[1] == 1.875
+    calls = []
+    got = _oma_search(_recording(fun, calls), np.array([0.0, 1.0, 0.25, 2.0]), grid,
+                      maximize=True)
+    assert np.isnan(got[[0, 2]]).all()
+    assert list(got[[1, 3]]) == [1.875, 2.875]
+    refined = [rows[:, 0].tolist() for rows, refine in calls if refine]
+    # the best point, ten rounds and the final value, of rows 1 and 3 only
+    assert refined == [[1.0, 2.0]] * 12
+
+
+def test_oma_rate_search_refines_nothing_when_no_split_is_feasible(monkeypatch):
+    # a far requirement above the far ceiling 0.90: no slice suits any rate
+    r, _ = shipped(xi_req_far=0.95)
+    objective, calls = regions._oma_rate_at, []
+    monkeypatch.setattr(regions, "_oma_rate_at", lambda *a: _recording(objective(*a), calls))
+    curve = oma_rate_region(r, TEXT, IMAGE, default_rate_grid(r, TEXT))
+    assert not curve.feasible and calls
+    assert not any(refine for _, refine in calls)
 
 
 # fitted curves a search must survive: falling or flat (c1 <= 0), a floor
@@ -371,6 +398,14 @@ _models = st.one_of(st.sampled_from([TEXT, IMAGE]), st.builds(
     st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), st.floats(-5.0, 5.0)))
 
 
+# slopes near 0, where gamma_required's division and an objective's need
+# times a slice width overflow to +inf
+@example(near=TEXT, far=AccuracyModel(0.25, 1.25, 2.225073858507203e-309, 0.0), gain_near=0.0,
+         gain_gap=0.0, bandwidth=1.0, xi_near=0.5, xi_far=0.5, rate_near=0.0, rate_far=0.0,
+         grid_points=8, rates=[0.0], levels=[0.5])
+@example(near=AccuracyModel(0.1, 0.95, 1e-307, 0.0), far=IMAGE, gain_near=0.0, gain_gap=0.0,
+         bandwidth=50.0, xi_near=0.5, xi_far=0.5, rate_near=0.0, rate_far=0.0, grid_points=8,
+         rates=[0.0], levels=[0.9])
 @settings(max_examples=150, deadline=None)
 @given(near=_models, far=_models, gain_near=st.floats(0.0, 30.0),
        gain_gap=st.floats(0.0, 20.0), bandwidth=st.floats(0.5, 50.0),
@@ -406,6 +441,25 @@ def test_every_slice_a_skip_rule_drops_is_nan_in_the_objective(
             assert np.isnan(values[k:, dropped]).all()
         _same_values(_oma_search(fun, rows, grid, maximize, usable),
                      _oma_search(fun, rows, grid, maximize))
+
+
+@pytest.mark.parametrize("c2", [0.0, -20.0, 20.0])
+def test_curves_at_a_slope_near_zero_do_not_warn(c2):
+    # needs near the float range: gamma_required divides by c1, and the
+    # curves multiply its result, overflowing to +inf, the exact limit.
+    # Accuracy stays at most the midpoint at c2 <= 0 and near the ceiling
+    # at c2 = 20
+    model = AccuracyModel(0.1, 0.95, 1e-307, c2)
+    r, case = shipped(bandwidth_hz=50.0, rate_req_near=0.01, rate_req_far=0.5)
+    levels = np.linspace(0.6, 0.94, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = default_rate_grid(r, model)
+        curves = [noma_rate_region(r, model, model, rates),
+                  oma_rate_region(r, model, model, rates),
+                  noma_power_region(r, case, model, model, levels),
+                  oma_power_region(r, case, model, model, levels)]
+    assert [c.dropped for c in curves] == ([0] * 4 if c2 > 0 else [1, 1, 9, 9])
 
 
 def _search_peak(points: int, region, *args) -> int:
