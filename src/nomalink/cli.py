@@ -9,7 +9,6 @@ region curves empty.
 """
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import os
@@ -27,68 +26,6 @@ from .regions import (default_rate_grid, noma_power_region, noma_rate_region,
 from .srate import TRUE_CURVES, FitResult, fit_logistic, load_accuracy_csv
 
 _MACS_LENGTHS = (1, 16, 64, 256, 1024)
-
-# glibc's mallopt parameters (malloc.h) and the values main sets.  By
-# default glibc gives each block at or above its mmap threshold (128 kB,
-# raised to the size of each such block freed) a mapping of its own, and
-# returns the top of the heap to the kernel once more than twice that
-# threshold lies free there, so every cell of a neural sweep faulted its
-# working memory in again: about 330k minor faults and 1.2 s of system
-# time per default `sweep --detector both`.
-# An mmap threshold of 8 MiB keeps the largest array of a default cell,
-# Mlp.infer's 20,000 x 32 float64 hidden-layer buffer (4.9 MiB), on the
-# heap (4 MiB still churned); a trim threshold of 16 MiB keeps the heap
-# top a cell frees (10 MiB still churned, 12 MiB did not).  With both the
-# second of two sweeps in one process takes about 10 faults.  A sweep of
-# more symbols a cell raises both in proportion (_allocator_policy): at
-# 50,000 the buffer is 12.2 MiB, and under 8/16 MiB the second sweep took
-# 5,249 faults.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 8 << 20), (_M_TRIM_THRESHOLD, 16 << 20))
-_MMAP_THRESHOLD_MAX = 32 << 20  # glibc rejects more on 64-bit
-
-
-def _libc_mallopt():
-    """The C library's mallopt, or None where it has none."""
-    try:
-        fn = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
-        return None
-    fn.argtypes = (ctypes.c_int, ctypes.c_int)
-    fn.restype = ctypes.c_int
-    return fn
-
-
-def _set_allocator_policy(policy=_ALLOCATOR_POLICY):
-    """Set the heap thresholds of policy, (param, value) pairs.  Without
-    mallopt, or where it rejects a value (it returns 0), the allocator
-    keeps the value it had: only speed depends on this, no output."""
-    mallopt = _libc_mallopt()
-    if mallopt is not None:
-        for param, value in policy:
-            mallopt(param, value)
-
-
-def _allocator_policy(largest: int):
-    """The policy for a run whose largest array has this many bytes: an
-    mmap threshold of 1.5 times it, capped at glibc's 64-bit maximum of
-    32 MiB, and a trim threshold of twice that, neither below
-    _ALLOCATOR_POLICY.  Up to about 21,800 symbols a sweep cell, the
-    default 20,000 among them, that is _ALLOCATOR_POLICY itself."""
-    (mmap_param, mmap_floor), (trim_param, trim_floor) = _ALLOCATOR_POLICY
-    mmap = min(max(mmap_floor, largest * 3 // 2), _MMAP_THRESHOLD_MAX)
-    return (mmap_param, mmap), (trim_param, max(trim_floor, 2 * mmap))
-
-
-def _raise_allocator_policy(n: int, widths):
-    """Raise the policy for a sweep of n symbols a cell whose demodulators
-    have these layer widths, when its largest array outgrows main's: n
-    rows of the widest layer (Mlp.infer's buffer), and at least the
-    cell's (2, n, 2) noise normals, in float64."""
-    policy = _allocator_policy(n * 8 * max([4, *widths]))
-    if policy != _ALLOCATOR_POLICY:
-        _set_allocator_policy(policy)
 
 
 def _fmt(v) -> str:
@@ -150,16 +87,7 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
     detectors = {"both": (DETECTOR_NEURAL, DETECTOR_SIC)}.get(detector, (detector,))
     neural = DETECTOR_NEURAL in detectors
     n = sweep.n_symbols
-    # before the model files are read: at main's lower trim threshold the
-    # frees of reading them gave back the heap top a previous sweep in the
-    # process left, and a second sweep of 50,000 symbols faulted in 3,200
-    # pages again
-    _raise_allocator_policy(n, cfg.train.hidden if neural else ())
-    models = None
-    if neural:
-        models = _load_models(models_dir or out_dir)
-        # models trained with wider layers than this config's
-        _raise_allocator_policy(n, [w for m in models for w in m.demod.widths[1:]])
+    models = _load_models(models_dir or out_dir) if neural else None
 
     step, dlt = sweep.grid_step_db, sweep.estimation_error_delta
     near_grid = np.arange(sweep.snr_near_lo_db, sweep.snr_near_hi_db + step / 2.0, step)
@@ -173,6 +101,9 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, out_dir: str, detector: str,
     # perfbench traces stream_rng and realize on one span stack; the helper
     # only draws from them (CellDraws.fill).  Every cell's
     # streams are its own, so the order of the draws cannot change a value.
+    # Reusing the two sets keeps their pages mapped: fresh buffers each cell
+    # took about 170,000 minor page faults and 0.2-0.3 s of system time per
+    # default sweep --detector both, against 47,000-48,000 and 0.05-0.09 s.
     buffers = [(np.empty((2, n, 2)), np.empty((2, n))) for _ in range(2)]
 
     def opened(block):
@@ -329,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _set_allocator_policy()
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()

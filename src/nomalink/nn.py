@@ -126,9 +126,10 @@ class Mlp:
         rows = max(hi - lo for lo, hi in blocks)
         # per call: each hidden bias tiled to a block, and one output buffer
         # per hidden layer but the last, which writes into h_all.  h_all goes
-        # first: allocated after the small buffers, it left glibc's heap
-        # fragmented enough to raise a default sweep's peak RSS by about
-        # 5 MB under cli.main's allocator policy (48.2 against 53.3 MB)
+        # first: allocated after the small buffers, it leaves glibc's heap
+        # fragmented, and a default sweep --detector both peaks 5 MB higher
+        # (58.7-58.9 against 53.7-53.9 MB) and takes 84,000-167,000 minor
+        # page faults against 47,000-50,000
         h_all = np.empty((n, self.widths[-2]))
         tiles = [np.tile(b, (rows, 1)) for b in self.b[:-1]]
         bufs = [np.empty((rows, w)) for w in self.widths[1:-2]]

@@ -137,8 +137,9 @@ def fit_logistic(samples) -> FitResult:
     onto it.  A step is taken only if it lowers the sum of squares; the
     fit ends when no damping gives a step that moves the parameters, or
     when FIT_STALL_ITERS iterations in a row lowered the sum of squares by
-    less than FIT_STALL_TOL relative (warned as stalled unless a graver
-    warning applies).
+    less than FIT_STALL_TOL relative, or after FIT_MAX_ITERS iterations
+    (the last two warned as stalled or as reaching the cap, unless a
+    graver warning applies).
     Degenerate (constant) inputs are flagged with a warning instead of
     an error.
     """
@@ -168,7 +169,7 @@ def fit_logistic(samples) -> FitResult:
     resid, jac = _residual_and_jacobian(p, gamma, acc)
     f = float(resid @ resid)
     damping = FIT_DAMPING_START
-    f_mark, stalled = f, False
+    f_mark, unfinished = f, None  # unfinished: why the fit stopped unconverged
     iters = 0
     for iters in range(1, FIT_MAX_ITERS + 1):
         jtj = jac.T @ jac
@@ -193,9 +194,12 @@ def fit_logistic(samples) -> FitResult:
                 damping *= 10.0
         if iters % FIT_STALL_ITERS == 0:
             if f_mark - f <= FIT_STALL_TOL * f_mark:
-                stalled = True
+                unfinished = (f"stalled: the last {FIT_STALL_ITERS} iterations lowered the "
+                              f"sum of squares by less than {FIT_STALL_TOL:g} relative")
                 break
             f_mark = f
+    else:
+        unfinished = f"reached the iteration cap: {FIT_MAX_ITERS} iterations without converging"
 
     a1, a2, c1, c2 = (float(v) for v in p)
     warning = None
@@ -207,9 +211,8 @@ def fit_logistic(samples) -> FitResult:
     rms = math.sqrt(f / len(acc))
     if rms > FIT_RESIDUAL_WARN and warning is None:
         warning = f"poor fit: residual rms {rms:.3g}"
-    if stalled and warning is None:
-        warning = (f"stalled: the last {FIT_STALL_ITERS} iterations lowered the "
-                   f"sum of squares by less than {FIT_STALL_TOL:g} relative")
+    if warning is None:
+        warning = unfinished
     return FitResult(AccuracyModel(a1, a2, c1, c2), rms, iters, warning)
 
 

@@ -7,7 +7,6 @@ import itertools
 import json
 import os
 import pkgutil
-import resource
 import subprocess
 import sys
 import tempfile
@@ -506,91 +505,22 @@ def test_diverging_training_exits_2_naming_the_stage(tmp_path, capfd):
     assert not (out / "modem_near.json").exists()
 
 
-def _sweep_twice(cfg, models, tmp_path, capsys):
-    """sweep --detector both twice through main: the second run's minor
-    page faults, both runs' sweep.csv bytes and what they printed."""
-    argv = ["sweep", "--config", cfg, "--models", str(models), "--detector", "both"]
-    capsys.readouterr()
-    csvs, faults = [], None
-    for k in range(2):
-        out = tmp_path / f"sweep{k}"
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert main([*argv, "--out", str(out)]) == 0
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        csvs.append((out / "sweep.csv").read_bytes())
-    printed = capsys.readouterr()
-    return faults, csvs, printed.out, printed.err
+def test_sweep_draws_every_cell_into_one_of_two_buffer_pairs(tiny_cfg, tmp_path, monkeypatch):
+    # a fresh (2, n, 2) and (2, n) pair of draw buffers each cell took about
+    # 170,000 minor page faults and 0.2-0.3 s of system time per default
+    # sweep --detector both; two pairs, used in turn, keep that memory mapped
+    outs = []
 
+    def recording_open_cell(*args, out=None, **kwargs):
+        outs.append(out)
+        return link.open_cell(*args, out=out, **kwargs)
 
-def _fault_case(tmp_path, n_symbols):
-    """A tiny trained pair and a 3 x 3 sweep of n_symbols a cell."""
-    cfg = tmp_path / "faults.json"
-    cfg.write_text(json.dumps(dict(TINY, sweep=dict(TINY["sweep"], n_symbols=n_symbols))))
-    models = tmp_path / "m"
-    assert main(["train-modem", "--config", str(cfg), "--out", str(models)]) == 0
-    return str(cfg), models
-
-
-@pytest.fixture()
-def fault_case(tmp_path):
-    """20,000 symbols a cell: each cell's inference buffer (20,000 x 32
-    float64, 4.9 MiB) is above glibc's default mmap threshold."""
-    return _fault_case(tmp_path, 20000)
-
-
-@pytest.mark.skipif(cli._libc_mallopt() is None, reason="the C library has no mallopt")
-def test_repeated_sweep_does_not_fault_its_heap_back_in(fault_case, tmp_path, capsys):
-    # with glibc's default thresholds each cell mmaps its largest arrays and
-    # the heap top goes back to the kernel between cells: 16k-18k minor
-    # faults in the second sweep; under main's allocator policy a handful
-    faults, csvs, _, _ = _sweep_twice(*fault_case, tmp_path, capsys)
-    assert faults < 1000
-    assert csvs[0] == csvs[1]
-
-
-@pytest.mark.skipif(cli._libc_mallopt() is None, reason="the C library has no mallopt")
-def test_repeated_sweep_of_50000_symbols_does_not_fault_its_heap_back_in(tmp_path, capsys):
-    # a 12.2 MiB inference buffer: under the 8 MiB mmap threshold of main's
-    # policy each cell mapped it again (5,249 faults in the second sweep);
-    # the sweep raises both thresholds to cover it
-    faults, csvs, _, _ = _sweep_twice(*_fault_case(tmp_path, 50000), tmp_path, capsys)
-    assert faults < 1000
-    assert csvs[0] == csvs[1]
-
-
-def test_sweep_allocator_policy_covers_the_largest_cell_array(monkeypatch):
-    floor = cli._ALLOCATOR_POLICY
-    mmap, trim = (param for param, _ in floor)
-    assert cli._allocator_policy(50000 * 256) == ((mmap, 19_200_000), (trim, 38_400_000))
-    # glibc's 64-bit limit caps the mmap threshold, not the trim threshold
-    assert cli._allocator_policy(200000 * 256) == ((mmap, 32 << 20), (trim, 64 << 20))
-    calls = []
-    monkeypatch.setattr(cli, "_set_allocator_policy", calls.append)
-    # the default 20,000 symbols keep main's policy, with or without
-    # demodulators; the noise normals alone take 4 float64 a symbol
-    for n, widths in ((20000, [32, 32, 32, 2]), (20000, ()), (100000, ()), (40000, [16, 1])):
-        cli._raise_allocator_policy(n, widths)
-    assert calls == []
-    cli._raise_allocator_policy(50000, [32, 32, 32, 2])
-    cli._raise_allocator_policy(300000, ())
-    assert calls == [cli._allocator_policy(50000 * 32 * 8), cli._allocator_policy(300000 * 32)]
-
-
-@pytest.mark.parametrize("has_mallopt", [False, True], ids=["no-mallopt", "mallopt-rejects"])
-def test_sweep_without_the_allocator_policy_is_unchanged(fault_case, tmp_path, capsys,
-                                                         monkeypatch, has_mallopt):
-    expected = _sweep_twice(*fault_case, tmp_path, capsys)
-    calls = []
-
-    def rejecting_mallopt(param, value):
-        calls.append((param, value))
-        return 0
-
-    monkeypatch.setattr(cli, "_libc_mallopt",
-                        lambda: rejecting_mallopt if has_mallopt else None)
-    got = _sweep_twice(*fault_case, tmp_path, capsys)
-    assert got[1:] == expected[1:]  # sweep.csv bytes, stdout and stderr
-    assert calls == (2 * list(cli._ALLOCATOR_POLICY) if has_mallopt else [])
+    monkeypatch.setattr(cli, "open_cell", recording_open_cell)
+    assert main(["sweep", "--config", tiny_cfg, "--detector", "sic", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    assert len(outs) == len(rows) > 2
+    assert len({tuple(id(buf) for buf in out) for out in outs}) == 2
+    assert all(out is outs[k % 2] for k, out in enumerate(outs))
 
 
 # name -> (detector, config overrides); the neural cases train a tiny pair

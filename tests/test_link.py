@@ -178,6 +178,28 @@ def test_shared_cell_setup_reports_what_single_detector_runs_do(
     assert run(DETECTOR_SIC, DETECTOR_NEURAL) == single[::-1]
 
 
+@pytest.mark.parametrize("superposition", [SUPERPOSE_SQRT, SUPERPOSE_LITERAL])
+@pytest.mark.parametrize("kind, delta", [("awgn", 0.0), ("rayleigh", 0.1)])
+def test_a_receivers_figures_do_not_depend_on_the_other_users_gain(
+        table1_models, superposition, kind, delta):
+    # each receiver detects from its own channel under a power split fixed
+    # per config: with one seed and block, bit for bit the same near figures
+    # at any far gain, and the same far figures at any near gain
+    near_m, far_m, _ = table1_models
+    books = build_constellations(_cfg(superposition=superposition), (near_m, far_m))
+
+    def figures(gains_db, user):
+        draws = open_cell(gains_db, 3000, kind, delta, seed=7, block=2).fill()
+        return [(rep.detector, getattr(rep, f"mse_{user}"), getattr(rep, f"ser_{user}"))
+                for rep in run_link(books, draws, (DETECTOR_NEURAL, DETECTOR_SIC))]
+
+    assert figures((10.0, -8.0), "near") == figures((10.0, 20.0), "near")
+    assert figures((-4.0, 6.0), "far") == figures((20.0, 6.0), "far")
+    # while each receiver's own gain does move its figures
+    assert figures((10.0, -8.0), "far") != figures((10.0, 20.0), "far")
+    assert figures((-4.0, 6.0), "near") != figures((20.0, 6.0), "near")
+
+
 def test_run_is_deterministic_per_seed_and_block():
     def run(block):
         rep, = run_link(SIC_BOOKS, open_cell((10.0, 4.0), 500, seed=5, block=block).fill(),

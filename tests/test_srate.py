@@ -177,6 +177,17 @@ def test_a_stalled_fit_says_so(monkeypatch):
     assert res.warning.startswith("stalled: the last 10 iterations")
 
 
+@pytest.mark.parametrize("kind", ["text", "image"])
+def test_a_fit_that_reaches_the_iteration_cap_says_so(monkeypatch, kind):
+    # the shipped samples converge in 22 (text) and 41 (image) iterations,
+    # and after 10 already fit well enough that no graver warning applies
+    monkeypatch.setattr(srate, "FIT_MAX_ITERS", 10)
+    res = fit_logistic(synthetic_accuracy_samples(kind))
+    assert res.iterations == 10
+    assert res.residual_rms < srate.FIT_RESIDUAL_WARN
+    assert res.warning == "reached the iteration cap: 10 iterations without converging"
+
+
 def test_fit_tolerates_one_percent_noise():
     res = fit_logistic(synthetic_accuracy_samples("text", noise=0.01, seed=1))
     assert res.residual_rms <= 0.02
